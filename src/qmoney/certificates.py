@@ -87,7 +87,7 @@ def check_primal(
     x = linalg.as_hermitian(x, tol=1e-6)
     min_eig = linalg.min_eigenvalue(x)
     defect = float(np.abs(problem.trace_out(x) - np.eye(problem.in_dim)).max())
-    value = float(np.real(np.trace(problem.objective @ x)))
+    value = float(np.real(np.sum(problem.objective * x.T)))  # tr(QX) without forming QX
     return PrimalCheck(
         feasible=bool(min_eig >= -tol and defect <= tol),
         value=value,

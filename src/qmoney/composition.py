@@ -15,6 +15,7 @@ explicitly assembled success/failure operator sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,11 +91,19 @@ def _grouping_permutation(problems: list[CloningSdp]) -> list[int]:
     return perm
 
 
+def _regroup(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
+    """W m W^dagger for W = linalg.permutation_operator(dims, perm): factor j of
+    the space moves to slot perm[j], by a transpose instead of dense products."""
+    k = len(dims)
+    if sorted(perm) != list(range(k)):
+        raise DimensionError(f"{list(perm)} is not a permutation of 0..{k - 1}")
+    axes = [int(j) for j in np.argsort(perm)]
+    tensor = np.asarray(m).reshape(tuple(dims) * 2)
+    return tensor.transpose(axes + [a + k for a in axes]).reshape(m.shape)
+
+
 def _tensor(mats: list[np.ndarray]) -> np.ndarray:
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = np.kron(acc, m)
-    return acc
+    return functools.reduce(np.kron, mats)
 
 
 def repeated_sdp(problems: list[CloningSdp], perm: list[int] | None = None) -> CloningSdp:
@@ -112,14 +121,11 @@ def repeated_sdp(problems: list[CloningSdp], perm: list[int] | None = None) -> C
     if perm is None:
         perm = _grouping_permutation(problems)
     source_dims = [d for p in problems for d in p.dims]
-    w = linalg.permutation_operator(source_dims, perm)
-    objective = w @ _tensor([p.objective for p in problems]) @ w.conj().T
-    grouped_dims = [0] * len(source_dims)
-    for j, slot in enumerate(perm):
-        grouped_dims[slot] = source_dims[j]
+    objective = _regroup(_tensor([p.objective for p in problems]), source_dims, perm)
+    grouped_dims = tuple(source_dims[j] for j in np.argsort(perm))
     n_out = sum(p.n_out for p in problems)
     return CloningSdp(
-        linalg.as_hermitian(objective, tol=1e-9), tuple(grouped_dims), n_out=n_out
+        linalg.as_hermitian(objective, tol=1e-9), grouped_dims, n_out=n_out
     )
 
 
@@ -159,8 +165,9 @@ def tensor_certificates(
     if perm is None:
         perm = _grouping_permutation(problems)
     source_dims = [d for p in problems for d in p.dims]
-    w = linalg.permutation_operator(source_dims, perm)
-    x = w @ _tensor([np.asarray(m, dtype=np.complex128) for m in x_list]) @ w.conj().T
+    x = _regroup(
+        _tensor([np.asarray(m, dtype=np.complex128) for m in x_list]), source_dims, perm
+    )
     y = _tensor([np.asarray(m, dtype=np.complex128) for m in y_list])
     return linalg.as_hermitian(x, tol=1e-9), linalg.as_hermitian(y, tol=1e-9)
 
@@ -217,6 +224,18 @@ def _check_dense_guard(d: int, n: int) -> None:
         )
 
 
+def _threshold_operator(ops: ThresholdOperators, n: int, t: int) -> np.ndarray:
+    """R: over outcome patterns with at least t successes, the sum of the
+    tensor products of per-round success/failure operators."""
+    size = ops.success.shape[0] ** n
+    r = np.zeros((size, size), dtype=np.complex128)
+    for pattern in range(2**n):
+        bits = [(pattern >> i) & 1 for i in range(n)]
+        if sum(bits) >= t:
+            r += _tensor([ops.success if b else ops.failure for b in bits])
+    return r
+
+
 def verify_r_norm(ensemble: schemes.Ensemble, n: int, t: int) -> tuple[float, float]:
     """Norm of the assembled threshold operator next to its closed form.
 
@@ -232,14 +251,7 @@ def verify_r_norm(ensemble: schemes.Ensemble, n: int, t: int) -> tuple[float, fl
     _check_dense_guard(d, n)
     ops = build_threshold_operators(ensemble)
     alpha = d * linalg.operator_norm(ops.success)
-    size = d ** (3 * n)
-    r = np.zeros((size, size), dtype=np.complex128)
-    for pattern in range(2**n):
-        bits = [(pattern >> i) & 1 for i in range(n)]
-        if sum(bits) < t:
-            continue
-        r += _tensor([ops.success if b else ops.failure for b in bits])
-    lhs = linalg.operator_norm(r)
+    lhs = linalg.operator_norm(_threshold_operator(ops, n, t))
     rhs = threshold_value(min(1.0, alpha), n, t) / d**n
     return lhs, rhs
 
@@ -256,16 +268,8 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     d = ensemble.dim
     _check_dense_guard(d, n)
     ops = build_threshold_operators(ensemble)
-    size = d ** (3 * n)
-    r = np.zeros((size, size), dtype=np.complex128)
-    for pattern in range(2**n):
-        bits = [(pattern >> i) & 1 for i in range(n)]
-        if sum(bits) < t:
-            continue
-        r += _tensor([ops.success if b else ops.failure for b in bits])
+    r = _threshold_operator(ops, n, t)
     fake_components = [CloningSdp(ops.success, dims=(d, d, d))] * n
     perm = _grouping_permutation(fake_components)
-    source_dims = [d] * (3 * n)
-    w = linalg.permutation_operator(source_dims, perm)
-    objective = linalg.as_hermitian(w @ r @ w.conj().T, tol=1e-9)
+    objective = linalg.as_hermitian(_regroup(r, [d] * (3 * n), perm), tol=1e-9)
     return CloningSdp(objective, tuple([d] * (3 * n)), n_out=2 * n)

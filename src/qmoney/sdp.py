@@ -14,12 +14,14 @@ directly on the complex Hermitian cone:
 
 - iterates (X, Y, S) with X, S Hermitian positive definite;
 - Nesterov-Todd scaling W, the unique positive definite matrix with
-  W S W = X, computed from eigendecompositions;
+  W S W = X: Cholesky plus one eigendecomposition per iteration give
+  W = G G^H with G^-1 X G^-H = G^H S G = D diagonal (Todd, Toh & Tutuncu);
 - Newton directions obtained by eliminating dX and dS, leaving a small real
   symmetric positive definite system on the input space (dimension squared),
   assembled in an orthonormal Hermitian basis and solved by Cholesky;
 - a Mehrotra-style adaptive centering weight from an affine predictor step,
-  and a fraction-to-boundary line search along each direction.
+  and fraction-to-boundary step lengths in the NT-scaled space, each from a
+  smallest eigenvalue.
 
 Residual terms for infeasible iterates are carried through the Newton system,
 so warm starts need not be feasible; the default start is exactly feasible
@@ -43,6 +45,7 @@ MAX_TOL = 1e-2
 MAX_ITERATIONS = 200
 STEP_FRACTION = 0.98
 PSD_OBJECTIVE_TOL = 1e-9
+CHOLESKY_SHIFTS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -144,95 +147,52 @@ class SdpSolution:
             )
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal real basis of the d-dimensional Hermitian matrices."""
-    basis = []
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of the d-dimensional Hermitian matrices.
+
+    Row k is basis element k flattened, so a Hermitian H has coordinates
+    Re(conj(B) @ H.ravel()) and equals (coords @ B).reshape(d, d).
+    """
+    iu, ju = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(iu.size)
     s = 1.0 / math.sqrt(2.0)
-    for i in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = s
-            m[j, i] = s
-            basis.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = -1j * s
-            m[j, i] = 1j * s
-            basis.append(m)
-    return basis
+    basis = np.zeros((d * d, d, d), dtype=np.complex128)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    basis[sym, iu, ju] = s
+    basis[sym, ju, iu] = s
+    basis[sym + 1, iu, ju] = -1j * s
+    basis[sym + 1, ju, iu] = 1j * s
+    return basis.reshape(d * d, d * d)
 
 
-def _vec(h: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    return np.array([np.real(np.trace(b.conj().T @ h)) for b in basis])
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a b), without forming the product."""
+    return float(np.real(np.sum(a * b.T)))
 
 
-def _unvec(coords: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    acc = np.zeros_like(basis[0])
-    for c, b in zip(coords, basis):
-        acc += c * b
-    return acc
-
-
-def _psd_power(m: np.ndarray, power: float, rel_floor: float = 1e-16) -> np.ndarray:
-    """Hermitian matrix power via eigendecomposition.
-
-    Eigenvalues are floored at ``rel_floor`` times the largest one, which caps
-    the condition number of the result; roundoff can push tiny eigenvalues of
-    nominally positive iterates below zero, and an uncapped negative power
-    would blow the scaling up.
-    """
-    w, v = linalg.hermitian_eig(m)
-    top = float(w[-1])
-    if top <= 0.0:
-        raise SolverError(f"matrix power {power} of a non-positive matrix (top eigenvalue {top:.3e})")
-    w = np.maximum(w, top * rel_floor)
-    return (v * (w**power)) @ v.conj().T
-
-
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Nesterov-Todd scaling point: the positive W with W S W = X."""
-    x_half = _psd_power(x, 0.5)
-    inner = linalg.as_hermitian(x_half @ s @ x_half, tol=1e-8)
-    inner_inv_half = _psd_power(inner, -0.5)
-    return linalg.as_hermitian(x_half @ inner_inv_half @ x_half, tol=1e-8)
-
-
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest alpha keeping m + alpha * dm positive semidefinite.
-
-    Computed from the smallest eigenvalue of the direction in the metric of
-    the current point.  Roundoff can leave the current point marginally
-    indefinite near convergence, so the Cholesky factor is taken with an
-    escalating diagonal shift.
-    """
+def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of m + shift * mean(diag m) * I at the first of ``CHOLESKY_SHIFTS``
+    that works, or None.  Roundoff can leave a positive definite iterate
+    marginally indefinite near convergence."""
     n = m.shape[0]
     base = max(float(np.trace(m).real) / n, 1e-300)
-    shift = 0.0
-    chol = None
-    for _ in range(5):
+    for shift in CHOLESKY_SHIFTS:
         try:
-            chol = np.linalg.cholesky(m + shift * np.eye(n))
-            break
+            return np.linalg.cholesky(m + shift * base * np.eye(n))
         except np.linalg.LinAlgError:
-            shift = 1e-14 * base if shift == 0.0 else shift * 100.0
-    if chol is None:
-        return 0.0
-    inv_l = scipy.linalg.solve_triangular(
-        chol, np.eye(n, dtype=np.complex128), lower=True, check_finite=False
-    )
-    scaled = inv_l @ dm @ inv_l.conj().T
-    lam = float(np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)[0])
-    if lam >= 0.0:
-        return np.inf
-    return -1.0 / lam
+            continue
+    return None
+
+
+def _step_length(lam_min: float, fraction: float) -> float:
+    """Fraction-to-boundary step, capped at 1, along a direction M from I:
+    I + alpha * M stays positive semidefinite up to alpha = -1 / lambda_min(M)."""
+    return 1.0 if lam_min >= 0.0 else min(1.0, -fraction / lam_min)
 
 
 def _solution_from_iterates(problem, x, y, s, iterations, stats):
     obj = problem.objective
-    pval = float(np.real(np.trace(obj @ x)))
+    pval = _pair(obj, x)
     dval = float(np.real(np.trace(y)))
     trace_defect = float(
         np.abs(problem.trace_out(x) - np.eye(problem.in_dim)).max()
@@ -273,7 +233,8 @@ def solve(
         [1e-12, 1e-2].  Default 1e-8.
     max_iterations : int
         Iteration cap; exhausting it raises :class:`SolverError` carrying the
-        best iterate.
+        best iterate.  A primal iterate that cannot be factored even at the
+        largest Cholesky shift raises the same error at once.
     step_fraction : float
         Fraction-to-boundary parameter in (0, 1).
     use_corrector : bool
@@ -302,12 +263,11 @@ def solve(
         return _solution_from_iterates(problem, x, y, np.zeros_like(x), 0, [])
 
     basis = _hermitian_basis(d_in)
-    eye_full = np.eye(n, dtype=np.complex128)
     eye_in = np.eye(d_in, dtype=np.complex128)
 
     # Strictly feasible start: X a multiple of the identity, Y far enough out
     # that the dual slack is positive definite.
-    x = eye_full / d_out
+    x = np.eye(n, dtype=np.complex128) / d_out
     y = (obj_norm + 1.0) * eye_in
     s = linalg.as_hermitian(problem.lift_dual(y) - obj)
 
@@ -315,78 +275,110 @@ def solve(
     stats: list[IterateStats] = []
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
 
+    def stalled(message: str, iterations: int) -> SolverError:
+        _, bx, by, bs = best
+        partial = _solution_from_iterates(problem, bx, by, bs, iterations, stats)
+        return SolverError(message, solution=partial)
+
     for iteration in range(1, max_iterations + 1):
-        mu = float(np.real(np.trace(x @ s))) / n
-        pval = float(np.real(np.trace(obj @ x)))
+        gap = _pair(x, s)
+        mu = gap / n
+        pval = _pair(obj, x)
         dval = float(np.real(np.trace(y)))
         r_primal = eye_in - problem.trace_out(x)
         r_dual = linalg.as_hermitian(obj + s - problem.lift_dual(y), tol=1e-6)
         pinf = float(np.abs(r_primal).max())
         dinf = float(np.abs(r_dual).max())
-        gap = float(np.real(np.trace(x @ s)))
         rel_gap = gap / max(1.0, (abs(pval) + abs(dval)) / 2.0)
 
         score = rel_gap + pinf + dinf
         if best is None or score < best[0]:
-            best = (score, x.copy(), y.copy(), s.copy())
+            best = (score, x, y, s)  # iterates are replaced, never updated in place
 
         if rel_gap <= tol and pinf <= tol * obj_scale and dinf <= tol * obj_scale:
-            solution = _solution_from_iterates(problem, x, y, s, iteration - 1, stats)
-            return solution
+            return _solution_from_iterates(problem, x, y, s, iteration - 1, stats)
 
-        w = _nt_scaling(x, s)
+        # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
+        # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
+        # S^-1 = H H^H, W = H D H^H, and H^H dS H = D^(-1/2) G^H dS G D^(-1/2).
+        chol = _shifted_cholesky(x)
+        if chol is None:
+            raise stalled(
+                f"primal iterate lost positive definiteness at iteration {iteration}: "
+                f"Cholesky failed at every shift {CHOLESKY_SHIFTS} of the mean diagonal; "
+                f"smallest diagonal {float(np.diagonal(x).real.min()):.3e}",
+                iteration - 1,
+            )
+        lam, q = linalg.positive_definite_eig(
+            linalg.as_hermitian(chol.conj().T @ s @ chol, tol=1e-8)
+        )
+        if not gap > 0.0:  # tr(L^H S L) = <X, S>; singular values cannot show its sign
+            raise stalled(f"dual slack is not positive at iteration {iteration}", iteration - 1)
+        # The floor caps the condition number of the scaling when roundoff
+        # leaves tiny or zero eigenvalues in nominally positive iterates.
+        lam = np.maximum(lam, lam[-1] * 1e-16)
+        h = (chol @ q) * lam**-0.5
+        del chol, q  # dense temporaries freed early keep peak memory flat
+        h_h = h.conj().T
+        w = linalg.as_hermitian((h * lam**0.5) @ h_h, tol=1e-8)
+
+        # Schur complement of dY -> trace_out(W (1 x dY) W) in the Hermitian
+        # basis, through its Gram tensor
+        # N(dY)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] dY[k,l] W[(c,l),(a,j)].
         w4 = w.reshape(d_out, d_in, d_out, d_in)
-        # Gram tensor of the Schur complement map dY -> trace_out(W (1 x dY) W):
-        # N(H)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] H[k,l] W[(c,l),(a,j)].
-        gram = np.einsum("aick,claj->ijkl", w4, w4)
-        m = np.empty((d_in * d_in, d_in * d_in))
-        for jj, hj in enumerate(basis):
-            mj = np.einsum("ijkl,kl->ij", gram, hj)
-            for ii, hi in enumerate(basis):
-                m[ii, jj] = float(np.vdot(hi, mj).real)
+        gram = np.einsum("aick,claj->ijkl", w4, w4, optimize=True)
+        m = np.real(basis.conj() @ gram.reshape(d_in * d_in, d_in * d_in) @ basis.T)
         m = (m + m.T) / 2.0
         try:
-            chol = scipy.linalg.cho_factor(m, check_finite=False)
-            solve_m = lambda rhs: scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+            chol_m = scipy.linalg.cho_factor(m, check_finite=False)
+            solve_m = lambda rhs: scipy.linalg.cho_solve(chol_m, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             jitter = 1e-13 * max(1.0, np.trace(m) / m.shape[0])
             m_reg = m + jitter * np.eye(m.shape[0])
             solve_m = lambda rhs: np.linalg.solve(m_reg, rhs)
 
-        s_inv = _psd_power(s, -1.0)
+        rhs_dual = problem.trace_out(w @ r_dual @ w) - r_primal
 
         def newton_direction(r_center):
-            rhs_op = problem.trace_out(r_center + w @ r_dual @ w) - r_primal
-            dy = _unvec(solve_m(_vec(rhs_op, basis)), basis)
+            """dX, dY, dS and the normalised scaled dS for a centering residual."""
+            rhs = problem.trace_out(r_center) + rhs_dual
+            coords = solve_m(np.real(basis.conj() @ rhs.ravel()))
+            dy = (coords @ basis).reshape(d_in, d_in)
             ds = linalg.as_hermitian(problem.lift_dual(dy) - r_dual, tol=1e-6)
             dx = linalg.as_hermitian(r_center - w @ ds @ w, tol=1e-6)
-            return dx, dy, ds
+            return dx, dy, ds, h_h @ ds @ h
 
+        # In the scaled space dX~ = G^-1 R_c G^-H - dS~ with a diagonal first
+        # term, so each step length is one smallest eigenvalue.
         if use_corrector:
-            dx_aff, _, ds_aff = newton_direction(-x)
-            alpha_p_aff = min(1.0, step_fraction * _max_step(x, dx_aff))
-            alpha_d_aff = min(1.0, step_fraction * _max_step(s, ds_aff))
-            mu_aff = float(
-                np.real(np.trace((x + alpha_p_aff * dx_aff) @ (s + alpha_d_aff * ds_aff)))
-            ) / n
+            dx_aff, _, ds_aff, t_aff = newton_direction(-x)
+            # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
+            t = linalg.eigenvalues(t_aff)
+            alpha_p_aff = _step_length(-1.0 - float(t[-1]), step_fraction)
+            alpha_d_aff = _step_length(float(t[0]), step_fraction)
+            mu_aff = _pair(x + alpha_p_aff * dx_aff, s + alpha_d_aff * ds_aff) / n
+            del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
             sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
         else:
             sigma = 0.2
 
-        dx, dy, ds = newton_direction(sigma * mu * s_inv - x)
-        alpha_p = min(1.0, step_fraction * _max_step(x, dx))
-        alpha_d = min(1.0, step_fraction * _max_step(s, ds))
+        r_center = sigma * mu * (h @ h_h) - x
+        dx, dy, ds, t_ds = newton_direction(r_center)
+        t_dx = np.diag(sigma * mu / lam - 1.0) - t_ds
+        alpha_p = _step_length(linalg.min_eigenvalue(t_dx), step_fraction)
+        alpha_d = _step_length(linalg.min_eigenvalue(t_ds), step_fraction)
 
         x = linalg.as_hermitian(x + alpha_p * dx, tol=1e-6)
         y = linalg.as_hermitian(y + alpha_d * dy, tol=1e-6)
         s = linalg.as_hermitian(s + alpha_d * ds, tol=1e-6)
+        del dx, ds, t_dx, t_ds, r_center, h, h_h, w  # freed before the next SVD, as above
 
         stats.append(
             IterateStats(
                 iteration=iteration,
-                primal_value=float(np.real(np.trace(obj @ x))),
+                primal_value=_pair(obj, x),
                 dual_value=float(np.real(np.trace(y))),
-                gap=float(np.real(np.trace(x @ s))),
+                gap=_pair(x, s),
                 mu=mu,
                 primal_infeasibility=pinf,
                 dual_infeasibility=dinf,
@@ -395,12 +387,10 @@ def solve(
             )
         )
 
-    _, bx, by, bs = best
-    partial = _solution_from_iterates(problem, bx, by, bs, max_iterations, stats)
-    raise SolverError(
+    raise stalled(
         f"no convergence to tol {tol:.1e} within {max_iterations} iterations; "
         f"best relative gap {best[0]:.3e}",
-        solution=partial,
+        max_iterations,
     )
 
 

@@ -48,6 +48,20 @@ class TestRepeatedSdp:
             composition.repeated_sdp([])
 
 
+class TestRegroup:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_permutation_conjugation(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
+        perm = [int(p) for p in rng.permutation(len(dims))]
+        n = math.prod(dims)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = linalg.permutation_operator(dims, perm)
+        np.testing.assert_allclose(
+            composition._regroup(m, dims, perm), w @ m @ w.conj().T, rtol=0, atol=1e-12
+        )
+
+
 class TestTensorCertificates:
     def test_two_fold_pair_certifies_the_square(self):
         problem = _wiesner_problem()

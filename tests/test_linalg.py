@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmoney import linalg
-from qmoney.exceptions import DimensionError, HermiticityError
+from qmoney.exceptions import DimensionError, EigendecompositionError, HermiticityError
 
 
 def kron_oracle(factors):
@@ -218,10 +218,68 @@ def test_hermitian_eig_reconstruction(seed, n):
     assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-10 * norm
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 5, 27, 40])
+def test_positive_definite_eig_reconstruction(seed, n):
+    """The SVD route gives ascending eigenvalues and a unitary eigenbasis."""
+    rng = np.random.default_rng(seed)
+    g = random_hermitian(rng, n, 1.0)
+    m = g @ g + 1e-3 * np.eye(n)
+    w, v = linalg.positive_definite_eig(m)
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(m), rtol=1e-10, atol=1e-12 * w[-1])
+    np.testing.assert_allclose(v @ v.conj().T, np.eye(n), atol=1e-12)
+    assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-10 * w[-1]
+
+
+def test_eigenvalues_of_a_permuted_direct_sum(monkeypatch):
+    """Blocks linked only through a chain, interleaved by a permutation, plus a
+    zero row: eigenvalues match the dense computation."""
+    rng = np.random.default_rng(11)
+    chain = np.diag(rng.standard_normal(40)) + np.diag(np.full(39, 0.3 + 0.1j), 1)
+    chain = chain + np.triu(chain, 1).conj().T
+    blocks = [chain, random_hermitian(rng, 12, 2.0), random_hermitian(rng, 12, 0.5),
+              np.zeros((1, 1)), random_hermitian(rng, 1, 1.0)]
+    total = sum(b.shape[0] for b in blocks)
+    m = np.zeros((total, total), dtype=np.complex128)
+    start = 0
+    for b in blocks:
+        size = b.shape[0]
+        m[start:start + size, start:start + size] = b
+        start += size
+    perm = rng.permutation(total)
+    m = m[np.ix_(perm, perm)]
+    assert total >= linalg.BLOCK_SPLIT_MIN_DIM
+    dense = np.linalg.eigvalsh(m)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    np.testing.assert_allclose(linalg.eigenvalues(m), dense, atol=1e-12)
+    assert sorted(shapes) == [(1, 40, 40), (2, 1, 1), (2, 12, 12)]
+    assert linalg.min_eigenvalue(m) == pytest.approx(dense[0], abs=1e-12)
+
+
 def test_operator_norm_and_min_eigenvalue():
     m = np.diag([-3.0, 0.5, 2.0]).astype(np.complex128)
     assert linalg.operator_norm(m) == pytest.approx(3.0)
     assert linalg.min_eigenvalue(m) == pytest.approx(-3.0)
+
+
+def test_eigenvalue_failure_is_wrapped_with_the_size(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigendecompositionError, match="3x3"):
+        linalg.min_eigenvalue(np.eye(3))
+    # A reducible matrix large enough to be split keeps the wrapping and the full size.
+    with pytest.raises(EigendecompositionError, match="70x70"):
+        linalg.min_eigenvalue(np.eye(70))
 
 
 def test_as_hermitian_repairs_roundoff():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import channels, schemes, sdp
+from qmoney import channels, composition, schemes, sdp
 from qmoney.exceptions import DimensionError, SolverError
 
 
@@ -218,3 +218,91 @@ class TestBlockProblems:
             sdp.assemble_block_sdp(blocks, [0.6, 0.6])
         with pytest.raises(DimensionError):
             sdp.assemble_block_sdp(blocks, [1.4, -0.4])
+
+
+def _wiesner_sdp():
+    return _qubit_problem(schemes.cloning_objective(schemes.wiesner_ensemble()))
+
+
+# Iteration counts, values and per-iteration (primal, dual) step lengths of the
+# reference trajectories, recorded from the solver that computed the scaling by
+# eigendecompositions and each step length from a Cholesky factor of the iterate.
+TRAJECTORIES = {
+    "wiesner": (
+        _wiesner_sdp,
+        0.7499999997568831, 0.7500000000025598,
+        [(1.0, 0.803829632), (1.0, 0.345578206), (0.981190825, 0.864950207),
+         (0.980027102, 0.977850049), (0.980006198, 0.980141351),
+         (0.980005583, 0.980187191), (0.980005574, 0.980188313)],
+    ),
+    "six-state": (
+        lambda: _qubit_problem(schemes.cloning_objective(schemes.six_state_ensemble())),
+        0.6666666664205175, 0.6666666666692265,
+        [(1.0, 0.825391887), (1.0, 0.34592198), (0.981372282, 0.843935856),
+         (0.980029802, 0.977415749), (0.98000644, 0.980134941),
+         (0.980005825, 0.980189336), (0.980005813, 0.980190295)],
+    ),
+    "sic": (
+        lambda: _qubit_problem(schemes.cloning_objective(schemes.sic_qubit_ensemble())),
+        0.666666666422643, 0.6666666666692267,
+        [(1.0, 0.826996822), (1.0, 0.349778419), (0.98139086, 0.83271178),
+         (0.980029842, 0.977128182), (0.980006353, 0.980127564),
+         (0.980005431, 0.980187593), (0.980005413, 0.980188528)],
+    ),
+    "symmetric:3": (
+        lambda: sdp.CloningSdp(schemes.symmetric_cloning_objective(3), dims=(3, 3, 3)),
+        0.499999999334564, 0.50000000000384,
+        [(1.0, 0.871219264), (1.0, 0.267174791), (0.984399793, 0.525898309),
+         (0.980054738, 0.970705127), (0.980008053, 0.979962829),
+         (0.9800069, 0.980148065), (0.980006873, 0.980151758)],
+    ),
+    "symmetric:4": (
+        lambda: sdp.CloningSdp(schemes.symmetric_cloning_objective(4), dims=(4, 4, 4)),
+        0.3999999991068509, 0.40000000000512004,
+        [(1.0, 0.904982286), (1.0, 0.328337577), (0.994019964, 0.277006748),
+         (0.980087556, 0.964706189), (0.980008968, 0.979778194),
+         (0.980007124, 0.980079814), (0.980007079, 0.980085775)],
+    ),
+    "wiesner^2": (
+        lambda: composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()]),
+        0.5624999988881687, 0.5625000000051199,
+        [(1.0, 0.873903311), (1.0, 0.258080712), (0.987840426, 0.350576382),
+         (0.98006407, 0.966987457), (0.980008186, 0.979844411),
+         (0.980006546, 0.980101648), (0.980006508, 0.980106819)],
+    ),
+    "threshold(2,1)": (
+        lambda: composition.threshold_sdp(schemes.wiesner_ensemble(), 2, 1),
+        0.9374999988111345, 0.93750000000512,
+        [(1.0, 0.877712072), (1.0, 0.285887678), (0.986044968, 0.27354545),
+         (0.980045492, 0.950276226), (0.98000897, 0.979512946),
+         (0.980004853, 0.980102224), (0.980004754, 0.980114034)],
+    ),
+}
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+    def test_matches_reference_trajectory(self, name):
+        make, primal, dual, steps = TRAJECTORIES[name]
+        sol = sdp.solve(make())
+        assert sol.iterations == len(steps) == 7
+        assert abs(sol.primal_value - primal) < 1e-9
+        assert abs(sol.dual_value - dual) < 1e-9
+        # Near convergence the step lengths carry the conditioning of the
+        # nearly singular iterates, hence the looser pin.
+        got = [(st.step_primal, st.step_dual) for st in sol.trace]
+        np.testing.assert_allclose(got, steps, rtol=0, atol=1e-6)
+
+
+class TestStall:
+    def test_unfactorable_primal_iterate_stops_at_once(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(SolverError, match="smallest diagonal") as excinfo:
+            sdp.solve(_wiesner_sdp())
+        assert str(sdp.CHOLESKY_SHIFTS) in str(excinfo.value)
+        partial = excinfo.value.solution
+        assert partial is not None
+        assert partial.iterations == 0 and partial.trace == ()
