@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,15 +18,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import certificates, channels, cloners, composition, linalg, schemes, sdp, simulator
-from .exceptions import (
-    CertificationError,
-    DimensionError,
-    FileFormatError,
-    QuantumMoneyError,
-    SolverError,
-)
+from .exceptions import CertificationError, FileFormatError, QuantumMoneyError, SolverError
 
 BUILTIN_SCHEMES = ("wiesner", "six-state", "sic", "symmetric:d", "ticket:d")
+
+# Exit code of each error kind; the first matching entry wins.
+EXIT_CODES = (
+    (FileFormatError, 2),
+    ((SolverError, CertificationError), 1),
+    (ValueError, 2),
+    (QuantumMoneyError, 1),
+)
 
 
 def _fmt(value) -> str:
@@ -77,13 +78,11 @@ class ResolvedScheme:
     def challenge_blocks(self):
         blocks, weights = schemes.classical_objective_blocks(self.ticket)
         d = self.ticket.dim
-        order = []
-        weight_list = []
-        for c1, c2 in cloners.CHALLENGE_PAIRS:
-            op = schemes.assemble_challenge_block(blocks, d, c1, c2)
-            order.append(sdp.CloningSdp(op, dims=(d, d, d)))
-            weight_list.append(weights[(c1, c2)])
-        return order, weight_list
+        problems = [
+            sdp.CloningSdp(schemes.assemble_challenge_block(blocks, d, *pair), dims=(d, d, d))
+            for pair in cloners.CHALLENGE_PAIRS
+        ]
+        return problems, [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
 
     def cloning_ensemble(self) -> Optional[schemes.Ensemble]:
         """The key-state ensemble whose quantum cloning the scheme implies."""
@@ -421,21 +420,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
+    except (QuantumMoneyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuantumMoneyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ answer pair attached to each outcome.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -168,7 +169,7 @@ class TicketStrategy:
                 )
 
 
-def _ticket_state(d: int, paulis: PauliOperators) -> np.ndarray:
+def _ticket_state(d: int) -> np.ndarray:
     """Normalized sum of the first vectors of the two encoding bases."""
     e0 = np.zeros(d, dtype=np.complex128)
     e0[0] = 1.0
@@ -189,33 +190,56 @@ def ticket_cloner(d: int) -> TicketStrategy:
     if d < 2:
         raise DimensionError(f"need dimension at least 2, got {d}")
     paulis = pauli_operators(d)
-    scheme = schemes.fourier_ticket_scheme(d)
-    psi = _ticket_state(d, paulis)
-
-    projectors: dict[tuple[int, int], np.ndarray] = {}
-    shift_pow = np.eye(d, dtype=np.complex128)
-    for s in range(d):
-        phase_pow = np.eye(d, dtype=np.complex128)
-        for t in range(d):
-            vec = shift_pow @ phase_pow @ psi
-            projectors[(s, t)] = np.outer(vec, vec.conj())
-            phase_pow = phase_pow @ paulis.phase
-        shift_pow = shift_pow @ paulis.shift
-
-    mixed_01 = tuple(
-        (projectors[(s, t)] / d, (s, t)) for s in range(d) for t in range(d)
-    )
-    mixed_10 = tuple(
-        (projectors[(s, t)] / d, (t, s)) for s in range(d) for t in range(d)
-    )
-    plans: dict[tuple[int, int], tuple] = {(0, 1): mixed_01, (1, 0): mixed_10}
-    for c in (0, 1):
-        plan = []
-        for t in range(d):
-            vec = scheme.pair.vector(t, c)
-            plan.append((np.outer(vec, vec.conj()), (t, t)))
-        plans[(c, c)] = tuple(plan)
+    psi = _ticket_state(d)
+    eye = np.eye(d, dtype=np.complex128)
+    shifts = list(itertools.accumulate([paulis.shift] * (d - 1), np.matmul, initial=eye))
+    phases = list(itertools.accumulate([paulis.phase] * (d - 1), np.matmul, initial=eye))
+    vecs = {(s, t): shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)}
+    plans: dict[tuple[int, int], tuple] = {
+        (0, 1): tuple((np.outer(v, v.conj()) / d, (s, t)) for (s, t), v in vecs.items()),
+        (1, 0): tuple((np.outer(v, v.conj()) / d, (t, s)) for (s, t), v in vecs.items()),
+    }
+    bases = schemes.fourier_ticket_scheme(d).pair
+    for c, basis in enumerate((bases.basis0, bases.basis1)):
+        plans[(c, c)] = tuple((np.outer(v, v.conj()), (t, t)) for t, v in enumerate(basis.T))
     return TicketStrategy(d, plans)
+
+
+def outcome_tables(
+    strategy: TicketStrategy, scheme: schemes.TicketScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """Born probabilities and joint acceptance of every measurement outcome.
+
+    Both arrays are indexed [challenge pair, key, outcome], with challenge
+    pairs in ``CHALLENGE_PAIRS`` order and keys in ``scheme.keys()`` order.
+    Plans shorter than the longest are zero-padded: a padding outcome has
+    probability 0 and is not accepted.
+    """
+    if strategy.dim != scheme.dim:
+        raise DimensionError(
+            f"strategy dimension {strategy.dim} does not match scheme dimension {scheme.dim}"
+        )
+    states = scheme.key_states()
+    table = scheme.accept_table()
+    longest = max(len(plan) for plan in strategy.plans.values())
+    prob = np.zeros((len(CHALLENGE_PAIRS), len(states), longest))
+    accept = np.zeros(prob.shape, dtype=bool)
+    for ci, (c1, c2) in enumerate(CHALLENGE_PAIRS):
+        effects, answers = zip(*strategy.plans[(c1, c2)])
+        answers = np.array(answers)
+        if answers.min() < 0 or answers.max() >= scheme.dim:
+            raise DimensionError(f"answers to challenges {(c1, c2)} must lie in [0, {scheme.dim})")
+        a1, a2 = answers.T
+        n = len(effects)
+        prob[ci, :, :n] = np.einsum("ki,mij,kj->km", states.conj(), effects, states).real
+        accept[ci, :, :n] = (table[c1, a1] & table[c2, a2]).T
+    return prob, accept
+
+
+def outcome_value(prob: np.ndarray, accept: np.ndarray) -> float:
+    """Success probability from :func:`outcome_tables`: the accepted Born mass,
+    averaged over the equiprobable challenge pairs and keys."""
+    return min(1.0, max(0.0, float((prob * accept).sum(axis=2).mean())))
 
 
 def evaluate_ticket_strategy(
@@ -227,18 +251,4 @@ def evaluate_ticket_strategy(
     challenge pairs; for each, sums the Born probabilities of the outcomes
     whose answer pair passes both verifications.
     """
-    if strategy.dim != scheme.dim:
-        raise DimensionError(
-            f"strategy dimension {strategy.dim} does not match scheme dimension {scheme.dim}"
-        )
-    p_key = 1.0 / (2 * scheme.dim)
-    total = 0.0
-    for (c1, c2), plan in strategy.plans.items():
-        for key in scheme.keys():
-            state = scheme.key_state(key)
-            for effect, (a1, a2) in plan:
-                if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
-                    total += 0.25 * p_key * float(
-                        np.real(state.conj() @ effect @ state)
-                    )
-    return min(1.0, max(0.0, total))
+    return outcome_value(*outcome_tables(strategy, scheme))

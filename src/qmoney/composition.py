@@ -106,20 +106,17 @@ def _tensor(mats: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def repeated_sdp(problems: list[CloningSdp], perm: list[int] | None = None) -> CloningSdp:
+def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     """The composed problem whose attacks clone every repetition at once.
 
     The objective is the tensor product of the component objectives with
-    factors regrouped so all clone factors precede all input factors.  A
-    custom slot map can be supplied; by default the grouping permutation is
-    used.
+    factors regrouped so all clone factors precede all input factors.
     """
     if not problems:
         raise DimensionError("need at least one component problem")
     if len(problems) == 1:
         return problems[0]
-    if perm is None:
-        perm = _grouping_permutation(problems)
+    perm = _grouping_permutation(problems)
     source_dims = [d for p in problems for d in p.dims]
     objective = _regroup(_tensor([p.objective for p in problems]), source_dims, perm)
     grouped_dims = tuple(source_dims[j] for j in np.argsort(perm))
@@ -133,7 +130,6 @@ def tensor_certificates(
     x_list: list[np.ndarray],
     y_list: list[np.ndarray],
     problems: list[CloningSdp],
-    perm: list[int] | None = None,
     tol: float = certificates.DEFAULT_CERTIFICATE_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feasible pair for the composed problem from per-component pairs.
@@ -162,8 +158,7 @@ def tensor_certificates(
         return np.asarray(x_list[0], dtype=np.complex128), np.asarray(
             y_list[0], dtype=np.complex128
         )
-    if perm is None:
-        perm = _grouping_permutation(problems)
+    perm = _grouping_permutation(problems)
     source_dims = [d for p in problems for d in p.dims]
     x = _regroup(
         _tensor([np.asarray(m, dtype=np.complex128) for m in x_list]), source_dims, perm

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -202,6 +202,21 @@ class TicketScheme:
     def key_state(self, key: tuple[int, int]) -> np.ndarray:
         return self.pair.vector(*key)
 
+    def key_states(self) -> np.ndarray:
+        """Row k is the state of key k, in ``keys()`` order."""
+        return np.concatenate((self.pair.basis0.T, self.pair.basis1.T))
+
+    def accept_table(self) -> np.ndarray:
+        """Bool array [challenge, answer, key], keys in ``keys()`` order.
+
+        The only place the ``accept`` predicate is called.
+        """
+        keys = self.keys()
+        return np.array(
+            [[[self.accept(a, c, k) for k in keys] for a in range(self.dim)] for c in (0, 1)],
+            dtype=bool,
+        )
+
     def ensemble(self) -> Ensemble:
         """The uniform ensemble over all 2d key states."""
         p = 1.0 / (2 * self.dim)
@@ -234,22 +249,13 @@ def classical_objective_blocks(
     probability 1/4 of that challenge pair.  The attack value is the weighted
     sum over challenge pairs of the block SDP values.
     """
-    d = scheme.dim
-    p = 1.0 / (2 * d)
-    blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
-    weights: dict[tuple[int, int], float] = {}
-    for c1 in (0, 1):
-        for c2 in (0, 1):
-            weights[(c1, c2)] = 0.25
-            for a1 in range(d):
-                for a2 in range(d):
-                    acc = np.zeros((d, d), dtype=np.complex128)
-                    for key in scheme.keys():
-                        if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
-                            psi = scheme.key_state(key)
-                            acc += p * np.outer(psi, psi.conj())
-                    blocks[(c1, c2, a1, a2)] = linalg.as_hermitian(acc, tol=1e-10)
-    return blocks, weights
+    accept = scheme.accept_table()
+    states = scheme.key_states()
+    # [c1, c2, a1, a2, i, j]: the projectors of the keys accepting both answers, summed.
+    stack = np.einsum("xak,ybk,ki,kj->xyabij", accept, accept, states, states.conj())
+    stack /= 2 * scheme.dim
+    blocks = {i: linalg.as_hermitian(stack[i], tol=1e-10) for i in np.ndindex(stack.shape[:4])}
+    return blocks, {pair: 0.25 for pair in np.ndindex(2, 2)}
 
 
 def assemble_challenge_block(
@@ -261,9 +267,8 @@ def assemble_challenge_block(
     the answer factors.
     """
     out = np.zeros((d, d, d, d, d, d), dtype=np.complex128)
-    for a1 in range(d):
-        for a2 in range(d):
-            out[a1, a2, :, a1, a2, :] = blocks[(c1, c2, a1, a2)]
+    a1, a2 = np.indices((d, d))
+    out[a1, a2, :, a1, a2, :] = [[blocks[(c1, c2, i, j)] for j in range(d)] for i in range(d)]
     return linalg.as_hermitian(out.reshape(d**3, d**3), tol=1e-10)
 
 

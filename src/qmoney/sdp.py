@@ -31,7 +31,7 @@ and keeps both residuals at roundoff level throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -190,7 +190,7 @@ def _step_length(lam_min: float, fraction: float) -> float:
     return 1.0 if lam_min >= 0.0 else min(1.0, -fraction / lam_min)
 
 
-def _solution_from_iterates(problem, x, y, s, iterations, stats):
+def _solution_from_iterates(problem, x, y, iterations, stats):
     obj = problem.objective
     pval = _pair(obj, x)
     dval = float(np.real(np.trace(y)))
@@ -260,7 +260,7 @@ def solve(
     if obj_norm == 0.0:
         x = np.eye(n, dtype=np.complex128) / d_out
         y = np.zeros((d_in, d_in), dtype=np.complex128)
-        return _solution_from_iterates(problem, x, y, np.zeros_like(x), 0, [])
+        return _solution_from_iterates(problem, x, y, 0, [])
 
     basis = _hermitian_basis(d_in)
     eye_in = np.eye(d_in, dtype=np.complex128)
@@ -273,11 +273,11 @@ def solve(
 
     obj_scale = 1.0 + abs(obj_norm)
     stats: list[IterateStats] = []
-    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
+    best: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def stalled(message: str, iterations: int) -> SolverError:
-        _, bx, by, bs = best
-        partial = _solution_from_iterates(problem, bx, by, bs, iterations, stats)
+        _, bx, by = best
+        partial = _solution_from_iterates(problem, bx, by, iterations, stats)
         return SolverError(message, solution=partial)
 
     for iteration in range(1, max_iterations + 1):
@@ -293,10 +293,10 @@ def solve(
 
         score = rel_gap + pinf + dinf
         if best is None or score < best[0]:
-            best = (score, x, y, s)  # iterates are replaced, never updated in place
+            best = (score, x, y)  # iterates are replaced, never updated in place
 
         if rel_gap <= tol and pinf <= tol * obj_scale and dinf <= tol * obj_scale:
-            return _solution_from_iterates(problem, x, y, s, iteration - 1, stats)
+            return _solution_from_iterates(problem, x, y, iteration - 1, stats)
 
         # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
         # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
@@ -406,6 +406,16 @@ def dual_norm_bound(problem: CloningSdp) -> tuple[np.ndarray, float]:
     return y, float(problem.in_dim * norm)
 
 
+def _direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
+    """Block-diagonal operator on output (x) block index (x) input whose block i,
+    an operator on output (x) input, is mats[i]."""
+    k = len(mats)
+    big = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
+    i = np.arange(k)
+    big[:, i, :, :, i, :] = np.reshape(mats, (k, d_out, d_in, d_out, d_in))
+    return big.reshape(d_out * k * d_in, d_out * k * d_in)
+
+
 def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     """Combine weighted same-shape subproblems into one problem.
 
@@ -421,14 +431,11 @@ def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> Clonin
         raise DimensionError("blocks must share one factor structure")
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise DimensionError("weights must be nonnegative and sum to 1")
-    k = len(blocks)
-    d_out, d_in = first.out_dim, first.in_dim
-    big = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
-    for i, (b, wgt) in enumerate(zip(blocks, weights)):
-        big[:, i, :, :, i, :] = wgt * b.objective.reshape(d_out, d_in, d_out, d_in)
-    dims = first.dims[: first.n_out] + (k,) + first.dims[first.n_out :]
-    total = d_out * k * d_in
-    return CloningSdp(big.reshape(total, total), dims, n_out=first.n_out)
+    objective = _direct_sum(
+        [w * b.objective for b, w in zip(blocks, weights)], first.out_dim, first.in_dim
+    )
+    dims = first.dims[: first.n_out] + (len(blocks),) + first.dims[first.n_out :]
+    return CloningSdp(objective, dims, n_out=first.n_out)
 
 
 def solve_block_diagonal(
@@ -443,33 +450,11 @@ def solve_block_diagonal(
     """
     combined = assemble_block_sdp(blocks, weights)
     solutions = [solve(b, tol=tol) for b in blocks]
-    k = len(blocks)
     d_out, d_in = blocks[0].out_dim, blocks[0].in_dim
-    big_x = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
-    big_y = np.zeros((k, d_in, k, d_in), dtype=np.complex128)
-    for i, (sol, wgt) in enumerate(zip(solutions, weights)):
-        big_x[:, i, :, :, i, :] = sol.primal_x.reshape(d_out, d_in, d_out, d_in)
-        big_y[i, :, i, :] = wgt * sol.dual_y
-    total = d_out * k * d_in
-    x = linalg.as_hermitian(big_x.reshape(total, total))
-    y = linalg.as_hermitian(big_y.reshape(k * d_in, k * d_in))
-    pval = float(sum(w * s.primal_value for w, s in zip(weights, solutions)))
-    dval = float(sum(w * s.dual_value for w, s in zip(weights, solutions)))
-    residuals = Residuals(
-        primal_trace_defect=float(
-            np.abs(combined.trace_out(x) - np.eye(combined.in_dim)).max()
-        ),
-        primal_min_eigenvalue=linalg.min_eigenvalue(x),
-        dual_min_eigenvalue=linalg.min_eigenvalue(combined.lift_dual(y) - combined.objective),
+    x = linalg.as_hermitian(_direct_sum([s.primal_x for s in solutions], d_out, d_in))
+    y = linalg.as_hermitian(
+        _direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, d_in)
     )
-    return SdpSolution(
-        primal_x=x,
-        dual_y=y,
-        primal_value=pval,
-        dual_value=dval,
-        gap=dval - pval,
-        residuals=residuals,
-        iterations=max(s.iterations for s in solutions),
-        trace=(),
-        block_solutions=tuple(solutions),
-    )
+    iterations = max(s.iterations for s in solutions)
+    solution = _solution_from_iterates(combined, x, y, iterations, ())
+    return replace(solution, block_solutions=tuple(solutions))

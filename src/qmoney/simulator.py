@@ -223,8 +223,10 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     Per note: draw a key and two independent uniform challenges, measure the
     key state once with the POVM the strategy assigns to that challenge
     pair, and accept when both reported answers satisfy the scheme's
-    predicate.  The analytic rate is the exact strategy value raised to the
-    number of repetitions.
+    predicate.  Outcomes are sampled from the tables of
+    :func:`cloners.outcome_tables`, built once per call, and the analytic
+    rate is their :func:`cloners.outcome_value` (the exact strategy value)
+    raised to the number of repetitions.
     """
     scheme = cfg.scheme
     strategy = cfg.strategy
@@ -232,31 +234,12 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
         raise TypeError("ticket attack needs a TicketScheme")
     if not isinstance(strategy, cloners.TicketStrategy):
         raise TypeError("ticket attack needs a TicketStrategy")
-    if strategy.dim != scheme.dim:
-        raise DimensionError(
-            f"strategy dimension {strategy.dim} does not match "
-            f"scheme dimension {scheme.dim}"
-        )
-
-    keys = scheme.keys()
-    n_keys = len(keys)
-    longest = max(len(plan) for plan in strategy.plans.values())
-    prob = np.zeros((4, n_keys, longest))
-    accept = np.zeros((4, n_keys, longest), dtype=bool)
-    for ci, (c1, c2) in enumerate(cloners.CHALLENGE_PAIRS):
-        plan = strategy.plans[(c1, c2)]
-        for ki, key in enumerate(keys):
-            state = scheme.key_state(key)
-            for oi, (effect, (a1, a2)) in enumerate(plan):
-                prob[ci, ki, oi] = float(np.real(state.conj() @ effect @ state))
-                accept[ci, ki, oi] = scheme.accept(a1, c1, key) and scheme.accept(
-                    a2, c2, key
-                )
-    cdf = _cdf_rows(prob.reshape(-1, longest)).reshape(4, n_keys, longest)
+    prob, accept = cloners.outcome_tables(strategy, scheme)
+    cdf = _cdf_rows(prob.reshape(-1, prob.shape[2])).reshape(prob.shape)
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
         m = count * cfg.repetitions
-        key_idx = rng.integers(0, n_keys, size=m)
+        key_idx = rng.integers(0, prob.shape[1], size=m)
         c1 = rng.integers(0, 2, size=m)
         c2 = rng.integers(0, 2, size=m)
         ci = 2 * c1 + c2
@@ -265,7 +248,7 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
         return (int(np.count_nonzero(ok)),)
 
     (successes,) = _sum_batches(cfg.trials, cfg.seed, batch)
-    analytic = cloners.evaluate_ticket_strategy(strategy, scheme) ** cfg.repetitions
+    analytic = cloners.outcome_value(prob, accept) ** cfg.repetitions
     return _make_report(successes, cfg.trials, analytic)
 
 
@@ -280,21 +263,14 @@ def simulate_honest_verification(
     """
     if trials < 1:
         raise ValueError(f"trial count must be at least 1, got {trials}")
-    d = scheme.dim
-    keys = scheme.keys()
-    bases = (scheme.pair.basis0, scheme.pair.basis1)
-    prob = np.zeros((len(keys), 2, d))
-    accept = np.zeros((len(keys), 2, d), dtype=bool)
-    for ki, key in enumerate(keys):
-        state = scheme.key_state(key)
-        for c in (0, 1):
-            prob[ki, c] = np.abs(bases[c].conj().T @ state) ** 2
-            for answer in range(d):
-                accept[ki, c, answer] = scheme.accept(answer, c, key)
-    cdf = _cdf_rows(prob.reshape(-1, d)).reshape(len(keys), 2, d)
+    bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
+    # [key, challenge, answer]: Born probabilities in the challenged basis, and acceptance.
+    prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
+    accept = scheme.accept_table().transpose(2, 0, 1)
+    cdf = _cdf_rows(prob.reshape(-1, scheme.dim)).reshape(prob.shape)
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        key_idx = rng.integers(0, len(keys), size=count)
+        key_idx = rng.integers(0, len(prob), size=count)
         c = rng.integers(0, 2, size=count)
         answer = _sample_rows(cdf[key_idx, c], rng.random(count))
         return (int(np.count_nonzero(accept[key_idx, c, answer])),)

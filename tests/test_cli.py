@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from qmoney import cli, schemes
+from qmoney.exceptions import (
+    CertificationError,
+    DimensionError,
+    EigendecompositionError,
+    FileFormatError,
+    HermiticityError,
+    SolverError,
+)
 
 
 def run_cli(argv, capsys):
@@ -220,3 +228,29 @@ class TestThreshold:
         payload = json.loads(out.read_text())
         assert abs(payload["value"] - 15.0 / 16.0) < 1e-9
         assert payload["conditions"] == "certified"
+
+
+class TestExitCodes:
+    """Each error kind maps to the documented exit code and one error line."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (FileFormatError("bad file"), 2),
+            (SolverError("stalled"), 1),
+            (CertificationError("infeasible"), 1),
+            (DimensionError("bad shape"), 2),
+            (HermiticityError("not hermitian"), 2),
+            (ValueError("bad value"), 2),
+            (EigendecompositionError("no convergence"), 1),
+        ],
+    )
+    def test_error_kind_sets_the_exit_code(self, monkeypatch, capsys, error, code):
+        def raise_error(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_analyze", raise_error)
+        assert cli.main(["analyze", "--scheme", "wiesner"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"

@@ -113,13 +113,13 @@ class TestTicketCloner:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_overlap_of_the_seed_state(self, d):
-        psi = cloners._ticket_state(d, cloners.pauli_operators(d))
+        psi = cloners._ticket_state(d)
         assert abs(abs(psi[0]) ** 2 - 0.5 * (1.0 + 1.0 / math.sqrt(d))) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_shift_covariance_of_diagonal_weights(self, d):
         p = cloners.pauli_operators(d)
-        psi = cloners._ticket_state(d, p)
+        psi = cloners._ticket_state(d)
         per_label = []
         for s in range(d):
             acc = 0.0

@@ -170,6 +170,20 @@ def test_assemble_challenge_block_structure():
             np.testing.assert_allclose(sub, 0, atol=1e-14)
 
 
+def test_key_states_and_accept_table_follow_key_order():
+    base = schemes.fourier_ticket_scheme(3)
+    strict = schemes.TicketScheme(base.pair, accept=lambda a, c, key: a == key[0])
+    for scheme in (base, strict):
+        keys = scheme.keys()
+        states = scheme.key_states()
+        table = scheme.accept_table()
+        assert states.shape == (6, 3) and table.shape == (2, 3, 6) and table.dtype == bool
+        for k, key in enumerate(keys):
+            np.testing.assert_array_equal(states[k], scheme.key_state(key))
+            for c, a in itertools.product((0, 1), range(3)):
+                assert table[c, a, k] == scheme.accept(a, c, key)
+
+
 def test_custom_accept_predicate():
     """A stricter predicate shrinks the objective blocks."""
     base = schemes.fourier_ticket_scheme(2)

@@ -202,3 +202,74 @@ class TestBellAttack:
             simulator.simulate_bell_attack(simulator.MAX_BELL_QUBITS + 1, 100)
         with pytest.raises(ValueError):
             simulator.simulate_bell_attack(2, 0)
+
+
+class TestTicketTables:
+    """The outcome tables against direct evaluation, on a scheme with no symmetry."""
+
+    PREDICATES = {
+        "strict": lambda a, c, key: a == key[0],
+        "default": schemes.default_accept,
+    }
+
+    @classmethod
+    def _rotated_scheme(cls, d, seed, predicate):
+        """Both bases of the Fourier scheme turned by one Haar-random unitary."""
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, r = np.linalg.qr(z)
+        haar = q * (np.diag(r) / np.abs(np.diag(r)))
+        base = schemes.fourier_ticket_scheme(d).pair
+        pair = schemes.BasisPair(d, haar @ base.basis0, haar @ base.basis1)
+        return schemes.TicketScheme(pair, accept=cls.PREDICATES[predicate])
+
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_simulated_analytic_rate_is_the_strategy_value(self, d, predicate):
+        scheme = self._rotated_scheme(d, 11 + d, predicate)
+        strategy = cloners.ticket_cloner(d)
+        report = simulator.simulate_ticket_attack(
+            simulator.TrialConfig(scheme, strategy, 20_000, seed=d)
+        )
+        value = cloners.evaluate_ticket_strategy(strategy, scheme)
+        assert report.analytic == pytest.approx(value, abs=1e-12)
+        direct = 0.0
+        for (c1, c2), plan in strategy.plans.items():
+            for key in scheme.keys():
+                psi = scheme.key_state(key)
+                for effect, (a1, a2) in plan:
+                    if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
+                        direct += np.real(psi.conj() @ effect @ psi) / (8 * d)
+        assert value == pytest.approx(direct, abs=1e-12)
+        assert abs(report.z_score) <= 5.0
+
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_objective_blocks_match_a_per_key_loop(self, d, predicate):
+        scheme = self._rotated_scheme(d, 21 + d, predicate)
+        blocks, weights = schemes.classical_objective_blocks(scheme)
+        assert weights == {(c1, c2): 0.25 for c1 in (0, 1) for c2 in (0, 1)}
+        assert len(blocks) == 4 * d * d
+        for (c1, c2, a1, a2), block in blocks.items():
+            expected = np.zeros((d, d), dtype=np.complex128)
+            for key in scheme.keys():
+                if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
+                    psi = scheme.key_state(key)
+                    expected += np.outer(psi, psi.conj()) / (2 * d)
+            np.testing.assert_allclose(block, expected, atol=1e-14)
+
+    def test_short_plans_are_zero_padded(self):
+        d = 3
+        scheme = schemes.fourier_ticket_scheme(d)
+        prob, accept = cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
+        assert prob.shape == accept.shape == (4, 2 * d, d * d)
+        equal = [cloners.CHALLENGE_PAIRS.index((c, c)) for c in (0, 1)]
+        assert not prob[equal, :, d:].any() and not accept[equal, :, d:].any()
+        np.testing.assert_allclose(prob.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_out_of_range_answers_are_rejected(self):
+        scheme = schemes.fourier_ticket_scheme(2)
+        plan = ((np.eye(2, dtype=np.complex128), (0, 2)),)
+        strategy = cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+        with pytest.raises(DimensionError):
+            cloners.outcome_tables(strategy, scheme)
