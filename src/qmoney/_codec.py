@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .exceptions import FileFormatError
@@ -10,20 +12,19 @@ from .exceptions import FileFormatError
 def complex_to_pairs(arr: np.ndarray) -> list:
     """Encode a complex vector or matrix as nested [re, im] lists."""
     a = np.asarray(arr, dtype=np.complex128)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    if a.ndim == 2:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-    raise FileFormatError(f"cannot encode an array of rank {a.ndim}")
+    if a.ndim not in (1, 2):
+        raise FileFormatError(f"cannot encode an array of rank {a.ndim}")
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def is_number(x) -> bool:
+    """Whether a decoded JSON value is a number a finite float holds; booleans are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _pair_to_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        raise FileFormatError(f"{where}: expected a [re, im] number pair, got {entry!r}")
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(is_number, entry)):
+        raise FileFormatError(f"{where}: expected a finite [re, im] number pair, got {entry!r}")
     return complex(float(entry[0]), float(entry[1]))
 
 

@@ -198,10 +198,10 @@ def load_certificate(path: str) -> CertificateFile:
     y = _codec.pairs_to_matrix(payload["dual_y"], "dual_y")
     tolerance = payload["tolerance"]
     value = payload["value"]
-    if not isinstance(tolerance, (int, float)) or not 0 < float(tolerance) <= 1:
+    if not _codec.is_number(tolerance) or not 0 < tolerance <= 1:
         raise FileFormatError(f"tolerance must be a number in (0, 1], got {tolerance!r}")
-    if not isinstance(value, (int, float)):
-        raise FileFormatError(f"value must be a number, got {value!r}")
+    if not _codec.is_number(value):
+        raise FileFormatError(f"value must be a finite number, got {value!r}")
     in_dim = y.shape[0]
     if q.shape[0] % in_dim != 0:
         raise FileFormatError(
@@ -215,11 +215,11 @@ def load_certificate(path: str) -> CertificateFile:
         if (
             not isinstance(raw, list)
             or not raw
-            or any(not isinstance(v, int) or v < 1 for v in raw)
+            or any(type(v) is not int or v < 1 for v in raw)  # type(True) is bool: booleans fail
         ):
             raise FileFormatError(f"dims must be a list of positive integers, got {raw!r}")
         stored_n_out = payload.get("n_out", len(raw) - 1)
-        if not isinstance(stored_n_out, int) or not 1 <= stored_n_out < len(raw):
+        if type(stored_n_out) is not int or not 1 <= stored_n_out < len(raw):
             raise FileFormatError(f"n_out must be a factor split index, got {stored_n_out!r}")
         stored_out = int(np.prod(raw[:stored_n_out]))
         stored_in = int(np.prod(raw[stored_n_out:]))

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -53,66 +53,46 @@ def _write_output(path: Optional[str], payload: dict) -> None:
 
 @dataclass(frozen=True)
 class ResolvedScheme:
-    """A named scheme resolved to concrete problem data.
+    """A named scheme resolved to its library object.
 
-    ``kind`` is "quantum" (an ensemble with a cloning objective) or "ticket"
-    (a classical-verification scheme analyzed through its challenge blocks).
-    ``haar`` marks the symmetric scheme, whose objective averages over all
-    pure states rather than over ``ensemble`` (kept for simulation only).
+    ``scheme`` is an :class:`~qmoney.schemes.Ensemble` (quantum verification)
+    or a :class:`~qmoney.schemes.TicketScheme` (classical verification, solved
+    through its challenge blocks).  ``haar_objective`` is set for
+    ``symmetric:d`` only and builds the objective of the uniform average over
+    all pure states.  No finite ensemble realises that objective, so
+    ``scheme`` (the Fourier key states) then only stands in for simulation.
     """
 
     ident: str
-    kind: str
-    ensemble: Optional[schemes.Ensemble] = None
-    ticket: Optional[schemes.TicketScheme] = None
-    objective: Optional[np.ndarray] = None
-    dims: Optional[tuple[int, ...]] = None
+    scheme: Union[schemes.Ensemble, schemes.TicketScheme]
     strategy_factory: Optional[Callable] = None
-    haar: bool = False
+    haar_objective: Optional[Callable[[], np.ndarray]] = None
 
-    def problem(self) -> sdp.CloningSdp:
-        if self.kind != "quantum":
-            raise ValueError(f"scheme {self.ident!r} has no single cloning objective")
-        return sdp.CloningSdp(self.objective, dims=self.dims)
+    def ensemble(self) -> schemes.Ensemble:
+        """The states to clone: the ensemble, or a ticket scheme's key states."""
+        if isinstance(self.scheme, schemes.TicketScheme):
+            return self.scheme.ensemble()
+        return self.scheme
 
-    def challenge_blocks(self):
-        blocks, weights = schemes.classical_objective_blocks(self.ticket)
-        d = self.ticket.dim
-        problems = [
-            sdp.CloningSdp(schemes.assemble_challenge_block(blocks, d, *pair), dims=(d, d, d))
-            for pair in cloners.CHALLENGE_PAIRS
-        ]
-        return problems, [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
-
-    def cloning_ensemble(self) -> Optional[schemes.Ensemble]:
-        """The key-state ensemble whose quantum cloning the scheme implies."""
-        if self.kind == "ticket":
-            return self.ticket.ensemble()
-        if self.haar:
-            return None
-        return self.ensemble
-
-
-def _quantum_entry(ident, ensemble, factory) -> ResolvedScheme:
-    d = ensemble.dim
-    return ResolvedScheme(
-        ident=ident,
-        kind="quantum",
-        ensemble=ensemble,
-        objective=schemes.cloning_objective(ensemble),
-        dims=(d, d, d),
-        strategy_factory=factory,
-    )
+    def cloning_problem(self) -> sdp.CloningSdp:
+        """The two-clone problem of those states, or the Haar one; built per call."""
+        ensemble = self.ensemble()
+        if self.haar_objective is None:
+            objective = schemes.cloning_objective(ensemble)
+        else:
+            objective = self.haar_objective()
+        d = ensemble.dim
+        return sdp.CloningSdp(objective, dims=(d, d, d))
 
 
 def resolve_scheme(spec: str) -> ResolvedScheme:
-    """Map a scheme name, name:d pair, or file path to problem data."""
+    """Map a scheme name, name:d pair, or file path to its library object."""
     if spec == "wiesner":
-        return _quantum_entry(spec, schemes.wiesner_ensemble(), cloners.wiesner_optimal_cloner)
+        return ResolvedScheme(spec, schemes.wiesner_ensemble(), cloners.wiesner_optimal_cloner)
     if spec == "six-state":
-        return _quantum_entry(spec, schemes.six_state_ensemble(), cloners.buzek_hillery_cloner)
+        return ResolvedScheme(spec, schemes.six_state_ensemble(), cloners.buzek_hillery_cloner)
     if spec == "sic":
-        return _quantum_entry(spec, schemes.sic_qubit_ensemble(), cloners.buzek_hillery_cloner)
+        return ResolvedScheme(spec, schemes.sic_qubit_ensemble(), cloners.buzek_hillery_cloner)
     name, _, tail = spec.partition(":")
     if name in ("symmetric", "ticket") and tail:
         try:
@@ -123,29 +103,31 @@ def resolve_scheme(spec: str) -> ResolvedScheme:
             raise ValueError(f"scheme {spec!r} needs dimension at least 2")
         if name == "symmetric":
             return ResolvedScheme(
-                ident=spec,
-                kind="quantum",
-                ensemble=schemes.fourier_ticket_scheme(d).ensemble(),
-                objective=schemes.symmetric_cloning_objective(d),
-                dims=(d, d, d),
-                strategy_factory=lambda: cloners.werner_cloner(d),
-                haar=True,
+                spec,
+                schemes.fourier_ticket_scheme(d).ensemble(),
+                lambda: cloners.werner_cloner(d),
+                haar_objective=lambda: schemes.symmetric_cloning_objective(d),
             )
         return ResolvedScheme(
-            ident=spec,
-            kind="ticket",
-            ticket=schemes.fourier_ticket_scheme(d),
-            strategy_factory=lambda: cloners.ticket_cloner(d),
+            spec, schemes.fourier_ticket_scheme(d), lambda: cloners.ticket_cloner(d)
         )
     if os.path.exists(spec):
-        loaded = schemes.load_scheme(spec)
-        if isinstance(loaded, schemes.Ensemble):
-            return _quantum_entry(spec, loaded, None)
-        return ResolvedScheme(ident=spec, kind="ticket", ticket=loaded)
+        return ResolvedScheme(spec, schemes.load_scheme(spec))
     raise ValueError(
         f"unknown scheme {spec!r}: expected one of {', '.join(BUILTIN_SCHEMES)} "
         "or a scheme file path"
     )
+
+
+def _challenge_problems(ticket: schemes.TicketScheme):
+    """The four challenge-pair problems of a ticket scheme and their weights."""
+    blocks, weights = schemes.classical_objective_blocks(ticket)
+    d = ticket.dim
+    problems = [
+        sdp.CloningSdp(schemes.assemble_challenge_block(blocks, d, *pair), dims=(d, d, d))
+        for pair in cloners.CHALLENGE_PAIRS
+    ]
+    return problems, [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
 
 
 def _check_tol(tol: float) -> float:
@@ -160,12 +142,12 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"repetition count must be at least 1, got {args.n}")
     tol = _check_tol(args.tol)
     cert_tol = min(1.0, 10.0 * tol)
-    if entry.kind == "ticket":
-        blocks, weights = entry.challenge_blocks()
+    if isinstance(entry.scheme, schemes.TicketScheme):
+        blocks, weights = _challenge_problems(entry.scheme)
         problem = sdp.assemble_block_sdp(blocks, weights)
         solution = sdp.solve_block_diagonal(blocks, weights, tol=tol)
     else:
-        problem = entry.problem()
+        problem = entry.cloning_problem()
         solution = sdp.solve(problem, tol=tol)
     report = certificates.certify(
         solution.primal_x, solution.dual_y, problem, tol=cert_tol
@@ -182,17 +164,18 @@ def cmd_analyze(args) -> int:
         "certified": report.certified,
     }
     _emit(record)
-    payload = certificates.certificate_payload(
-        problem, solution.primal_x, solution.dual_y, cert_tol, single
-    )
-    payload.update(
-        scheme=entry.ident,
-        n=args.n,
-        repeated_value=value,
-        iterations=solution.iterations,
-        certified=report.certified,
-    )
-    _write_output(args.output, payload)
+    if args.output is not None:
+        payload = certificates.certificate_payload(
+            problem, solution.primal_x, solution.dual_y, cert_tol, single
+        )
+        payload.update(
+            scheme=entry.ident,
+            n=args.n,
+            repeated_value=value,
+            iterations=solution.iterations,
+            certified=report.certified,
+        )
+        _write_output(args.output, payload)
     return 0 if report.certified else 1
 
 
@@ -255,7 +238,7 @@ def cmd_simulate(args) -> int:
     entry = resolve_scheme(args.scheme)
     if args.n < 1:
         raise ValueError(f"repetition count must be at least 1, got {args.n}")
-    if entry.kind == "ticket":
+    if isinstance(entry.scheme, schemes.TicketScheme):
         report = _simulate_ticket(entry, args)
     else:
         report = _simulate_quantum(entry, args)
@@ -281,13 +264,13 @@ def _simulate_quantum(entry: ResolvedScheme, args) -> simulator.TrialReport:
     if entry.strategy_factory is not None:
         strategy = entry.strategy_factory()
     else:
-        problem = entry.problem()
+        problem = entry.cloning_problem()
         solution = sdp.solve(problem, tol=1e-9)
         strategy = channels.ChoiOperator(
             solution.primal_x, problem.in_dim, problem.out_dim
         )
     cfg = simulator.TrialConfig(
-        entry.ensemble, strategy, args.trials, seed=args.seed, repetitions=args.n
+        entry.scheme, strategy, args.trials, seed=args.seed, repetitions=args.n
     )
     return simulator.simulate_quantum_attack(cfg)
 
@@ -297,7 +280,7 @@ def _simulate_ticket(entry: ResolvedScheme, args) -> simulator.TrialReport:
         if args.n != 1:
             raise ValueError("honest verification simulates a single note")
         return simulator.simulate_honest_verification(
-            entry.ticket, args.trials, seed=args.seed
+            entry.scheme, args.trials, seed=args.seed
         )
     if args.strategy in ("optimal", "ticket-cloner"):
         if entry.strategy_factory is None:
@@ -306,7 +289,7 @@ def _simulate_ticket(entry: ResolvedScheme, args) -> simulator.TrialReport:
                 "use --strategy honest"
             )
         cfg = simulator.TrialConfig(
-            entry.ticket,
+            entry.scheme,
             entry.strategy_factory(),
             args.trials,
             seed=args.seed,
@@ -326,18 +309,13 @@ def cmd_threshold(args) -> int:
     if not 1 <= args.t <= args.n:
         raise ValueError(f"threshold must lie in [1, {args.n}], got {args.t}")
     tol = _check_tol(args.tol)
-    ensemble = entry.cloning_ensemble()
-    if ensemble is None:
-        solution = sdp.solve(entry.problem(), tol=tol)
-        alpha = min(1.0, max(0.0, solution.primal_value))
-        conditions = False
-    else:
-        objective = schemes.cloning_objective(ensemble)
-        d = ensemble.dim
-        solution = sdp.solve(sdp.CloningSdp(objective, dims=(d, d, d)), tol=tol)
-        solved = min(1.0, max(0.0, solution.primal_value))
-        conditions = composition.threshold_conditions_hold(ensemble, solved)
-        alpha = d * linalg.operator_norm(objective) if conditions else solved
+    problem = entry.cloning_problem()
+    solved = min(1.0, max(0.0, sdp.solve(problem, tol=tol).primal_value))
+    # The binomial tail is certified only for an ensemble that realises the problem.
+    conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
+        entry.ensemble(), solved
+    )
+    alpha = problem.in_dim * linalg.operator_norm(problem.objective) if conditions else solved
     value = composition.threshold_value(alpha, args.n, args.t)
     record = {
         "scheme": entry.ident,

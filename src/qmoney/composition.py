@@ -179,18 +179,13 @@ def build_threshold_operators(ensemble: schemes.Ensemble) -> ThresholdOperators:
     """Per-round success and failure operators for threshold composition.
 
     The success operator is the cloning objective.  The failure operator
-    replaces the two-clone projector by its complement, so for ensembles with
-    uniform average state the two sum to the identity over the round's space
-    divided by the dimension.
+    replaces the two-clone projector by its complement, so the two sum to
+    identity (x) conj(average state), which for ensembles with uniform average
+    state is the identity over the round's space divided by the dimension.
     """
     d = ensemble.dim
     success = schemes.cloning_objective(ensemble)
-    eye = np.eye(d * d, dtype=np.complex128)
-    failure = np.zeros((d**3, d**3), dtype=np.complex128)
-    for w, psi in ensemble.items:
-        pair = np.kron(psi, psi)
-        clone_part = eye - np.outer(pair, pair.conj())
-        failure += w * np.kron(clone_part, np.outer(psi.conj(), psi))
+    failure = np.kron(np.eye(d * d), ensemble.average_state().conj()) - success
     return ThresholdOperators(
         success=success, failure=linalg.as_hermitian(failure, tol=1e-10)
     )

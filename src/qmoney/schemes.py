@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from ._codec import complex_to_pairs, pairs_to_vector
+from ._codec import complex_to_pairs, is_number, pairs_to_vector
 from .exceptions import DimensionError, FileFormatError
 
 WEIGHT_TOL = 1e-12
@@ -59,12 +59,12 @@ class Ensemble:
         for weight, vec in self.items:
             w = float(weight)
             v = np.asarray(vec, dtype=np.complex128).ravel()
-            if w < -WEIGHT_TOL:
-                raise DimensionError(f"negative weight {w}")
+            if not w >= -WEIGHT_TOL:  # written so that NaN fails too
+                raise DimensionError(f"weight {w} is negative or not a number")
             if v.size != self.dim:
                 raise DimensionError(f"state has size {v.size}, expected {self.dim}")
             norm = np.linalg.norm(v)
-            if abs(norm - 1.0) > UNIT_TOL:
+            if not abs(norm - 1.0) <= UNIT_TOL:
                 raise DimensionError(f"state norm {norm!r} is not 1")
             total += w
             cleaned.append((w, v))
@@ -159,7 +159,7 @@ class BasisPair:
             if b.shape != (self.dim, self.dim):
                 raise DimensionError(f"{name} has shape {b.shape}, expected square of {self.dim}")
             gram = b.conj().T @ b
-            if np.abs(gram - np.eye(self.dim)).max() > ORTHONORMAL_TOL:
+            if not np.abs(gram - np.eye(self.dim)).max() <= ORTHONORMAL_TOL:
                 raise DimensionError(f"{name} is not orthonormal")
             object.__setattr__(self, name, b)
 
@@ -356,8 +356,8 @@ def _ensemble_from_fields(dim: int, states) -> Ensemble:
         if not isinstance(entry, dict) or "weight" not in entry or "amplitudes" not in entry:
             raise FileFormatError(f"state {i} needs 'weight' and 'amplitudes' fields")
         weight = entry["weight"]
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise FileFormatError(f"state {i}: weight must be a number, got {weight!r}")
+        if not is_number(weight):
+            raise FileFormatError(f"state {i}: weight must be a finite number, got {weight!r}")
         vec = pairs_to_vector(entry["amplitudes"], where=f"state {i} amplitudes")
         items.append((float(weight), vec))
     return Ensemble(dim, tuple(items))

@@ -184,10 +184,10 @@ def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _step_length(lam_min: float, fraction: float) -> float:
+def _step_length(lam_min: float) -> float:
     """Fraction-to-boundary step, capped at 1, along a direction M from I:
     I + alpha * M stays positive semidefinite up to alpha = -1 / lambda_min(M)."""
-    return 1.0 if lam_min >= 0.0 else min(1.0, -fraction / lam_min)
+    return 1.0 if lam_min >= 0.0 else min(1.0, -STEP_FRACTION / lam_min)
 
 
 def _solution_from_iterates(problem, x, y, iterations, stats):
@@ -219,8 +219,6 @@ def solve(
     tol: float = DEFAULT_TOL,
     *,
     max_iterations: int = MAX_ITERATIONS,
-    step_fraction: float = STEP_FRACTION,
-    use_corrector: bool = True,
 ) -> SdpSolution:
     """Solve the counterfeiting SDP to the requested relative accuracy.
 
@@ -235,11 +233,6 @@ def solve(
         Iteration cap; exhausting it raises :class:`SolverError` carrying the
         best iterate.  A primal iterate that cannot be factored even at the
         largest Cholesky shift raises the same error at once.
-    step_fraction : float
-        Fraction-to-boundary parameter in (0, 1).
-    use_corrector : bool
-        Adapt the centering weight from an affine predictor step.  Disabling
-        it falls back to a fixed weight of 0.2.
 
     Returns
     -------
@@ -248,8 +241,6 @@ def solve(
     """
     if not MIN_TOL <= tol <= MAX_TOL:
         raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
-    if not 0.0 < step_fraction < 1.0:
-        raise ValueError(f"step_fraction must lie in (0, 1), got {step_fraction}")
 
     obj = problem.objective
     n = problem.dim
@@ -350,23 +341,20 @@ def solve(
 
         # In the scaled space dX~ = G^-1 R_c G^-H - dS~ with a diagonal first
         # term, so each step length is one smallest eigenvalue.
-        if use_corrector:
-            dx_aff, _, ds_aff, t_aff = newton_direction(-x)
-            # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
-            t = linalg.eigenvalues(t_aff)
-            alpha_p_aff = _step_length(-1.0 - float(t[-1]), step_fraction)
-            alpha_d_aff = _step_length(float(t[0]), step_fraction)
-            mu_aff = _pair(x + alpha_p_aff * dx_aff, s + alpha_d_aff * ds_aff) / n
-            del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
-            sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
-        else:
-            sigma = 0.2
+        dx_aff, _, ds_aff, t_aff = newton_direction(-x)
+        # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
+        t = linalg.eigenvalues(t_aff)
+        alpha_p_aff = _step_length(-1.0 - float(t[-1]))
+        alpha_d_aff = _step_length(float(t[0]))
+        mu_aff = _pair(x + alpha_p_aff * dx_aff, s + alpha_d_aff * ds_aff) / n
+        del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
+        sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
 
         r_center = sigma * mu * (h @ h_h) - x
         dx, dy, ds, t_ds = newton_direction(r_center)
         t_dx = np.diag(sigma * mu / lam - 1.0) - t_ds
-        alpha_p = _step_length(linalg.min_eigenvalue(t_dx), step_fraction)
-        alpha_d = _step_length(linalg.min_eigenvalue(t_ds), step_fraction)
+        alpha_p = _step_length(linalg.min_eigenvalue(t_dx))
+        alpha_d = _step_length(linalg.min_eigenvalue(t_ds))
 
         x = linalg.as_hermitian(x + alpha_p * dx, tol=1e-6)
         y = linalg.as_hermitian(y + alpha_d * dy, tol=1e-6)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import certificates, cloners, schemes, sdp
+from qmoney import _codec, certificates, cloners, schemes, sdp
 from qmoney.exceptions import DimensionError, FileFormatError
 
 
@@ -139,6 +139,26 @@ class TestSolverIntegration:
 
 
 class TestCertificateFiles:
+    def test_pair_encoding_matches_a_per_entry_reference(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(108, 108)) + 1j * rng.normal(size=(108, 108))
+        m[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        m[1, 0] = complex(1e-300, -5e-324)
+
+        def reference(row):
+            return [[float(z.real), float(z.imag)] for z in row]
+
+        for a in (m, m[:3, :5]):
+            encoded = _codec.complex_to_pairs(a)
+            texts = zip(map(json.dumps, encoded), map(json.dumps, map(reference, a)))
+            assert [i for i, (got, ref) in enumerate(texts) if got != ref] == []
+            np.testing.assert_array_equal(_codec.pairs_to_matrix(encoded), a)
+        encoded = _codec.complex_to_pairs(m[0])
+        assert json.dumps(encoded) == json.dumps(reference(m[0]))
+        np.testing.assert_array_equal(_codec.pairs_to_vector(encoded), m[0])
+        with pytest.raises(FileFormatError):
+            _codec.complex_to_pairs(np.zeros((2, 2, 2)))
+
     def test_round_trip(self, tmp_path):
         problem = _wiesner_problem()
         x = cloners.wiesner_optimal_cloner().matrix

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qmoney import cli, schemes
+from qmoney import certificates, cli, schemes
 from qmoney.exceptions import (
     CertificationError,
     DimensionError,
@@ -27,13 +27,21 @@ def run_cli(argv, capsys):
     return code, record
 
 
+def is_quantum(entry):
+    return isinstance(entry.scheme, schemes.Ensemble)
+
+
+def is_ticket(entry):
+    return isinstance(entry.scheme, schemes.TicketScheme)
+
+
 class TestResolveScheme:
     def test_builtin_kinds(self):
-        assert cli.resolve_scheme("wiesner").kind == "quantum"
-        assert cli.resolve_scheme("six-state").kind == "quantum"
-        assert cli.resolve_scheme("sic").kind == "quantum"
-        assert cli.resolve_scheme("symmetric:3").haar
-        assert cli.resolve_scheme("ticket:2").kind == "ticket"
+        assert is_quantum(cli.resolve_scheme("wiesner"))
+        assert is_quantum(cli.resolve_scheme("six-state"))
+        assert is_quantum(cli.resolve_scheme("sic"))
+        assert cli.resolve_scheme("symmetric:3").haar_objective is not None
+        assert is_ticket(cli.resolve_scheme("ticket:2"))
 
     def test_rejects_unknown_names_and_bad_dimensions(self):
         for spec in ("nonsense", "ticket:x", "ticket:1", "symmetric:0"):
@@ -45,8 +53,8 @@ class TestResolveScheme:
         ticket = tmp_path / "ticket.json"
         schemes.save_scheme(str(quantum), schemes.wiesner_ensemble())
         schemes.save_scheme(str(ticket), schemes.fourier_ticket_scheme(2))
-        assert cli.resolve_scheme(str(quantum)).kind == "quantum"
-        assert cli.resolve_scheme(str(ticket)).kind == "ticket"
+        assert is_quantum(cli.resolve_scheme(str(quantum)))
+        assert is_ticket(cli.resolve_scheme(str(ticket)))
 
 
 class TestAnalyze:
@@ -119,6 +127,25 @@ class TestCertify:
         assert code == 1
         assert rec["certified"] == "false"
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"tolerance": True},
+            {"dims": [2, 2, 2, True]},
+            {"n_out": True, "dims": [4, 2]},
+            {"value": float("nan")},
+            {"value": float("inf")},
+        ],
+    )
+    def test_booleans_and_non_finite_numbers_are_parse_errors(self, certificate, capsys, update):
+        payload = json.loads(certificate.read_text())
+        payload.update(update)
+        certificate.write_text(json.dumps(payload))
+        assert cli.main(["certify", str(certificate)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {next(iter(update))} must be")
+
 
 class TestSimulate:
     def test_wiesner_optimal(self, capsys):
@@ -188,6 +215,52 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         assert payload["trials"] == 10000
         assert set(payload) >= {"empirical", "analytic", "z", "successes"}
+
+
+class TestSchemeFiles:
+    @pytest.mark.parametrize("field", ["weight", "amplitudes"])
+    def test_nan_is_a_parse_error(self, tmp_path, capsys, field):
+        path = tmp_path / "ens.json"
+        schemes.save_scheme(str(path), schemes.wiesner_ensemble())
+        data = json.loads(path.read_text())
+        if field == "weight":
+            data["states"][0]["weight"] = float("nan")
+        else:
+            data["states"][0]["amplitudes"][0][1] = float("nan")
+        path.write_text(json.dumps(data))
+        assert cli.main(["simulate", "--scheme", str(path), "--trials", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state 0") and field in captured.err
+
+
+def forbid(monkeypatch, module, name):
+    """Make module.name raise if anything calls it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{name} was called")
+
+    monkeypatch.setattr(module, name, refuse)
+
+
+class TestBuildsOnlyWhatIsUsed:
+    @pytest.mark.parametrize("scheme", ["wiesner", "symmetric:3", "ticket:2"])
+    def test_analyze_without_output_builds_no_certificate_payload(
+        self, monkeypatch, capsys, scheme
+    ):
+        forbid(monkeypatch, certificates, "certificate_payload")
+        code, rec = run_cli(["analyze", "--scheme", scheme], capsys)
+        assert code == 0
+        assert rec["certified"] == "true"
+
+    @pytest.mark.parametrize("scheme", ["wiesner", "symmetric:3"])
+    def test_simulate_builds_no_cloning_objective(self, monkeypatch, capsys, scheme):
+        forbid(monkeypatch, schemes, "cloning_objective")
+        forbid(monkeypatch, schemes, "symmetric_cloning_objective")
+        argv = ["simulate", "--scheme", scheme, "--trials", "20000", "--seed", "1"]
+        code, rec = run_cli(argv, capsys)
+        assert code == 0
+        assert abs(float(rec["z"])) <= 5.0
 
 
 class TestThreshold:

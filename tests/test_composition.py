@@ -158,6 +158,27 @@ class TestThresholdOperators:
         assert linalg.min_eigenvalue(ops.success) > -1e-12
         assert linalg.min_eigenvalue(ops.failure) > -1e-12
 
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            schemes.wiesner_ensemble(),
+            schemes.sic_qubit_ensemble(),
+            schemes.fourier_ticket_scheme(3).ensemble(),
+            schemes.Ensemble(
+                2, ((0.3, np.array([1.0, 0.0])), (0.7, np.array([0.6, 0.8j])))
+            ),
+        ],
+    )
+    def test_failure_operator_matches_the_per_state_sum(self, ensemble):
+        d = ensemble.dim
+        reference = np.zeros((d**3, d**3), dtype=complex)
+        for w, psi in ensemble.items:
+            pair = np.kron(psi, psi)
+            clone_part = np.eye(d * d) - np.outer(pair, pair.conj())
+            reference += w * np.kron(clone_part, np.outer(psi.conj(), psi))
+        failure = composition.build_threshold_operators(ensemble).failure
+        assert np.abs(failure - reference).max() <= 1e-14
+
     def test_operators_commute_when_conditions_hold(self):
         ops = composition.build_threshold_operators(schemes.wiesner_ensemble())
         comm = ops.success @ ops.failure - ops.failure @ ops.success

@@ -253,6 +253,12 @@ def test_ensemble_validation():
         schemes.Ensemble(2, ((1.0, np.array([1.0, 1.0])),))  # not normalized
     with pytest.raises(DimensionError):
         schemes.Ensemble(2, ((0.4, np.array([1.0, 0.0])),))  # weights sum below 1
+    with pytest.raises(DimensionError):
+        schemes.Ensemble(2, ((math.nan, np.array([1.0, 0.0])), (1.0, np.array([0.0, 1.0]))))
+    with pytest.raises(DimensionError):
+        schemes.Ensemble(2, ((1.0, np.array([math.nan, 0.0])),))
+    with pytest.raises(DimensionError):
+        schemes.BasisPair(2, np.eye(2), np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestClassicalPrimalWitness:
