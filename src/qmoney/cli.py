@@ -310,12 +310,13 @@ def cmd_threshold(args) -> int:
         raise ValueError(f"threshold must lie in [1, {args.n}], got {args.t}")
     tol = _check_tol(args.tol)
     problem = entry.cloning_problem()
+    norm = linalg.operator_norm(problem.objective)
     solved = min(1.0, max(0.0, sdp.solve(problem, tol=tol).primal_value))
     # The binomial tail is certified only for an ensemble that realises the problem.
     conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
-        entry.ensemble(), solved
+        entry.ensemble(), norm, solved
     )
-    alpha = problem.in_dim * linalg.operator_norm(problem.objective) if conditions else solved
+    alpha = problem.in_dim * norm if conditions else solved
     value = composition.threshold_value(alpha, args.n, args.t)
     record = {
         "scheme": entry.ident,

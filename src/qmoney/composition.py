@@ -191,19 +191,21 @@ def build_threshold_operators(ensemble: schemes.Ensemble) -> ThresholdOperators:
     )
 
 
-def threshold_conditions_hold(ensemble: schemes.Ensemble, alpha: float) -> bool:
+def threshold_conditions_hold(
+    ensemble: schemes.Ensemble, objective_norm: float, alpha: float
+) -> bool:
     """Whether the binomial-tail threshold analysis applies to this ensemble.
 
-    Requires the ensemble average to be the maximally mixed state and the
-    objective norm to equal alpha divided by the dimension, which makes the
-    flat dual point optimal for the single round.
+    Requires the ensemble average to be the maximally mixed state and
+    ``objective_norm``, the operator norm of the ensemble's cloning objective,
+    to equal alpha divided by the dimension, which makes the flat dual point
+    optimal for the single round.
     """
     d = ensemble.dim
     average = ensemble.average_state()
     if np.abs(average - np.eye(d) / d).max() > AVERAGE_STATE_TOL:
         return False
-    norm = linalg.operator_norm(schemes.cloning_objective(ensemble))
-    return abs(norm - alpha / d) <= NORM_CONDITION_TOL
+    return abs(objective_norm - alpha / d) <= NORM_CONDITION_TOL
 
 
 def _check_dense_guard(d: int, n: int) -> None:

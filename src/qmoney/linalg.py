@@ -72,11 +72,6 @@ def kron(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def outer(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     """Rank-one operator |u><v| (|u><u| when v is omitted)."""
     u = np.asarray(u, dtype=np.complex128).ravel()

@@ -26,6 +26,29 @@ directly on the complex Hermitian cone:
 Residual terms for infeasible iterates are carried through the Newton system,
 so warm starts need not be feasible; the default start is exactly feasible
 and keeps both residuals at roundoff level throughout.
+
+Output-support reduction.  A positive semidefinite Q lives on V (x) I, where
+V spans the support of Tr_in Q; cloning objectives vanish off the symmetric
+clone subspace, so V is often much smaller than the output space (rank 27 of
+64 for three Wiesner notes).  In the basis V + complement, the start
+X = I / d_out, S = I (x) Y - Q is block diagonal with complement blocks
+I_c (x) Z, and every Newton step keeps that form, since all of its terms are
+built from the blocks.  So the iteration runs on the output rows of V plus
+one row standing for the whole (d_out - r)-dimensional complement:
+Q~ = (V (x) I)^H Q (V (x) I) (+) 0, X~ = X_s (+) (d_out - r) Z, S~ = S_s (+) T.
+Giving the complement row the barrier weight w = d_out - r (and every other
+row weight 1) reproduces the dense quantities exactly: <X~, S~> = <X, S>,
+mu = <X, S> / n with n the full dimension, the Schur complement and the
+right-hand side of the Newton system (the NT scaling of the complement row is
+sqrt(w) times the dense one), the centering term sigma mu Omega S~^-1 with
+Omega = diag(w) (x) I, the start diag(w) (x) I / d_out, and every step
+length.  The trajectory is therefore the dense one in exact arithmetic, at
+(r + 1)^3 / d_out^3 of its cost.  A full-rank objective runs the same code
+with all weights 1.  The reduction is taken only when it shrinks the problem
+(r + 1 < d_out) and Q's coupling outside V (x) I is checked to be at
+roundoff, and the primal is lifted back,
+X = (V (x) I) X_s (V (x) I)^H + P_c (x) Z, so values, residuals and the
+independent certifier all see the full problem.
 """
 
 from __future__ import annotations
@@ -46,6 +69,7 @@ MAX_ITERATIONS = 200
 STEP_FRACTION = 0.98
 PSD_OBJECTIVE_TOL = 1e-9
 CHOLESKY_SHIFTS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
+SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,6 +214,54 @@ def _step_length(lam_min: float) -> float:
     return 1.0 if lam_min >= 0.0 else min(1.0, -STEP_FRACTION / lam_min)
 
 
+def _output_support(problem: CloningSdp) -> np.ndarray:
+    """Orthonormal basis V (d_out x r) of the support of Tr_in Q: its eigenvectors
+    above ``SUPPORT_TOL`` times the largest eigenvalue."""
+    w, v = linalg.hermitian_eig(
+        linalg.partial_trace(problem.objective, (problem.out_dim, problem.in_dim), [0])
+    )
+    return v[:, w > SUPPORT_TOL * w[-1]]
+
+
+def _reduce(problem: CloningSdp) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The objective on its output support, the barrier weight of each of its output
+    rows, and the support basis V (None when the problem is kept whole).
+
+    The cut is taken only if it shrinks the problem (r + 1 < d_out) and Q's coupling
+    outside V (x) I is at most ``SUPPORT_TOL`` times Q's largest entry (itself at most
+    ||Q||).  That coupling vanishes for an exact cut of a positive semidefinite Q, so
+    the check only guards against a cut too coarse.
+    """
+    obj = problem.objective
+    d_out, d_in = problem.out_dim, problem.in_dim
+    v = _output_support(problem)
+    r = v.shape[1]
+    q4 = obj.reshape(d_out, d_in, d_out, d_in)
+    outside = np.eye(d_out) - v @ v.conj().T
+    if r + 1 >= d_out or (
+        np.abs(np.einsum("ab,bjcl->ajcl", outside, q4)).max() > SUPPORT_TOL * np.abs(obj).max()
+    ):
+        return obj, np.ones(d_out), None
+    reduced = np.zeros((r + 1, d_in, r + 1, d_in), dtype=np.complex128)
+    reduced[:r, :, :r] = np.einsum("ar,ajbl,bs->rjsl", v.conj(), q4, v, optimize=True)
+    size = (r + 1) * d_in
+    return reduced.reshape(size, size), np.append(np.ones(r), d_out - r), v
+
+
+def _lift_primal(x: np.ndarray, support: np.ndarray | None, problem: CloningSdp) -> np.ndarray:
+    """A reduced primal point on the full space: (V (x) I) X_s (V (x) I)^H plus the
+    complement row's block spread evenly over the complement P_c of V."""
+    if support is None:
+        return x
+    d_out, d_in = problem.out_dim, problem.in_dim
+    r = support.shape[1]
+    x4 = x.reshape(r + 1, d_in, r + 1, d_in)
+    inside = np.einsum("ar,rjsl,bs->ajbl", support, x4[:r, :, :r], support.conj(), optimize=True)
+    outside = np.eye(d_out) - support @ support.conj().T
+    full = inside.reshape(problem.dim, problem.dim) + np.kron(outside, x4[r, :, r] / (d_out - r))
+    return (full + full.conj().T) / 2
+
+
 def _solution_from_iterates(problem, x, y, iterations, stats):
     obj = problem.objective
     pval = _pair(obj, x)
@@ -242,10 +314,11 @@ def solve(
     if not MIN_TOL <= tol <= MAX_TOL:
         raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
 
-    obj = problem.objective
+    obj, weights, support = _reduce(problem)
     n = problem.dim
     d_in = problem.in_dim
     d_out = problem.out_dim
+    rows = len(weights)
     obj_norm = linalg.operator_norm(obj)
 
     if obj_norm == 0.0:
@@ -255,12 +328,23 @@ def solve(
 
     basis = _hermitian_basis(d_in)
     eye_in = np.eye(d_in, dtype=np.complex128)
+    omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
+    heavy = np.flatnonzero(omega != 1.0)
 
-    # Strictly feasible start: X a multiple of the identity, Y far enough out
-    # that the dual slack is positive definite.
-    x = np.eye(n, dtype=np.complex128) / d_out
+    def trace_out(m):
+        return linalg.partial_trace(m, (rows, d_in), [1])
+
+    def lift_dual(m):
+        return np.kron(np.eye(rows, dtype=np.complex128), m)
+
+    def hermitian(m):
+        return (m + m.conj().T) / 2
+
+    # Strictly feasible start: X the identity / d_out on the full space (weight w on
+    # the complement row), Y far enough out that the dual slack is positive definite.
+    x = np.diag(omega / d_out).astype(np.complex128)
     y = (obj_norm + 1.0) * eye_in
-    s = linalg.as_hermitian(problem.lift_dual(y) - obj)
+    s = hermitian(lift_dual(y) - obj)
 
     obj_scale = 1.0 + abs(obj_norm)
     stats: list[IterateStats] = []
@@ -268,7 +352,9 @@ def solve(
 
     def stalled(message: str, iterations: int) -> SolverError:
         _, bx, by = best
-        partial = _solution_from_iterates(problem, bx, by, iterations, stats)
+        partial = _solution_from_iterates(
+            problem, _lift_primal(bx, support, problem), by, iterations, stats
+        )
         return SolverError(message, solution=partial)
 
     for iteration in range(1, max_iterations + 1):
@@ -276,8 +362,8 @@ def solve(
         mu = gap / n
         pval = _pair(obj, x)
         dval = float(np.real(np.trace(y)))
-        r_primal = eye_in - problem.trace_out(x)
-        r_dual = linalg.as_hermitian(obj + s - problem.lift_dual(y), tol=1e-6)
+        r_primal = eye_in - trace_out(x)
+        r_dual = hermitian(obj + s - lift_dual(y))
         pinf = float(np.abs(r_primal).max())
         dinf = float(np.abs(r_dual).max())
         rel_gap = gap / max(1.0, (abs(pval) + abs(dval)) / 2.0)
@@ -287,7 +373,9 @@ def solve(
             best = (score, x, y)  # iterates are replaced, never updated in place
 
         if rel_gap <= tol and pinf <= tol * obj_scale and dinf <= tol * obj_scale:
-            return _solution_from_iterates(problem, x, y, iteration - 1, stats)
+            return _solution_from_iterates(
+                problem, _lift_primal(x, support, problem), y, iteration - 1, stats
+            )
 
         # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
         # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
@@ -300,23 +388,26 @@ def solve(
                 f"smallest diagonal {float(np.diagonal(x).real.min()):.3e}",
                 iteration - 1,
             )
-        lam, q = linalg.positive_definite_eig(
-            linalg.as_hermitian(chol.conj().T @ s @ chol, tol=1e-8)
-        )
+        lam, q = linalg.positive_definite_eig(hermitian(chol.conj().T @ s @ chol))
         if not gap > 0.0:  # tr(L^H S L) = <X, S>; singular values cannot show its sign
             raise stalled(f"dual slack is not positive at iteration {iteration}", iteration - 1)
         # The floor caps the condition number of the scaling when roundoff
         # leaves tiny or zero eigenvalues in nominally positive iterates.
         lam = np.maximum(lam, lam[-1] * 1e-16)
         h = (chol @ q) * lam**-0.5
-        del chol, q  # dense temporaries freed early keep peak memory flat
+        # Omega commutes with L and S (block diagonal), so the normalised scaled
+        # Omega S^-1 is lam^-1/2 Q^H Omega Q lam^-1/2 = diag(1 / lam) + lam^-1/2 spread
+        # lam^-1/2, with spread = Q^H (Omega - I) Q from the complement row's indices.
+        q_heavy = q[heavy]
+        spread = (q_heavy.conj().T * (omega[heavy] - 1.0)) @ q_heavy
+        del chol, q, q_heavy  # dense temporaries freed early keep peak memory flat
         h_h = h.conj().T
-        w = linalg.as_hermitian((h * lam**0.5) @ h_h, tol=1e-8)
+        w = hermitian((h * lam**0.5) @ h_h)
 
         # Schur complement of dY -> trace_out(W (1 x dY) W) in the Hermitian
         # basis, through its Gram tensor
         # N(dY)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] dY[k,l] W[(c,l),(a,j)].
-        w4 = w.reshape(d_out, d_in, d_out, d_in)
+        w4 = w.reshape(rows, d_in, rows, d_in)
         gram = np.einsum("aick,claj->ijkl", w4, w4, optimize=True)
         m = np.real(basis.conj() @ gram.reshape(d_in * d_in, d_in * d_in) @ basis.T)
         m = (m + m.T) / 2.0
@@ -328,15 +419,15 @@ def solve(
             m_reg = m + jitter * np.eye(m.shape[0])
             solve_m = lambda rhs: np.linalg.solve(m_reg, rhs)
 
-        rhs_dual = problem.trace_out(w @ r_dual @ w) - r_primal
+        rhs_dual = trace_out(w @ r_dual @ w) - r_primal
 
         def newton_direction(r_center):
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
-            rhs = problem.trace_out(r_center) + rhs_dual
+            rhs = trace_out(r_center) + rhs_dual
             coords = solve_m(np.real(basis.conj() @ rhs.ravel()))
             dy = (coords @ basis).reshape(d_in, d_in)
-            ds = linalg.as_hermitian(problem.lift_dual(dy) - r_dual, tol=1e-6)
-            dx = linalg.as_hermitian(r_center - w @ ds @ w, tol=1e-6)
+            ds = hermitian(lift_dual(dy) - r_dual)
+            dx = hermitian(r_center - w @ ds @ w)
             return dx, dy, ds, h_h @ ds @ h
 
         # In the scaled space dX~ = G^-1 R_c G^-H - dS~ with a diagonal first
@@ -350,16 +441,22 @@ def solve(
         del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
         sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
 
-        r_center = sigma * mu * (h @ h_h) - x
+        h_omega = np.sqrt(omega)[:, None] * h
+        # sigma mu Omega^1/2 S^-1 Omega^1/2 - X, which is sigma mu Omega S^-1 - X.
+        r_center = sigma * mu * (h_omega @ h_omega.conj().T) - x
         dx, dy, ds, t_ds = newton_direction(r_center)
-        t_dx = np.diag(sigma * mu / lam - 1.0) - t_ds
+        t_dx = (
+            np.diag(sigma * mu / lam - 1.0)
+            + sigma * mu * (lam**-0.5)[:, None] * spread * lam**-0.5
+            - t_ds
+        )
         alpha_p = _step_length(linalg.min_eigenvalue(t_dx))
         alpha_d = _step_length(linalg.min_eigenvalue(t_ds))
 
-        x = linalg.as_hermitian(x + alpha_p * dx, tol=1e-6)
-        y = linalg.as_hermitian(y + alpha_d * dy, tol=1e-6)
-        s = linalg.as_hermitian(s + alpha_d * ds, tol=1e-6)
-        del dx, ds, t_dx, t_ds, r_center, h, h_h, w  # freed before the next SVD, as above
+        x = hermitian(x + alpha_p * dx)
+        y = hermitian(y + alpha_d * dy)
+        s = hermitian(s + alpha_d * ds)
+        del dx, ds, t_dx, t_ds, r_center, h, h_h, h_omega, w, spread  # freed before the next SVD
 
         stats.append(
             IterateStats(

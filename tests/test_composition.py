@@ -185,11 +185,15 @@ class TestThresholdOperators:
         assert linalg.operator_norm(comm) <= 1e-10
 
     def test_conditions_flag(self):
-        assert composition.threshold_conditions_hold(schemes.wiesner_ensemble(), 0.75)
-        assert composition.threshold_conditions_hold(schemes.six_state_ensemble(), 2.0 / 3.0)
-        assert not composition.threshold_conditions_hold(schemes.wiesner_ensemble(), 0.5)
+        def holds(ensemble, alpha):
+            norm = linalg.operator_norm(schemes.cloning_objective(ensemble))
+            return composition.threshold_conditions_hold(ensemble, norm, alpha)
+
+        assert holds(schemes.wiesner_ensemble(), 0.75)
+        assert holds(schemes.six_state_ensemble(), 2.0 / 3.0)
+        assert not holds(schemes.wiesner_ensemble(), 0.5)
         point = schemes.Ensemble(2, ((1.0, np.array([1.0, 0.0])),))
-        assert not composition.threshold_conditions_hold(point, 0.75)
+        assert not holds(point, 0.75)
 
 
 class TestRNorm:

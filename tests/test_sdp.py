@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import channels, composition, schemes, sdp
+from qmoney import certificates, channels, composition, schemes, sdp
 from qmoney.exceptions import DimensionError, SolverError
 
 
@@ -295,3 +295,109 @@ class TestStall:
         partial = excinfo.value.solution
         assert partial is not None
         assert partial.iterations == 0 and partial.trace == ()
+
+
+def _support_rank(problem):
+    return sdp._output_support(problem).shape[1]
+
+
+def _haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _rank_deficient_problem(rng, d_out, d_in, r):
+    """Q = (V x I) C (V x I)^H for a random isometry V and a random PSD core C."""
+    v, _ = np.linalg.qr(rng.normal(size=(d_out, r)) + 1j * rng.normal(size=(d_out, r)))
+    g = rng.normal(size=(r * d_in, r * d_in)) + 1j * rng.normal(size=(r * d_in, r * d_in))
+    lift = np.kron(v, np.eye(d_in))
+    q = lift @ (g @ g.conj().T) @ lift.conj().T
+    q = (q + q.conj().T) / (2 * np.linalg.norm(q, 2))
+    return sdp.CloningSdp(q, dims=(d_out, d_in), n_out=1)
+
+
+def _whole_solve(problem, monkeypatch):
+    """The solve with the output-support cut switched off: every row weight 1."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_reduce", lambda p: (p.objective, np.ones(p.out_dim), None))
+        return sdp.solve(problem)
+
+
+class TestOutputSupport:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wiesner_notes_have_rank_three_to_the_n(self, n):
+        problem = composition.repeated_sdp([_wiesner_sdp()] * n)
+        assert _support_rank(problem) == 3**n
+        obj, weights, support = sdp._reduce(problem)
+        if n == 1:  # 3 + 1 rows would not shrink the 4 output rows
+            assert support is None and obj is problem.objective
+            return
+        assert support.shape == (4**n, 3**n)
+        np.testing.assert_array_equal(weights, [1.0] * 3**n + [4**n - 3**n])
+        assert obj.shape == ((3**n + 1) * 2**n,) * 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_symmetric_cloning_has_the_symmetric_rank(self, d):
+        problem = sdp.CloningSdp(schemes.symmetric_cloning_objective(d), dims=(d, d, d))
+        assert _support_rank(problem) == d * (d + 1) // 2
+        assert sdp._reduce(problem)[1].size == d * (d + 1) // 2 + 1
+
+    def test_threshold_objective_is_not_reduced(self):
+        # Only the singlet pair, where every round's success operator vanishes,
+        # drops out: 15 of 16 output rows, so the cut would not shrink anything.
+        problem = composition.threshold_sdp(schemes.wiesner_ensemble(), 2, 1)
+        assert _support_rank(problem) == 15
+        obj, weights, support = sdp._reduce(problem)
+        assert support is None and obj is problem.objective
+        np.testing.assert_array_equal(weights, np.ones(problem.out_dim))
+
+    def test_a_cut_that_drops_a_coupling_is_refused(self):
+        # Tr_in Q has eigenvalue 1e-14 on |3>, below the cut, but Q couples
+        # |3> (x) |1> to the rest at 1e-7.
+        psi = np.zeros(8, dtype=complex)
+        psi[0], psi[7] = 1.0, 1e-7
+        problem = sdp.CloningSdp(np.outer(psi, psi.conj()), dims=(4, 2), n_out=1)
+        assert _support_rank(problem) == 1
+        assert sdp._reduce(problem)[2] is None
+        sol = sdp.solve(problem)
+        assert certificates.certify(sol.primal_x, sol.dual_y, problem).certified
+
+    def test_haar_rotated_three_notes_certify_on_the_full_space(self):
+        u = _haar_unitary(np.random.default_rng(404), 2)
+        note = schemes.wiesner_ensemble()
+        note = schemes.Ensemble(note.dim, tuple((w, u @ psi) for w, psi in note.items))
+        problem = composition.repeated_sdp(
+            [sdp.CloningSdp(schemes.cloning_objective(note), dims=(2, 2, 2))] * 3
+        )
+        assert _support_rank(problem) == 27
+        sol = sdp.solve(problem)
+        assert abs(sol.primal_value - 27 / 64) < 1e-8
+        assert sol.primal_x.shape == (512, 512) and sol.dual_y.shape == (8, 8)
+        assert certificates.certify(sol.primal_x, sol.dual_y, problem).certified
+
+    @pytest.mark.parametrize(
+        "d_out, d_in, r", [(4, 2, 1), (4, 2, 2), (6, 3, 2), (9, 2, 4), (9, 3, 7), (16, 2, 5)]
+    )
+    def test_random_rank_deficient_objectives(self, d_out, d_in, r, monkeypatch):
+        problem = _rank_deficient_problem(np.random.default_rng([d_out, d_in, r]), d_out, d_in, r)
+        assert _support_rank(problem) == r
+        assert sdp._reduce(problem)[2] is not None
+        sol = sdp.solve(problem)
+        assert sol.primal_x.shape == (problem.dim, problem.dim)
+        assert certificates.certify(sol.primal_x, sol.dual_y, problem).certified
+        whole = _whole_solve(problem, monkeypatch)
+        assert sol.iterations == whole.iterations
+        assert abs(sol.primal_value - whole.primal_value) < 1e-9
+        assert abs(sol.dual_value - whole.dual_value) < 1e-9
+
+    def test_stall_carries_a_full_size_best_iterate(self):
+        problem = composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()])
+        assert _support_rank(problem) == 9
+        with pytest.raises(SolverError) as excinfo:
+            sdp.solve(problem, max_iterations=2)
+        partial = excinfo.value.solution
+        assert partial.primal_x.shape == (64, 64)
+        assert partial.residuals.primal_trace_defect < 1e-12
+        assert partial.residuals.primal_min_eigenvalue > 0.0
+        paired = float(np.real(np.trace(problem.objective @ partial.primal_x)))
+        assert abs(paired - partial.primal_value) < 1e-12
