@@ -1,7 +1,9 @@
 """Independent verification of claimed primal/dual pairs for cloning problems.
 
 The checks here recompute everything from the handed-in matrices with the
-eigensolver; nothing is trusted from whatever produced them.  A pair whose
+eigensolver; nothing is trusted from whatever produced them.  They are the
+only feasibility check of a solved pair in the package: the solver reports
+values and a gap, never whether its pair is feasible.  A pair whose
 sides are both feasible and whose values agree within tolerance certifies the
 optimal value, since any feasible dual point upper-bounds every feasible
 primal value.

@@ -144,8 +144,8 @@ def cmd_analyze(args) -> int:
     cert_tol = min(1.0, 10.0 * tol)
     if isinstance(entry.scheme, schemes.TicketScheme):
         blocks, weights = _challenge_problems(entry.scheme)
-        problem = sdp.assemble_block_sdp(blocks, weights)
         solution = sdp.solve_block_diagonal(blocks, weights, tol=tol)
+        problem = sdp.assemble_block_sdp(blocks, weights)
     else:
         problem = entry.cloning_problem()
         solution = sdp.solve(problem, tol=tol)
@@ -316,7 +316,8 @@ def cmd_threshold(args) -> int:
     conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
         entry.ensemble(), norm, solved
     )
-    alpha = problem.in_dim * norm if conditions else solved
+    # Roundoff can put d_in * ||Q|| just above a value of 1.
+    alpha = min(1.0, problem.in_dim * norm) if conditions else solved
     value = composition.threshold_value(alpha, args.n, args.t)
     record = {
         "scheme": entry.ident,

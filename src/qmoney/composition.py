@@ -30,24 +30,6 @@ NORM_CONDITION_TOL = 1e-9
 DENSE_GUARD = 1024
 
 
-@dataclass(frozen=True)
-class RepetitionSpec:
-    """A composed verification: base value, repetitions, acceptance threshold."""
-
-    alpha: float
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"base value must lie in [0, 1], got {self.alpha}")
-        if not 1 <= self.t <= self.n:
-            raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-
-    def value(self) -> float:
-        return threshold_value(self.alpha, self.n, self.t)
-
-
 def repeated_value(alpha: float, n: int) -> float:
     """Optimal value of n-fold parallel repetition: the n-th power."""
     if not 0.0 <= alpha <= 1.0:

@@ -64,21 +64,6 @@ def check_factored_dims(dims: Sequence[int], total: int | None = None) -> tuple[
     return out
 
 
-def kron(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """Kronecker product of two or more matrices, row-major composite order."""
-    out = np.kron(np.asarray(a), np.asarray(b))
-    for m in more:
-        out = np.kron(out, np.asarray(m))
-    return out
-
-
-def outer(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Rank-one operator |u><v| (|u><u| when v is omitted)."""
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    w = u if v is None else np.asarray(v, dtype=np.complex128).ravel()
-    return np.outer(u, w.conj())
-
-
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 

@@ -47,14 +47,16 @@ length.  The trajectory is therefore the dense one in exact arithmetic, at
 with all weights 1.  The reduction is taken only when it shrinks the problem
 (r + 1 < d_out) and Q's coupling outside V (x) I is checked to be at
 roundoff, and the primal is lifted back,
-X = (V (x) I) X_s (V (x) I)^H + P_c (x) Z, so values, residuals and the
-independent certifier all see the full problem.
+X = (V (x) I) X_s (V (x) I)^H + P_c (x) Z, so the reported values and the
+independent certifier both see the full problem.  The solver judges
+feasibility only of its own iterates, to decide when to stop; whether a
+returned pair is feasible is for :mod:`qmoney.certificates` to say.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -142,24 +144,18 @@ class IterateStats:
 
 
 @dataclass(frozen=True)
-class Residuals:
-    """Feasibility measures of a returned or checked solution pair."""
-
-    primal_trace_defect: float
-    primal_min_eigenvalue: float
-    dual_min_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: primal/dual pair, values, gap, and run diagnostics."""
+    """Solver output: primal/dual pair, values, gap, and run diagnostics.
+
+    The pair is not checked for feasibility here; :func:`qmoney.certificates.certify`
+    does that.
+    """
 
     primal_x: np.ndarray
     dual_y: np.ndarray
     primal_value: float
     dual_value: float
     gap: float
-    residuals: Residuals
     iterations: int
     trace: tuple[IterateStats, ...] = ()
     block_solutions: tuple["SdpSolution", ...] | None = None
@@ -263,27 +259,9 @@ def _lift_primal(x: np.ndarray, support: np.ndarray | None, problem: CloningSdp)
 
 
 def _solution_from_iterates(problem, x, y, iterations, stats):
-    obj = problem.objective
-    pval = _pair(obj, x)
+    pval = _pair(problem.objective, x)
     dval = float(np.real(np.trace(y)))
-    trace_defect = float(
-        np.abs(problem.trace_out(x) - np.eye(problem.in_dim)).max()
-    )
-    residuals = Residuals(
-        primal_trace_defect=trace_defect,
-        primal_min_eigenvalue=linalg.min_eigenvalue(x),
-        dual_min_eigenvalue=linalg.min_eigenvalue(problem.lift_dual(y) - obj),
-    )
-    return SdpSolution(
-        primal_x=x,
-        dual_y=y,
-        primal_value=pval,
-        dual_value=dval,
-        gap=dval - pval,
-        residuals=residuals,
-        iterations=iterations,
-        trace=tuple(stats),
-    )
+    return SdpSolution(x, y, pval, dval, dval - pval, iterations, tuple(stats))
 
 
 def solve(
@@ -501,6 +479,18 @@ def _direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
     return big.reshape(d_out * k * d_in, d_out * k * d_in)
 
 
+def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
+    """Validate weighted same-shape blocks; return the first, whose structure they share."""
+    if not blocks or len(blocks) != len(weights):
+        raise DimensionError("need matching non-empty block and weight lists")
+    first = blocks[0]
+    if any(b.dims != first.dims or b.n_out != first.n_out for b in blocks):
+        raise DimensionError("blocks must share one factor structure")
+    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        raise DimensionError("weights must be nonnegative and sum to 1")
+    return first
+
+
 def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     """Combine weighted same-shape subproblems into one problem.
 
@@ -509,13 +499,7 @@ def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> Clonin
     objectives.  Feasible points decompose into one feasible point per block,
     so the combined optimal value is the weighted sum of block values.
     """
-    if not blocks or len(blocks) != len(weights):
-        raise DimensionError("need matching non-empty block and weight lists")
-    first = blocks[0]
-    if any(b.dims != first.dims or b.n_out != first.n_out for b in blocks):
-        raise DimensionError("blocks must share one factor structure")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-        raise DimensionError("weights must be nonnegative and sum to 1")
+    first = _check_blocks(blocks, weights)
     objective = _direct_sum(
         [w * b.objective for b, w in zip(blocks, weights)], first.out_dim, first.in_dim
     )
@@ -529,17 +513,18 @@ def solve_block_diagonal(
     """Solve weighted same-shape subproblems and assemble one solution.
 
     Each block is solved independently; the returned primal/dual pair lives on
-    the combined space of :func:`assemble_block_sdp` and its value is the
-    weighted sum of the block values.  Per-block solutions are kept on
-    ``block_solutions``.
+    the combined space of :func:`assemble_block_sdp`, which is not built here,
+    and its values are the weighted sums of the block values.  Per-block
+    solutions are kept on ``block_solutions``.
     """
-    combined = assemble_block_sdp(blocks, weights)
+    first = _check_blocks(blocks, weights)
     solutions = [solve(b, tol=tol) for b in blocks]
-    d_out, d_in = blocks[0].out_dim, blocks[0].in_dim
-    x = linalg.as_hermitian(_direct_sum([s.primal_x for s in solutions], d_out, d_in))
-    y = linalg.as_hermitian(
-        _direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, d_in)
+    x = _direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
+    y = _direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
+    pval = sum(w * s.primal_value for s, w in zip(solutions, weights))
+    dval = sum(w * s.dual_value for s, w in zip(solutions, weights))
+    return SdpSolution(
+        x, y, pval, dval, dval - pval,
+        iterations=max(s.iterations for s in solutions),
+        block_solutions=tuple(solutions),
     )
-    iterations = max(s.iterations for s in solutions)
-    solution = _solution_from_iterates(combined, x, y, iterations, ())
-    return replace(solution, block_solutions=tuple(solutions))

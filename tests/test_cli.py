@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qmoney import certificates, cli, schemes
+from qmoney import certificates, cli, schemes, sdp
 from qmoney.exceptions import (
     CertificationError,
     DimensionError,
@@ -253,6 +253,19 @@ class TestBuildsOnlyWhatIsUsed:
         assert code == 0
         assert rec["certified"] == "true"
 
+    def test_ticket_analyze_assembles_the_combined_problem_once(self, monkeypatch, capsys):
+        built = []
+        post_init = sdp.CloningSdp.__post_init__
+
+        def counting(problem):
+            post_init(problem)
+            built.append(problem.dim)
+
+        monkeypatch.setattr(sdp.CloningSdp, "__post_init__", counting)
+        code, rec = run_cli(["analyze", "--scheme", "ticket:3"], capsys)
+        assert code == 0 and rec["certified"] == "true"
+        assert built.count(108) == 1  # 3 x 3 clones (x) 4 challenge pairs (x) 3 inputs
+
     @pytest.mark.parametrize("scheme", ["wiesner", "symmetric:3"])
     def test_simulate_builds_no_cloning_objective(self, monkeypatch, capsys, scheme):
         forbid(monkeypatch, schemes, "cloning_objective")
@@ -285,6 +298,22 @@ class TestThreshold:
         assert code == 1
         assert rec["conditions"] == "not-certified"
         assert abs(float(rec["value"]) - 0.75) < 1e-6
+
+    def test_basis_states_clone_perfectly(self, tmp_path, capsys):
+        # Weights of 1/3 written to 16 digits, last one rounded up: d_in * ||Q||
+        # comes out as 1.0000000000000002, and alpha is clamped to 1.
+        path = tmp_path / "basis3.json"
+        states = [
+            {"weight": 0.3333333333333334, "amplitudes": [[float(i == j), 0.0] for j in range(3)]}
+            for i in range(3)
+        ]
+        path.write_text(json.dumps({"dimension": 3, "states": states}))
+        code, rec = run_cli(
+            ["threshold", "--scheme", str(path), "--n", "3", "--t", "2"], capsys
+        )
+        assert code == 0
+        assert rec["alpha"] == "1" and rec["value"] == "1"
+        assert rec["conditions"] == "certified"
 
     def test_threshold_above_n_is_a_usage_error(self, capsys):
         code, _ = run_cli(["threshold", "--scheme", "wiesner", "--n", "2", "--t", "3"], capsys)

@@ -136,14 +136,8 @@ class TestThresholdValue:
             composition.threshold_value(0.75, 2, 0)
         with pytest.raises(ValueError):
             composition.threshold_value(-0.1, 2, 1)
-
-    def test_spec_dataclass_validation(self):
-        spec = composition.RepetitionSpec(0.75, 3, 2)
-        assert spec.value() == 27.0 / 32.0
         with pytest.raises(ValueError):
-            composition.RepetitionSpec(0.75, 2, 3)
-        with pytest.raises(ValueError):
-            composition.RepetitionSpec(1.5, 2, 1)
+            composition.threshold_value(1.5, 2, 1)
 
 
 class TestThresholdOperators:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import certificates, channels, composition, schemes, sdp
+from qmoney import certificates, channels, composition, linalg, schemes, sdp
 from qmoney.exceptions import DimensionError, SolverError
 
 
@@ -19,13 +19,15 @@ def _solved(q, dims, **kwargs):
 
 class TestKnownValues:
     def test_wiesner_optimal_value(self):
-        sol = _solved(schemes.cloning_objective(schemes.wiesner_ensemble()), (2, 2, 2))
+        problem = _qubit_problem(schemes.cloning_objective(schemes.wiesner_ensemble()))
+        sol = sdp.solve(problem)
         assert abs(sol.primal_value - 0.75) < 1e-6
         assert abs(sol.dual_value - 0.75) < 1e-6
         assert -1e-8 <= sol.gap < 1e-6
-        assert sol.residuals.primal_trace_defect < 1e-7
-        assert sol.residuals.primal_min_eigenvalue > -1e-9
-        assert sol.residuals.dual_min_eigenvalue > -1e-9
+        primal = certificates.check_primal(sol.primal_x, problem)
+        assert primal.trace_defect < 1e-7
+        assert primal.min_eigenvalue > -1e-9
+        assert certificates.check_dual(sol.dual_y, problem).min_eigenvalue > -1e-9
 
     def test_six_state_optimal_value(self):
         sol = _solved(schemes.cloning_objective(schemes.six_state_ensemble()), (2, 2, 2))
@@ -390,6 +392,25 @@ class TestOutputSupport:
         assert abs(sol.primal_value - whole.primal_value) < 1e-9
         assert abs(sol.dual_value - whole.dual_value) < 1e-9
 
+    def test_solve_leaves_full_space_eigenvalues_to_the_certifier(self, monkeypatch):
+        # Wiesner squared iterates at 40 rows; its 64-row X and I (x) Y - Q are
+        # judged by certificates, so no spectrum of that size is taken in solve.
+        problem = composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()])
+        sizes = []
+
+        def recording(routine, matrix_arg=0):
+            def run(*args):
+                sizes.append(np.shape(args[matrix_arg])[-1])
+                return routine(*args)
+            return run
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        monkeypatch.setattr(linalg, "_spectral", recording(linalg._spectral, 1))
+        sol = sdp.solve(problem)
+        assert sol.primal_x.shape == (64, 64)
+        assert sizes and 64 not in sizes
+
     def test_stall_carries_a_full_size_best_iterate(self):
         problem = composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()])
         assert _support_rank(problem) == 9
@@ -397,7 +418,8 @@ class TestOutputSupport:
             sdp.solve(problem, max_iterations=2)
         partial = excinfo.value.solution
         assert partial.primal_x.shape == (64, 64)
-        assert partial.residuals.primal_trace_defect < 1e-12
-        assert partial.residuals.primal_min_eigenvalue > 0.0
+        primal = certificates.check_primal(partial.primal_x, problem)
+        assert primal.trace_defect < 1e-12
+        assert primal.min_eigenvalue > 0.0
         paired = float(np.real(np.trace(problem.objective @ partial.primal_x)))
         assert abs(paired - partial.primal_value) < 1e-12
