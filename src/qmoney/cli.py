@@ -217,41 +217,38 @@ def _report_record(report: simulator.TrialReport) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {args.trials}")
+    simulator.check_sampling(args.trials, args.seed)
     if args.attack == "bell":
         if args.scheme is not None:
             raise ValueError("choose either --attack bell or --scheme, not both")
+        if args.strategy is not None:
+            raise ValueError("--attack bell takes no --strategy")
         report = simulator.simulate_bell_attack(args.n, args.trials, seed=args.seed)
+        record = {"attack": "bell", "n": args.n, "trials": args.trials, "seed": args.seed}
+    else:
+        if args.scheme is None:
+            raise ValueError("simulate needs --scheme NAME or --attack bell")
+        entry = resolve_scheme(args.scheme)
+        if args.n < 1:
+            raise ValueError(f"repetition count must be at least 1, got {args.n}")
+        args.strategy = args.strategy or "optimal"
+        if isinstance(entry.scheme, schemes.TicketScheme):
+            report = _simulate_ticket(entry, args)
+        else:
+            report = _simulate_quantum(entry, args)
         record = {
-            "attack": "bell",
-            "n": args.n,
+            "scheme": entry.ident,
+            "strategy": args.strategy,
             "trials": args.trials,
             "seed": args.seed,
-            **_report_record(report),
+            "n": args.n,
         }
-        _emit(record)
-        _write_output(args.output, record)
-        return 0
-    if args.scheme is None:
-        raise ValueError("simulate needs --scheme NAME or --attack bell")
-    entry = resolve_scheme(args.scheme)
-    if args.n < 1:
-        raise ValueError(f"repetition count must be at least 1, got {args.n}")
-    if isinstance(entry.scheme, schemes.TicketScheme):
-        report = _simulate_ticket(entry, args)
-    else:
-        report = _simulate_quantum(entry, args)
-    record = {
-        "scheme": entry.ident,
-        "strategy": args.strategy,
-        "trials": args.trials,
-        "seed": args.seed,
-        "n": args.n,
-        **_report_record(report),
-    }
+    record.update(_report_record(report))
     _emit(record)
-    _write_output(args.output, record)
+    _write_output(
+        args.output,
+        {**record, "batches": report.batches, "workers": report.workers, "seconds": report.seconds},
+    )
     return 0
 
 
@@ -367,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scheme", default=None, help="scheme name or file path")
     simulate.add_argument(
         "--strategy",
-        default="optimal",
-        help="attack strategy: optimal, ticket-cloner, honest",
+        default=None,
+        help="attack strategy for --scheme: optimal (default), ticket-cloner, honest",
     )
     simulate.add_argument(
         "--attack", choices=("bell",), default=None, help="run a named attack instead"

@@ -6,14 +6,20 @@ exact Born probabilities, and acceptance is decided by the same predicates
 the analytic route uses.  Trials are split into fixed-size batches, each
 owning a counter-based generator spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
+
+Within a batch, a trial is decided from its draws in a fixed order, and a
+batch computes only what can change its counts: one CDF column per
+threshold instead of whole rows, and a Bell attack's second verification
+only for the trials whose first verification passed.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -63,8 +69,7 @@ class TrialConfig:
     repetitions: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trial count must be at least 1, got {self.trials}")
+        check_sampling(self.trials, self.seed)
         if self.repetitions < 1:
             raise ValueError(
                 f"repetition count must be at least 1, got {self.repetitions}"
@@ -78,6 +83,9 @@ class TrialReport:
     The z-score measures the gap between the empirical rate and the analytic
     one in units of the binomial standard error; ``conditional_rate`` is only
     set by attacks that verify a second note conditioned on the first.
+    ``batches`` is the number of sampling batches run, ``workers`` the threads
+    that ran them and ``seconds`` the wall time of the sampling; the last two
+    depend on the machine, so they take no part in comparing reports.
     """
 
     successes: int
@@ -86,6 +94,9 @@ class TrialReport:
     analytic: float | None
     z_score: float | None
     conditional_rate: float | None = None
+    batches: int = 0
+    workers: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.successes <= self.trials:
@@ -100,10 +111,34 @@ class TrialReport:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
+def check_sampling(trials: int, seed: int) -> None:
+    """Reject a trial count below 1 or a negative seed, before any work is done."""
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _sample(
+    trials: int, seed: int, batch_fn: Callable[[np.random.Generator, int], tuple]
+) -> tuple[tuple[int, ...], dict]:
+    """Counters of :func:`_sum_batches`, and the batches, workers and seconds it took."""
+    batches = -(-trials // BATCH_SIZE)
+    start = time.perf_counter()
+    counts = _sum_batches(trials, seed, batch_fn)
+    run = {
+        "batches": batches,
+        "workers": min(worker_count(), batches),
+        "seconds": time.perf_counter() - start,
+    }
+    return counts, run
+
+
 def _make_report(
     successes: int,
     trials: int,
     analytic: float | None,
+    run: dict,
     conditional_rate: float | None = None,
 ) -> TrialReport:
     empirical = successes / trials
@@ -116,7 +151,7 @@ def _make_report(
             z = 0.0
         else:
             z = math.inf if empirical > analytic else -math.inf
-    return TrialReport(successes, trials, empirical, analytic, z, conditional_rate)
+    return TrialReport(successes, trials, empirical, analytic, z, conditional_rate, **run)
 
 
 def _sum_batches(
@@ -160,13 +195,30 @@ def _cdf_rows(prob: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_rows(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical index per row: count of CDF thresholds at or below u.
+def _sample_rows(cdf: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+    """Categorical index of each draw: the thresholds of row ``rows[i]`` at or below ``u[i]``.
 
     Equivalent to a right-bisection search in each row; zero-probability
     bins are skipped because their thresholds coincide with a neighbor.
+    Each CDF column is gathered once, in one dimension, so no (m, K) copy of
+    the rows is made; a single row index ``rows`` serves every draw.
     """
-    return (u[:, None] >= cdf_rows[:, :-1]).sum(axis=1)
+    index = np.zeros(len(u), dtype=np.min_scalar_type(cdf.shape[1]))
+    for column in cdf.T[:-1]:
+        index += column[rows] <= u
+    return index
+
+
+def _all_columns(passed: np.ndarray) -> np.ndarray:
+    """Row-wise ``all`` of a 2-D bool array, one column at a time.
+
+    Same result as ``passed.all(axis=1)``, which reduces each short row
+    separately and is several times slower on tall arrays.
+    """
+    ok = passed[:, 0].copy()
+    for column in passed.T[1:]:
+        ok &= column
+    return ok
 
 
 def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
@@ -192,8 +244,8 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
         )
 
     weights = np.array([w for w, _ in ensemble.items])
-    key_cdf = np.cumsum(weights / weights.sum())
-    key_cdf[-1] = 1.0
+    key_cdf = np.cumsum(weights / weights.sum())[None, :]
+    key_cdf[0, -1] = 1.0
     eye = np.eye(d)
     rows = []
     for _, psi in ensemble.items:
@@ -203,18 +255,20 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
         first = float(np.real(np.trace(np.kron(proj, eye) @ rho)))
         second = float(np.real(np.trace(np.kron(eye, proj) @ rho)))
         rows.append([both, first - both, second - both, 1.0 - first - second + both])
-    out_cdf = _cdf_rows(np.array(rows))
+    # The full table is validated, which rejects a channel that is not trace
+    # preserving; a note passes exactly when outcome 0 is drawn, that is
+    # when its uniform draw lies below the first threshold.
+    pass_cdf = _cdf_rows(np.array(rows))[:, 0]
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
         m = count * cfg.repetitions
-        keys = np.searchsorted(key_cdf, rng.random(m), side="right")
-        outcome = _sample_rows(out_cdf[keys], rng.random(m))
-        ok = (outcome == 0).reshape(count, cfg.repetitions).all(axis=1)
+        keys = _sample_rows(key_cdf, 0, rng.random(m))
+        ok = _all_columns((rng.random(m) < pass_cdf[keys]).reshape(count, cfg.repetitions))
         return (int(np.count_nonzero(ok)),)
 
-    (successes,) = _sum_batches(cfg.trials, cfg.seed, batch)
+    (successes,), run = _sample(cfg.trials, cfg.seed, batch)
     analytic = channels.success_probability(strategy, ensemble) ** cfg.repetitions
-    return _make_report(successes, cfg.trials, analytic)
+    return _make_report(successes, cfg.trials, analytic, run)
 
 
 def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
@@ -235,21 +289,24 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     if not isinstance(strategy, cloners.TicketStrategy):
         raise TypeError("ticket attack needs a TicketStrategy")
     prob, accept = cloners.outcome_tables(strategy, scheme)
-    cdf = _cdf_rows(prob.reshape(-1, prob.shape[2])).reshape(prob.shape)
+    _, n_keys, n_out = prob.shape
+    # Row (2*c1 + c2)*n_keys + key of the flat tables is [challenge pair, key].
+    cdf = _cdf_rows(prob.reshape(-1, n_out))
+    flat_accept = accept.ravel()
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
         m = count * cfg.repetitions
-        key_idx = rng.integers(0, prob.shape[1], size=m)
+        key = rng.integers(0, n_keys, size=m)
         c1 = rng.integers(0, 2, size=m)
         c2 = rng.integers(0, 2, size=m)
-        ci = 2 * c1 + c2
-        outcome = _sample_rows(cdf[ci, key_idx], rng.random(m))
-        ok = accept[ci, key_idx, outcome].reshape(count, cfg.repetitions).all(axis=1)
+        row = (2 * c1 + c2) * n_keys + key
+        outcome = _sample_rows(cdf, row, rng.random(m))
+        ok = _all_columns(flat_accept[row * n_out + outcome].reshape(count, cfg.repetitions))
         return (int(np.count_nonzero(ok)),)
 
-    (successes,) = _sum_batches(cfg.trials, cfg.seed, batch)
+    (successes,), run = _sample(cfg.trials, cfg.seed, batch)
     analytic = cloners.outcome_value(prob, accept) ** cfg.repetitions
-    return _make_report(successes, cfg.trials, analytic)
+    return _make_report(successes, cfg.trials, analytic, run)
 
 
 def simulate_honest_verification(
@@ -261,22 +318,23 @@ def simulate_honest_verification(
     challenge names and reports the observed index.  The scheme's predicate
     accepts this with certainty, so the analytic rate is 1.
     """
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials}")
+    check_sampling(trials, seed)
+    d = scheme.dim
     bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
-    # [key, challenge, answer]: Born probabilities in the challenged basis, and acceptance.
+    # [key, challenge, answer]: Born probabilities in the challenged basis, and
+    # acceptance; row 2*key + c of the flat tables is [key, challenge].
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
-    accept = scheme.accept_table().transpose(2, 0, 1)
-    cdf = _cdf_rows(prob.reshape(-1, scheme.dim)).reshape(prob.shape)
+    cdf = _cdf_rows(prob.reshape(-1, d))
+    flat_accept = scheme.accept_table().transpose(2, 0, 1).ravel()
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        key_idx = rng.integers(0, len(prob), size=count)
-        c = rng.integers(0, 2, size=count)
-        answer = _sample_rows(cdf[key_idx, c], rng.random(count))
-        return (int(np.count_nonzero(accept[key_idx, c, answer])),)
+        key = rng.integers(0, len(prob), size=count)
+        row = 2 * key + rng.integers(0, 2, size=count)
+        answer = _sample_rows(cdf, row, rng.random(count))
+        return (int(np.count_nonzero(flat_accept[row * d + answer])),)
 
-    (successes,) = _sum_batches(trials, seed, batch)
-    return _make_report(successes, trials, 1.0)
+    (successes,), run = _sample(trials, seed, batch)
+    return _make_report(successes, trials, 1.0, run)
 
 
 def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
@@ -291,11 +349,12 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
     then passes a second verification with certainty, and the attacker still
     holds the untouched original.  The report's rate covers the first note;
     ``conditional_rate`` is the second-note rate among accepting trials.
+    The second verification is drawn last in each batch, and only for the
+    trials whose first verification passed.
     """
     if not 1 <= n <= MAX_BELL_QUBITS:
         raise ValueError(f"note length must lie in [1, {MAX_BELL_QUBITS}], got {n}")
-    if trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {trials}")
+    check_sampling(trials, seed)
 
     ensemble = schemes.wiesner_ensemble()
     bell = np.zeros(4, dtype=np.complex128)
@@ -313,10 +372,11 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int, int]:
         k = rng.integers(0, n_states, size=(count, n))
-        first = (rng.random((count, n)) < p_first[k]).all(axis=1)
-        second = first & (rng.random((count, n)) < p_second[k]).all(axis=1)
+        first = _all_columns(rng.random((count, n)) < p_first[k])
+        kept = k[first]
+        second = _all_columns(rng.random(kept.shape) < p_second[kept])
         return int(np.count_nonzero(first)), int(np.count_nonzero(second))
 
-    first_total, second_total = _sum_batches(trials, seed, batch)
+    (first_total, second_total), run = _sample(trials, seed, batch)
     conditional = second_total / first_total if first_total else None
-    return _make_report(first_total, trials, 0.5**n, conditional)
+    return _make_report(first_total, trials, 0.5**n, run, conditional)

@@ -199,10 +199,19 @@ class TestSimulate:
             ["simulate", "--scheme", "wiesner", "--trials", "0"],
             ["simulate", "--scheme", "ticket:2", "--strategy", "honest", "--n", "2",
              "--trials", "10"],
+            ["simulate", "--attack", "bell", "--strategy", "honest", "--trials", "10"],
         ]
         for argv in bad:
             code, _ = run_cli(argv, capsys)
             assert code == 2, argv
+
+    @pytest.mark.parametrize("target", [["--scheme", "wiesner"], ["--attack", "bell"]])
+    def test_negative_seed_is_a_usage_error(self, capsys, target):
+        code = cli.main(["simulate", *target, "--trials", "10", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
 
     def test_output_file_keeps_report_fields(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -215,6 +224,18 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         assert payload["trials"] == 10000
         assert set(payload) >= {"empirical", "analytic", "z", "successes"}
+
+    def test_output_file_says_what_ran_and_stdout_does_not(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["simulate", "--attack", "bell", "--n", "2", "--trials", "70000", "--output", str(out)]
+        code, rec = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["batches"] == 2
+        assert 1 <= payload["workers"] <= 2
+        assert payload["seconds"] > 0.0
+        assert set(payload) == set(rec) | {"batches", "workers", "seconds"}
+        assert not {"batches", "workers", "seconds"} & set(rec)
 
 
 class TestSchemeFiles:

@@ -36,6 +36,31 @@ class TestConfigAndReport:
         with pytest.raises(ValueError):
             simulator.TrialReport(5, 4, 1.25, None, None)
 
+    def test_rejects_negative_seeds(self):
+        message = "seed must be non-negative, got -1"
+        with pytest.raises(ValueError, match=message):
+            _wiesner_config(seed=-1)
+        with pytest.raises(ValueError, match=message):
+            simulator.simulate_honest_verification(
+                schemes.fourier_ticket_scheme(2), 10, seed=-1
+            )
+        with pytest.raises(ValueError, match=message):
+            simulator.simulate_bell_attack(2, 10, seed=-1)
+
+    def test_report_says_what_ran(self, monkeypatch):
+        cfg = _wiesner_config(trials=2 * simulator.BATCH_SIZE + 1, seed=3)
+        monkeypatch.setenv("QMONEY_THREADS", "1")
+        serial = simulator.simulate_quantum_attack(cfg)
+        monkeypatch.setenv("QMONEY_THREADS", "2")
+        threaded = simulator.simulate_quantum_attack(cfg)
+        assert serial.batches == threaded.batches == 3
+        assert serial.workers == 1
+        assert threaded.workers == simulator.worker_count()
+        assert serial.seconds > 0.0 and threaded.seconds > 0.0
+        assert serial == threaded
+        bell = simulator.simulate_bell_attack(2, 10, seed=1)
+        assert (bell.batches, bell.workers) == (1, 1)
+
     def test_standard_error_halves_when_trials_quadruple(self):
         a = simulator.TrialReport(300, 400, 0.75, 0.75, 0.0)
         b = simulator.TrialReport(1200, 1600, 0.75, 0.75, 0.0)
@@ -202,6 +227,108 @@ class TestBellAttack:
             simulator.simulate_bell_attack(simulator.MAX_BELL_QUBITS + 1, 100)
         with pytest.raises(ValueError):
             simulator.simulate_bell_attack(2, 0)
+
+
+def _strict_ticket_scheme(d):
+    """Fourier ticket scheme accepting only the key's index, whatever the challenge."""
+    return schemes.TicketScheme(
+        schemes.fourier_ticket_scheme(d).pair, accept=lambda a, c, key: a == key[0]
+    )
+
+
+GOLDEN = {
+    "six-state x3": (
+        lambda: simulator.simulate_quantum_attack(
+            simulator.TrialConfig(
+                schemes.six_state_ensemble(), cloners.buzek_hillery_cloner(),
+                300_001, seed=1, repetitions=3,
+            )
+        ),
+        88501, None,
+    ),
+    "ticket:3 x2": (
+        lambda: simulator.simulate_ticket_attack(
+            simulator.TrialConfig(
+                schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3),
+                300_001, seed=1, repetitions=2,
+            )
+        ),
+        239939, None,
+    ),
+    "identity-first x2": (
+        lambda: simulator.simulate_quantum_attack(
+            simulator.TrialConfig(
+                schemes.wiesner_ensemble(), _identity_first_clone(), 300_001, seed=1,
+                repetitions=2,
+            )
+        ),
+        75195, None,
+    ),
+    "werner:3": (
+        lambda: simulator.simulate_quantum_attack(
+            simulator.TrialConfig(
+                schemes.fourier_ticket_scheme(3).ensemble(), cloners.werner_cloner(3),
+                200_000, seed=1,
+            )
+        ),
+        99995, None,
+    ),
+    "honest strict:3": (
+        lambda: simulator.simulate_honest_verification(
+            _strict_ticket_scheme(3), 300_001, seed=1
+        ),
+        199881, None,
+    ),
+    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37277, 1.0),
+    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 1959, 1.0),
+}
+
+
+class TestGoldenCounts:
+    """Success counts pinned to exact values: the sampling kernels may get
+    faster, but a trial is decided from the same draws in the same order.
+    Trial counts of 300,001 leave a remainder batch; the identity-first
+    channel passes each Wiesner key with a different probability, so its
+    count also pins which key each draw picks."""
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_success_count(self, case, threads, monkeypatch):
+        monkeypatch.setenv("QMONEY_THREADS", threads)
+        run, successes, conditional = GOLDEN[case]
+        report = run()
+        assert report.successes == successes
+        assert report.conditional_rate == conditional
+
+
+class TestSampling:
+    def test_sample_rows_matches_a_per_row_bisection(self):
+        rng = np.random.default_rng(4)
+        prob = rng.random((5, 6))
+        prob[1, 2:4] = 0.0  # zero-probability bins inside a row
+        prob[2, :2] = 0.0  # leading zero bins
+        prob[3, 4:] = 0.0  # trailing zero bins
+        cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
+        rows = rng.integers(0, len(cdf), size=4000)
+        u = rng.random(4000)
+        # Draws lying exactly on a threshold, including a zero bin's; a
+        # threshold of 1 is never drawn, since draws lie in [0, 1).
+        on = cdf[rows[:40], rng.integers(0, 5, size=40)]
+        u[:40] = np.where(on < 1.0, on, u[:40])
+        u[40:45] = 0.0
+        got = simulator._sample_rows(cdf, rows, u)
+        for r in range(len(cdf)):
+            mine = rows == r
+            expected = np.searchsorted(cdf[r, :-1], u[mine], side="right")
+            np.testing.assert_array_equal(got[mine], expected)
+        assert np.all(prob[rows, got] > 0.0)
+        one = simulator._sample_rows(cdf[3:4], 0, u)
+        np.testing.assert_array_equal(one, np.searchsorted(cdf[3, :-1], u, side="right"))
+
+    @pytest.mark.parametrize("shape", [(7, 1), (1000, 3), (0, 10)])
+    def test_all_columns_is_a_row_wise_all(self, shape):
+        passed = np.random.default_rng(1).random(shape) < 0.8
+        np.testing.assert_array_equal(simulator._all_columns(passed), passed.all(axis=1))
 
 
 class TestTicketTables:
