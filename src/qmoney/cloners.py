@@ -73,14 +73,10 @@ def werner_cloner(d: int) -> ChoiOperator:
     if d < 2:
         raise DimensionError(f"need dimension at least 2, got {d}")
     sym = linalg.symmetric_projector(d, 2)
-    scale = 2.0 / (d + 1.0)
-    eye = np.eye(d, dtype=np.complex128)
-    choi = np.zeros((d * d, d, d * d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=np.complex128)
-            unit[i, j] = 1.0
-            choi[:, i, :, j] = scale * (sym @ np.kron(unit, eye) @ sym)
+    # Block (i, j) is S (E_ij (x) I) S, summed over the identity's index b.
+    choi = (2.0 / (d + 1.0)) * np.einsum(
+        "oib,jbp->oipj", sym.reshape(d * d, d, d), sym.reshape(d, d, d * d)
+    )
     return ChoiOperator(choi.reshape(d**3, d**3), d, d * d)
 
 

@@ -15,6 +15,7 @@ explicitly assembled success/failure operator sum.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -40,37 +41,33 @@ def repeated_value(alpha: float, n: int) -> float:
 
 
 def threshold_value(alpha: float, n: int, t: int) -> float:
-    """Optimal counterfeiting value when t of n verifications must pass."""
+    """Optimal counterfeiting value when t of n verifications must pass.
+
+    The binomial tail is summed at 40 significant digits and rounded once, so
+    coefficients past float range (n above about 1030) cannot overflow and
+    tails such as 27/32 come out exact.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"base value must lie in [0, 1], got {alpha}")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    return float(
-        sum(math.comb(n, j) * alpha**j * (1.0 - alpha) ** (n - j) for j in range(t, n + 1))
-    )
+    if alpha == 1.0:
+        return 1.0  # decimal rejects the last term's 0 ** 0
+    context = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        a = decimal.Decimal(alpha)
+        return float(sum(math.comb(n, j) * a**j * (1 - a) ** (n - j) for j in range(t, n + 1)))
 
 
-def _grouping_permutation(problems: list[CloningSdp]) -> list[int]:
+def _grouping_permutation(splits: list[tuple[int, int]]) -> list[int]:
     """Slot map sending per-problem factor runs to grouped (outputs, inputs) order.
 
-    Source order is the tensor order: problem 0's factors, then problem 1's,
-    and so on.  Target order lists every problem's output factors first (in
-    problem order, preserving each problem's internal order) and then every
-    problem's input factors.
+    ``splits`` gives each problem's (factor count, n_out).  Source order is the
+    tensor order: problem 0's factors, then problem 1's, and so on.  Target
+    order is a stable sort putting every output factor before every input factor.
     """
-    total_out = sum(p.n_out for p in problems)
-    perm: list[int] = []
-    out_seen = 0
-    in_seen = 0
-    for p in problems:
-        n_in = len(p.dims) - p.n_out
-        for j in range(p.n_out):
-            perm.append(out_seen + j)
-        for j in range(n_in):
-            perm.append(total_out + in_seen + j)
-        out_seen += p.n_out
-        in_seen += n_in
-    return perm
+    is_input = [j >= n_out for count, n_out in splits for j in range(count)]
+    return np.argsort(np.argsort(is_input, kind="stable")).tolist()
 
 
 def _regroup(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -98,7 +95,7 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
         raise DimensionError("need at least one component problem")
     if len(problems) == 1:
         return problems[0]
-    perm = _grouping_permutation(problems)
+    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
     source_dims = [d for p in problems for d in p.dims]
     objective = _regroup(_tensor([p.objective for p in problems]), source_dims, perm)
     grouped_dims = tuple(source_dims[j] for j in np.argsort(perm))
@@ -140,7 +137,7 @@ def tensor_certificates(
         return np.asarray(x_list[0], dtype=np.complex128), np.asarray(
             y_list[0], dtype=np.complex128
         )
-    perm = _grouping_permutation(problems)
+    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
     source_dims = [d for p in problems for d in p.dims]
     x = _regroup(
         _tensor([np.asarray(m, dtype=np.complex128) for m in x_list]), source_dims, perm
@@ -243,7 +240,6 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     _check_dense_guard(d, n)
     ops = build_threshold_operators(ensemble)
     r = _threshold_operator(ops, n, t)
-    fake_components = [CloningSdp(ops.success, dims=(d, d, d))] * n
-    perm = _grouping_permutation(fake_components)
+    perm = _grouping_permutation([(3, 2)] * n)
     objective = linalg.as_hermitian(_regroup(r, [d] * (3 * n), perm), tol=1e-9)
     return CloningSdp(objective, tuple([d] * (3 * n)), n_out=2 * n)

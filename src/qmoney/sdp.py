@@ -16,9 +16,10 @@ directly on the complex Hermitian cone:
 - Nesterov-Todd scaling W, the unique positive definite matrix with
   W S W = X: Cholesky plus one eigendecomposition per iteration give
   W = G G^H with G^-1 X G^-H = G^H S G = D diagonal (Todd, Toh & Tutuncu);
-- Newton directions obtained by eliminating dX and dS, leaving a small real
-  symmetric positive definite system on the input space (dimension squared),
-  assembled in an orthonormal Hermitian basis and solved by Cholesky;
+- Newton directions obtained by eliminating dX and dS, leaving the map
+  N(dY) = Tr_out(W (I (x) dY) W) on the input space: its matrix on vec(dY) is
+  Hermitian positive definite (<Z, N(Z)> = ||W^1/2 (I (x) Z) W^1/2||^2) and
+  commutes with Z -> Z^H, so one complex Cholesky solve gives a Hermitian dY;
 - a Mehrotra-style adaptive centering weight from an affine predictor step,
   and fraction-to-boundary step lengths in the NT-scaled space, each from a
   smallest eigenvalue.
@@ -167,24 +168,6 @@ class SdpSolution:
             )
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal real basis of the d-dimensional Hermitian matrices.
-
-    Row k is basis element k flattened, so a Hermitian H has coordinates
-    Re(conj(B) @ H.ravel()) and equals (coords @ B).reshape(d, d).
-    """
-    iu, ju = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(iu.size)
-    s = 1.0 / math.sqrt(2.0)
-    basis = np.zeros((d * d, d, d), dtype=np.complex128)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    basis[sym, iu, ju] = s
-    basis[sym, ju, iu] = s
-    basis[sym + 1, iu, ju] = -1j * s
-    basis[sym + 1, ju, iu] = 1j * s
-    return basis.reshape(d * d, d * d)
-
-
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
     """Re tr(a b), without forming the product."""
     return float(np.real(np.sum(a * b.T)))
@@ -280,9 +263,9 @@ def solve(
         Relative duality-gap and feasibility target, clamped to
         [1e-12, 1e-2].  Default 1e-8.
     max_iterations : int
-        Iteration cap; exhausting it raises :class:`SolverError` carrying the
-        best iterate.  A primal iterate that cannot be factored even at the
-        largest Cholesky shift raises the same error at once.
+        Iteration cap, at least 1; exhausting it raises :class:`SolverError`
+        carrying the best iterate.  A primal iterate that cannot be factored
+        even at the largest Cholesky shift raises the same error at once.
 
     Returns
     -------
@@ -291,6 +274,8 @@ def solve(
     """
     if not MIN_TOL <= tol <= MAX_TOL:
         raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
     obj, weights, support = _reduce(problem)
     n = problem.dim
@@ -304,7 +289,6 @@ def solve(
         y = np.zeros((d_in, d_in), dtype=np.complex128)
         return _solution_from_iterates(problem, x, y, 0, [])
 
-    basis = _hermitian_basis(d_in)
     eye_in = np.eye(d_in, dtype=np.complex128)
     omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
     heavy = np.flatnonzero(omega != 1.0)
@@ -382,18 +366,16 @@ def solve(
         h_h = h.conj().T
         w = hermitian((h * lam**0.5) @ h_h)
 
-        # Schur complement of dY -> trace_out(W (1 x dY) W) in the Hermitian
-        # basis, through its Gram tensor
-        # N(dY)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] dY[k,l] W[(c,l),(a,j)].
+        # Schur complement dY -> trace_out(W (1 x dY) W) on vec(dY), through its Gram
+        # tensor N(dY)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] dY[k,l] W[(c,l),(a,j)].
         w4 = w.reshape(rows, d_in, rows, d_in)
-        gram = np.einsum("aick,claj->ijkl", w4, w4, optimize=True)
-        m = np.real(basis.conj() @ gram.reshape(d_in * d_in, d_in * d_in) @ basis.T)
-        m = (m + m.T) / 2.0
+        m = np.einsum("aick,claj->ijkl", w4, w4, optimize=True).reshape(d_in**2, d_in**2)
         try:
-            chol_m = scipy.linalg.cho_factor(m, check_finite=False)
-            solve_m = lambda rhs: scipy.linalg.cho_solve(chol_m, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            jitter = 1e-13 * max(1.0, np.trace(m) / m.shape[0])
+            # Not scipy's: its complex potrf wakes a second BLAS thread pool (3 notes: 2x slower).
+            chol_m = np.linalg.cholesky(m)
+            solve_m = lambda rhs: scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            jitter = 1e-13 * max(1.0, np.trace(m).real / m.shape[0])
             m_reg = m + jitter * np.eye(m.shape[0])
             solve_m = lambda rhs: np.linalg.solve(m_reg, rhs)
 
@@ -402,8 +384,7 @@ def solve(
         def newton_direction(r_center):
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
             rhs = trace_out(r_center) + rhs_dual
-            coords = solve_m(np.real(basis.conj() @ rhs.ravel()))
-            dy = (coords @ basis).reshape(d_in, d_in)
+            dy = hermitian(solve_m(rhs.ravel()).reshape(d_in, d_in))
             ds = hermitian(lift_dual(dy) - r_dual)
             dx = hermitian(r_center - w @ ds @ w)
             return dx, dy, ds, h_h @ ds @ h

@@ -336,6 +336,14 @@ class TestThreshold:
         assert rec["alpha"] == "1" and rec["value"] == "1"
         assert rec["conditions"] == "certified"
 
+    def test_tail_past_float_binomials(self, capsys):
+        # math.comb(2000, j) exceeds the float range for j near 1000.
+        code, rec = run_cli(
+            ["threshold", "--scheme", "wiesner", "--n", "2000", "--t", "1400"], capsys
+        )
+        assert code == 0
+        assert abs(float(rec["value"]) - 0.99999982008) < 1e-10
+
     def test_threshold_above_n_is_a_usage_error(self, capsys):
         code, _ = run_cli(["threshold", "--scheme", "wiesner", "--n", "2", "--t", "3"], capsys)
         assert code == 2

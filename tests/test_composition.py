@@ -1,5 +1,6 @@
 """Composition tests: repetition products, binomial-tail thresholds, R operator."""
 
+import fractions
 import math
 
 import numpy as np
@@ -62,6 +63,13 @@ class TestRegroup:
         )
 
 
+class TestGroupingPermutation:
+    def test_outputs_move_ahead_of_inputs(self):
+        # Problem 0 has factors (out, out, in), problem 1 (out, in): the three
+        # outputs fill slots 0-2 in order, the two inputs slots 3-4.
+        assert composition._grouping_permutation([(3, 2), (2, 1)]) == [0, 1, 3, 2, 4]
+
+
 class TestTensorCertificates:
     def test_two_fold_pair_certifies_the_square(self):
         problem = _wiesner_problem()
@@ -120,6 +128,14 @@ class TestThresholdValue:
         assert composition.threshold_value(0.75, 3, 2) == 27.0 / 32.0
         assert composition.threshold_value(0.75, 2, 1) == 15.0 / 16.0
         assert composition.threshold_value(0.75, 3, 3) == 0.75**3
+
+    def test_tail_past_float_binomials(self):
+        # Binomial coefficients overflow a float from n of about 1030 on.
+        n, t, alpha = 2000, 1600, 0.75
+        a = fractions.Fraction(alpha)
+        exact = sum(math.comb(n, j) * a**j * (1 - a) ** (n - j) for j in range(t, n + 1))
+        value = composition.threshold_value(alpha, n, t)
+        assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
     def test_monotone_in_threshold_and_base(self):
         for n in (2, 3, 5):

@@ -149,6 +149,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             _solved(q, (2, 2, 2), tol=tol)
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_rejects_iteration_cap_below_one(self, max_iterations):
+        q = schemes.cloning_objective(schemes.wiesner_ensemble())
+        with pytest.raises(ValueError, match="max_iterations"):
+            _solved(q, (2, 2, 2), max_iterations=max_iterations)
+
 
 class TestBlockProblems:
     def test_identical_blocks_reproduce_the_single_value(self):
