@@ -50,23 +50,22 @@ class DualCheck:
 class CertificateReport:
     """Joint verdict on a primal/dual pair.
 
-    ``certified`` requires both sides feasible and the two objective values
-    within ``tolerance`` of each other; the constructor enforces that the
-    flag never disagrees with the recorded numbers.
+    ``gap`` and ``certified`` derive from the two checks, so the verdict
+    cannot disagree with the numbers: certified means both sides feasible
+    and the two objective values within ``tolerance`` of each other.
     """
 
     primal: PrimalCheck
     dual: DualCheck
-    gap: float
     tolerance: float
-    certified: bool
 
-    def __post_init__(self):
-        consistent = (
-            self.primal.feasible and self.dual.feasible and abs(self.gap) <= self.tolerance
-        )
-        if self.certified != consistent:
-            raise ValueError("certificate verdict disagrees with its own checks")
+    @property
+    def gap(self) -> float:
+        return self.dual.value - self.primal.value
+
+    @property
+    def certified(self) -> bool:
+        return self.primal.feasible and self.dual.feasible and abs(self.gap) <= self.tolerance
 
     @property
     def primal_value(self) -> float:
@@ -123,13 +122,7 @@ def certify(
     tol: float = DEFAULT_CERTIFICATE_TOL,
 ) -> CertificateReport:
     """Verify a primal/dual pair and report whether it certifies the value."""
-    primal = check_primal(x, problem, tol)
-    dual = check_dual(y, problem, tol)
-    gap = dual.value - primal.value
-    certified = primal.feasible and dual.feasible and abs(gap) <= tol
-    return CertificateReport(
-        primal=primal, dual=dual, gap=gap, tolerance=tol, certified=certified
-    )
+    return CertificateReport(check_primal(x, problem, tol), check_dual(y, problem, tol), tol)
 
 
 @dataclass(frozen=True)

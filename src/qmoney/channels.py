@@ -76,7 +76,7 @@ class ChoiOperator:
         return self.in_dim * self.out_dim
 
 
-def validate_kraus(kraus: list[np.ndarray], tol: float = KRAUS_TOL) -> list[np.ndarray]:
+def validate_kraus(kraus: list[np.ndarray]) -> list[np.ndarray]:
     """Check a Kraus family for shape consistency and the completeness sum."""
     if not kraus:
         raise ChannelValidationError("empty Kraus family")
@@ -88,21 +88,21 @@ def validate_kraus(kraus: list[np.ndarray], tol: float = KRAUS_TOL) -> list[np.n
         raise DimensionError("Kraus operators must share one shape")
     total = sum(a.conj().T @ a for a in mats)
     defect = np.abs(total - np.eye(shape[1])).max()
-    if defect > tol:
+    if defect > KRAUS_TOL:
         raise ChannelValidationError(
             f"Kraus completeness sum deviates from the identity by {defect:.3e}"
         )
     return mats
 
 
-def choi_from_kraus(kraus: list[np.ndarray], tol: float = KRAUS_TOL) -> ChoiOperator:
+def choi_from_kraus(kraus: list[np.ndarray]) -> ChoiOperator:
     """Assemble the Choi operator of the channel with the given Kraus family.
 
     Each Kraus operator A contributes the rank-one term vec(A) vec(A)*, where
     vec stacks rows, which places the output factor first and the input factor
     last as required.
     """
-    mats = validate_kraus(kraus, tol)
+    mats = validate_kraus(kraus)
     out_dim, in_dim = mats[0].shape
     acc = np.zeros((out_dim * in_dim,) * 2, dtype=np.complex128)
     for a in mats:

@@ -153,7 +153,7 @@ def cmd_analyze(args) -> int:
         solution.primal_x, solution.dual_y, problem, tol=cert_tol
     )
     single = min(1.0, max(0.0, solution.primal_value))
-    value = single**args.n
+    value = composition.repeated_value(single, args.n)
     record = {
         "scheme": entry.ident,
         "n": args.n,

@@ -85,6 +85,13 @@ def _tensor(mats: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
+def _grouped_product(mats: list[np.ndarray], problems: list[CloningSdp]) -> np.ndarray:
+    """Tensor product of one operator per problem, factors regrouped so that
+    every problem's output factors precede every input factor."""
+    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
+    return _regroup(_tensor(mats), [d for p in problems for d in p.dims], perm)
+
+
 def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     """The composed problem whose attacks clone every repetition at once.
 
@@ -95,21 +102,16 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
         raise DimensionError("need at least one component problem")
     if len(problems) == 1:
         return problems[0]
-    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
-    source_dims = [d for p in problems for d in p.dims]
-    objective = _regroup(_tensor([p.objective for p in problems]), source_dims, perm)
-    grouped_dims = tuple(source_dims[j] for j in np.argsort(perm))
-    n_out = sum(p.n_out for p in problems)
+    objective = _grouped_product([p.objective for p in problems], problems)
+    outputs = [d for p in problems for d in p.dims[: p.n_out]]
+    inputs = [d for p in problems for d in p.dims[p.n_out :]]
     return CloningSdp(
-        linalg.as_hermitian(objective, tol=1e-9), grouped_dims, n_out=n_out
+        linalg.as_hermitian(objective, tol=1e-9), tuple(outputs + inputs), n_out=len(outputs)
     )
 
 
 def tensor_certificates(
-    x_list: list[np.ndarray],
-    y_list: list[np.ndarray],
-    problems: list[CloningSdp],
-    tol: float = certificates.DEFAULT_CERTIFICATE_TOL,
+    x_list: list[np.ndarray], y_list: list[np.ndarray], problems: list[CloningSdp]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feasible pair for the composed problem from per-component pairs.
 
@@ -121,13 +123,13 @@ def tensor_certificates(
     if not x_list or len(x_list) != len(y_list) or len(x_list) != len(problems):
         raise DimensionError("need matching non-empty primal, dual, and problem lists")
     for i, (x, y, p) in enumerate(zip(x_list, y_list, problems)):
-        primal = certificates.check_primal(x, p, tol)
+        primal = certificates.check_primal(x, p)
         if not primal.feasible:
             raise CertificationError(
                 f"component {i} primal point is infeasible: minimum eigenvalue "
                 f"{primal.min_eigenvalue:.3e}, trace defect {primal.trace_defect:.3e}"
             )
-        dual = certificates.check_dual(y, p, tol)
+        dual = certificates.check_dual(y, p)
         if not dual.feasible:
             raise CertificationError(
                 f"component {i} dual point is infeasible: slack eigenvalue "
@@ -137,11 +139,7 @@ def tensor_certificates(
         return np.asarray(x_list[0], dtype=np.complex128), np.asarray(
             y_list[0], dtype=np.complex128
         )
-    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
-    source_dims = [d for p in problems for d in p.dims]
-    x = _regroup(
-        _tensor([np.asarray(m, dtype=np.complex128) for m in x_list]), source_dims, perm
-    )
+    x = _grouped_product([np.asarray(m, dtype=np.complex128) for m in x_list], problems)
     y = _tensor([np.asarray(m, dtype=np.complex128) for m in y_list])
     return linalg.as_hermitian(x, tol=1e-9), linalg.as_hermitian(y, tol=1e-9)
 

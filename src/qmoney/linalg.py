@@ -158,6 +158,16 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     return as_hermitian(acc / math.factorial(k), tol=1e-10)
 
 
+def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
+    """Block-diagonal operator on output (x) block index (x) input whose block i,
+    an operator on output (x) input, is mats[i]."""
+    k = len(mats)
+    big = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
+    i = np.arange(k)
+    big[:, i, :, :, i, :] = np.reshape(mats, (k, d_out, d_in, d_out, d_in))
+    return big.reshape(d_out * k * d_in, d_out * k * d_in)
+
+
 def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, block by block when it is a
     permuted direct sum: the blocks are the components of its nonzero pattern."""

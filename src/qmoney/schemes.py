@@ -264,12 +264,10 @@ def assemble_challenge_block(
     """Stack the (a1, a2) blocks of one challenge pair into a d^3 objective.
 
     The result acts on answer1 (x) answer2 (x) input and is block diagonal in
-    the answer factors.
+    the answer factors: the direct sum over the answer pair, with no output factor.
     """
-    out = np.zeros((d, d, d, d, d, d), dtype=np.complex128)
-    a1, a2 = np.indices((d, d))
-    out[a1, a2, :, a1, a2, :] = [[blocks[(c1, c2, i, j)] for j in range(d)] for i in range(d)]
-    return linalg.as_hermitian(out.reshape(d**3, d**3), tol=1e-10)
+    stack = [blocks[(c1, c2) + pair] for pair in np.ndindex(d, d)]
+    return linalg.as_hermitian(linalg.direct_sum(stack, 1, d), tol=1e-10)
 
 
 def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.ndarray]:

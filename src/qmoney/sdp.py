@@ -450,16 +450,6 @@ def dual_norm_bound(problem: CloningSdp) -> tuple[np.ndarray, float]:
     return y, float(problem.in_dim * norm)
 
 
-def _direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
-    """Block-diagonal operator on output (x) block index (x) input whose block i,
-    an operator on output (x) input, is mats[i]."""
-    k = len(mats)
-    big = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
-    i = np.arange(k)
-    big[:, i, :, :, i, :] = np.reshape(mats, (k, d_out, d_in, d_out, d_in))
-    return big.reshape(d_out * k * d_in, d_out * k * d_in)
-
-
 def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     """Validate weighted same-shape blocks; return the first, whose structure they share."""
     if not blocks or len(blocks) != len(weights):
@@ -481,7 +471,7 @@ def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> Clonin
     so the combined optimal value is the weighted sum of block values.
     """
     first = _check_blocks(blocks, weights)
-    objective = _direct_sum(
+    objective = linalg.direct_sum(
         [w * b.objective for b, w in zip(blocks, weights)], first.out_dim, first.in_dim
     )
     dims = first.dims[: first.n_out] + (len(blocks),) + first.dims[first.n_out :]
@@ -500,8 +490,8 @@ def solve_block_diagonal(
     """
     first = _check_blocks(blocks, weights)
     solutions = [solve(b, tol=tol) for b in blocks]
-    x = _direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
-    y = _direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
+    x = linalg.direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
+    y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
     pval = sum(w * s.primal_value for s, w in zip(solutions, weights))
     dval = sum(w * s.dual_value for s, w in zip(solutions, weights))
     return SdpSolution(

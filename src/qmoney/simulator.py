@@ -7,10 +7,10 @@ the analytic route uses.  Trials are split into fixed-size batches, each
 owning a counter-based generator spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
 
-Within a batch, a trial is decided from its draws in a fixed order, and a
-batch computes only what can change its counts: one CDF column per
-threshold instead of whole rows, and a Bell attack's second verification
-only for the trials whose first verification passed.
+Within a batch, a trial is decided from its draws in a fixed order.  The
+quantum, ticket and honest attacks share the kernel :func:`_note_attack`:
+per note a table row, an outcome from that row's CDF, an acceptance lookup.
+The Bell attack verifies a second note only for trials whose first passed.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class TrialConfig:
 class TrialReport:
     """Outcome counts of a simulation plus the analytic comparison.
 
-    The z-score measures the gap between the empirical rate and the analytic
-    one in units of the binomial standard error; ``conditional_rate`` is only
-    set by attacks that verify a second note conditioned on the first.
+    The empirical rate and the z-score, its gap to the analytic rate in units
+    of the binomial standard error, derive from the counts; ``conditional_rate``
+    is only set by attacks that verify a second note conditioned on the first.
     ``batches`` is the number of sampling batches run, ``workers`` the threads
     that ran them and ``seconds`` the wall time of the sampling; the last two
     depend on the machine, so they take no part in comparing reports.
@@ -90,9 +90,7 @@ class TrialReport:
 
     successes: int
     trials: int
-    empirical: float
     analytic: float | None
-    z_score: float | None
     conditional_rate: float | None = None
     batches: int = 0
     workers: int = field(default=0, compare=False)
@@ -100,9 +98,21 @@ class TrialReport:
 
     def __post_init__(self):
         if not 0 <= self.successes <= self.trials:
-            raise ValueError(
-                f"successes must lie in [0, {self.trials}], got {self.successes}"
-            )
+            raise ValueError(f"successes must lie in [0, {self.trials}], got {self.successes}")
+
+    @property
+    def empirical(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def z_score(self) -> float | None:
+        """Infinite when an analytic rate of 0 or 1 is missed; None without one."""
+        if self.analytic is None:
+            return None
+        gap, se = self.empirical - self.analytic, self.standard_error
+        if se > 0.0:
+            return gap / se
+        return math.copysign(math.inf, gap) if gap else 0.0
 
     @property
     def standard_error(self) -> float:
@@ -132,26 +142,6 @@ def _sample(
         "seconds": time.perf_counter() - start,
     }
     return counts, run
-
-
-def _make_report(
-    successes: int,
-    trials: int,
-    analytic: float | None,
-    run: dict,
-    conditional_rate: float | None = None,
-) -> TrialReport:
-    empirical = successes / trials
-    z = None
-    if analytic is not None:
-        se = math.sqrt(analytic * (1.0 - analytic) / trials)
-        if se > 0.0:
-            z = (empirical - analytic) / se
-        elif empirical == analytic:
-            z = 0.0
-        else:
-            z = math.inf if empirical > analytic else -math.inf
-    return TrialReport(successes, trials, empirical, analytic, z, conditional_rate, **run)
 
 
 def _sum_batches(
@@ -221,6 +211,29 @@ def _all_columns(passed: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _note_attack(
+    trials: int, seed: int, repetitions: int, draw_rows: Callable, cdf: np.ndarray,
+    accept: np.ndarray, analytic: float,
+) -> TrialReport:
+    """Count the trials whose ``repetitions`` notes all pass: per note,
+    ``draw_rows(rng, m)`` picks a table row, a uniform draw picks the outcome
+    from that row of ``cdf``, and ``accept[row, outcome]`` decides the note."""
+    flat_accept = accept.ravel()
+
+    def batch(rng: np.random.Generator, count: int) -> tuple[int]:
+        m = count * repetitions
+        # Widened first (uint8 rows times the width can wrap), then the flat index in place.
+        row = draw_rows(rng, m).astype(np.intp)
+        outcome = _sample_rows(cdf, row, rng.random(m))
+        row *= cdf.shape[1]
+        row += outcome
+        ok = _all_columns(flat_accept[row].reshape(count, repetitions))
+        return (int(np.count_nonzero(ok)),)
+
+    (successes,), run = _sample(trials, seed, batch)
+    return TrialReport(successes, trials, analytic, **run)
+
+
 def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     """Run a cloning attack: sample a key, clone, verify both clones.
 
@@ -230,8 +243,7 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     rate is the exact channel success probability raised to the number of
     repetitions.
     """
-    ensemble = cfg.scheme
-    strategy = cfg.strategy
+    ensemble, strategy = cfg.scheme, cfg.strategy
     if not isinstance(ensemble, schemes.Ensemble):
         raise TypeError("quantum attack needs an Ensemble scheme")
     if not isinstance(strategy, channels.ChoiOperator):
@@ -239,13 +251,11 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     d = ensemble.dim
     if strategy.in_dim != d or strategy.out_dim != d * d:
         raise DimensionError(
-            f"cloner maps {strategy.in_dim} -> {strategy.out_dim}, "
-            f"need {d} -> {d * d}"
+            f"cloner maps {strategy.in_dim} -> {strategy.out_dim}, need {d} -> {d * d}"
         )
 
     weights = np.array([w for w, _ in ensemble.items])
-    key_cdf = np.cumsum(weights / weights.sum())[None, :]
-    key_cdf[0, -1] = 1.0
+    key_cdf = np.append(np.cumsum(weights / weights.sum())[:-1], 1.0)[None, :]
     eye = np.eye(d)
     rows = []
     for _, psi in ensemble.items:
@@ -255,20 +265,15 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
         first = float(np.real(np.trace(np.kron(proj, eye) @ rho)))
         second = float(np.real(np.trace(np.kron(eye, proj) @ rho)))
         rows.append([both, first - both, second - both, 1.0 - first - second + both])
-    # The full table is validated, which rejects a channel that is not trace
-    # preserving; a note passes exactly when outcome 0 is drawn, that is
-    # when its uniform draw lies below the first threshold.
-    pass_cdf = _cdf_rows(np.array(rows))[:, 0]
-
-    def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        m = count * cfg.repetitions
-        keys = _sample_rows(key_cdf, 0, rng.random(m))
-        ok = _all_columns((rng.random(m) < pass_cdf[keys]).reshape(count, cfg.repetitions))
-        return (int(np.count_nonzero(ok)),)
-
-    (successes,), run = _sample(cfg.trials, cfg.seed, batch)
-    analytic = channels.success_probability(strategy, ensemble) ** cfg.repetitions
-    return _make_report(successes, cfg.trials, analytic, run)
+    # The four outcomes sum to one by construction, so _cdf_rows checks their
+    # non-negativity (ChoiOperator checked trace preservation).  A note passes
+    # on outcome 0 alone, so its threshold and the closing 1 make the CDF.
+    return _note_attack(
+        cfg.trials, cfg.seed, cfg.repetitions,
+        lambda rng, m: _sample_rows(key_cdf, 0, rng.random(m)),
+        _cdf_rows(np.array(rows))[:, [0, -1]], np.tile([True, False], (len(rows), 1)),
+        channels.success_probability(strategy, ensemble) ** cfg.repetitions,
+    )
 
 
 def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
@@ -282,31 +287,21 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     rate is their :func:`cloners.outcome_value` (the exact strategy value)
     raised to the number of repetitions.
     """
-    scheme = cfg.scheme
-    strategy = cfg.strategy
+    scheme, strategy = cfg.scheme, cfg.strategy
     if not isinstance(scheme, schemes.TicketScheme):
         raise TypeError("ticket attack needs a TicketScheme")
     if not isinstance(strategy, cloners.TicketStrategy):
         raise TypeError("ticket attack needs a TicketStrategy")
     prob, accept = cloners.outcome_tables(strategy, scheme)
     _, n_keys, n_out = prob.shape
-    # Row (2*c1 + c2)*n_keys + key of the flat tables is [challenge pair, key].
-    cdf = _cdf_rows(prob.reshape(-1, n_out))
-    flat_accept = accept.ravel()
-
-    def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        m = count * cfg.repetitions
-        key = rng.integers(0, n_keys, size=m)
-        c1 = rng.integers(0, 2, size=m)
-        c2 = rng.integers(0, 2, size=m)
-        row = (2 * c1 + c2) * n_keys + key
-        outcome = _sample_rows(cdf, row, rng.random(m))
-        ok = _all_columns(flat_accept[row * n_out + outcome].reshape(count, cfg.repetitions))
-        return (int(np.count_nonzero(ok)),)
-
-    (successes,), run = _sample(cfg.trials, cfg.seed, batch)
-    analytic = cloners.outcome_value(prob, accept) ** cfg.repetitions
-    return _make_report(successes, cfg.trials, analytic, run)
+    # Row (2*c1 + c2)*n_keys + key is [challenge pair, key]; key, c1, c2 draw left to right.
+    return _note_attack(
+        cfg.trials, cfg.seed, cfg.repetitions,
+        lambda rng, m: rng.integers(0, n_keys, size=m)
+        + n_keys * (2 * rng.integers(0, 2, size=m) + rng.integers(0, 2, size=m)),
+        _cdf_rows(prob.reshape(-1, n_out)), accept,
+        cloners.outcome_value(prob, accept) ** cfg.repetitions,
+    )
 
 
 def simulate_honest_verification(
@@ -319,22 +314,15 @@ def simulate_honest_verification(
     accepts this with certainty, so the analytic rate is 1.
     """
     check_sampling(trials, seed)
-    d = scheme.dim
     bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
     # [key, challenge, answer]: Born probabilities in the challenged basis, and
     # acceptance; row 2*key + c of the flat tables is [key, challenge].
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
-    cdf = _cdf_rows(prob.reshape(-1, d))
-    flat_accept = scheme.accept_table().transpose(2, 0, 1).ravel()
-
-    def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        key = rng.integers(0, len(prob), size=count)
-        row = 2 * key + rng.integers(0, 2, size=count)
-        answer = _sample_rows(cdf, row, rng.random(count))
-        return (int(np.count_nonzero(flat_accept[row * d + answer])),)
-
-    (successes,), run = _sample(trials, seed, batch)
-    return _make_report(successes, trials, 1.0, run)
+    return _note_attack(
+        trials, seed, 1,
+        lambda rng, m: 2 * rng.integers(0, len(prob), size=m) + rng.integers(0, 2, size=m),
+        _cdf_rows(prob.reshape(-1, scheme.dim)), scheme.accept_table().transpose(2, 0, 1), 1.0,
+    )
 
 
 def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
@@ -379,4 +367,4 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
 
     (first_total, second_total), run = _sample(trials, seed, batch)
     conditional = second_total / first_total if first_total else None
-    return _make_report(first_total, trials, 0.5**n, run, conditional)
+    return TrialReport(first_total, trials, 0.5**n, conditional, **run)

@@ -223,6 +223,21 @@ def test_positive_definite_eig_reconstruction(seed, n):
     assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-10 * w[-1]
 
 
+def test_direct_sum_places_each_block_beside_the_output_factor():
+    rng = np.random.default_rng(12)
+    d_out, k, d_in = 2, 3, 3
+    mats = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(k)]
+    big = linalg.direct_sum(mats, d_out, d_in)
+    expected = np.zeros((d_out * k * d_in,) * 2, dtype=np.complex128)
+    for i, m in enumerate(mats):
+        for o, a, p, b in itertools.product(range(d_out), range(d_in), range(d_out), range(d_in)):
+            expected[(o * k + i) * d_in + a, (p * k + i) * d_in + b] = m[o * d_in + a, p * d_in + b]
+    np.testing.assert_array_equal(big, expected)
+    flat = linalg.direct_sum(mats, 1, 6)
+    np.testing.assert_array_equal(flat[6:12, 6:12], mats[1])
+    assert np.count_nonzero(flat[:6, 6:]) == 0
+
+
 def test_eigenvalues_of_a_permuted_direct_sum(monkeypatch):
     """Blocks linked only through a chain, interleaved by a permutation, plus a
     zero row: eigenvalues match the dense computation."""

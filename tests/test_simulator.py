@@ -34,7 +34,7 @@ class TestConfigAndReport:
         with pytest.raises(ValueError):
             _wiesner_config(repetitions=0)
         with pytest.raises(ValueError):
-            simulator.TrialReport(5, 4, 1.25, None, None)
+            simulator.TrialReport(5, 4, None)
 
     def test_rejects_negative_seeds(self):
         message = "seed must be non-negative, got -1"
@@ -62,9 +62,21 @@ class TestConfigAndReport:
         assert (bell.batches, bell.workers) == (1, 1)
 
     def test_standard_error_halves_when_trials_quadruple(self):
-        a = simulator.TrialReport(300, 400, 0.75, 0.75, 0.0)
-        b = simulator.TrialReport(1200, 1600, 0.75, 0.75, 0.0)
+        a = simulator.TrialReport(300, 400, 0.75)
+        b = simulator.TrialReport(1200, 1600, 0.75)
         assert b.standard_error == a.standard_error / 2.0
+
+    def test_rates_derive_from_the_counts(self):
+        report = simulator.TrialReport(3, 4, 0.5)
+        assert report.empirical == 3 / 4
+        assert report.z_score == (3 / 4 - 0.5) / report.standard_error
+        assert simulator.TrialReport(3, 4, None).z_score is None
+
+    def test_z_score_is_infinite_when_a_certain_rate_is_missed(self):
+        assert simulator.TrialReport(3, 4, 1.0).z_score == -math.inf
+        assert simulator.TrialReport(1, 4, 0.0).z_score == math.inf
+        assert simulator.TrialReport(4, 4, 1.0).z_score == 0.0
+        assert simulator.TrialReport(0, 4, 0.0).z_score == 0.0
 
     def test_worker_count_respects_cap(self, monkeypatch):
         monkeypatch.delenv("QMONEY_THREADS", raising=False)
@@ -302,6 +314,16 @@ class TestGoldenCounts:
 
 
 class TestSampling:
+    def test_note_attack_widens_narrow_rows_before_indexing(self):
+        # Row 199 as uint8 times width 2 would wrap to row 71, which never passes.
+        cdf = np.ones((200, 2))
+        accept = np.zeros((200, 2), dtype=bool)
+        accept[199, 0] = True
+        report = simulator._note_attack(
+            10, 0, 2, lambda rng, m: np.full(m, 199, dtype=np.uint8), cdf, accept, 1.0
+        )
+        assert report.successes == 10
+
     def test_sample_rows_matches_a_per_row_bisection(self):
         rng = np.random.default_rng(4)
         prob = rng.random((5, 6))
