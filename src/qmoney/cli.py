@@ -301,6 +301,11 @@ def _simulate_ticket(entry: ResolvedScheme, args) -> simulator.TrialReport:
 
 def cmd_threshold(args) -> int:
     entry = resolve_scheme(args.scheme)
+    if isinstance(entry.scheme, schemes.TicketScheme):
+        raise ValueError(
+            f"scheme {entry.ident!r} is verified classically, and the classical threshold "
+            "is not implemented"
+        )
     if args.n < 1:
         raise ValueError(f"repetition count must be at least 1, got {args.n}")
     if not 1 <= args.t <= args.n:

@@ -7,16 +7,21 @@ the analytic route uses.  Trials are split into fixed-size batches, each
 owning a counter-based generator spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
 
-Within a batch, a trial is decided from its draws in a fixed order.  The
-quantum, ticket and honest attacks share the kernel :func:`_note_attack`:
-per note a table row, an outcome from that row's CDF, an acceptance lookup.
-The Bell attack verifies a second note only for trials whose first passed.
+Within a batch, a trial is decided from its draws in a fixed order, and
+only what decides it is drawn.  The quantum, ticket and honest attacks share
+the kernel :func:`_note_attack`: per note a table row, then a uniform that
+decides acceptance against the thresholds of that row's CDF, in buffers
+each worker thread reuses across the batches of one call.  The Bell attack's
+first verification stops at a trial's first failing qubit, so a batch draws
+qubit j only for the trials still alive; keys and the second verification
+are drawn only for the trials that passed.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -216,18 +221,42 @@ def _note_attack(
     accept: np.ndarray, analytic: float,
 ) -> TrialReport:
     """Count the trials whose ``repetitions`` notes all pass: per note,
-    ``draw_rows(rng, m)`` picks a table row, a uniform draw picks the outcome
-    from that row of ``cdf``, and ``accept[row, outcome]`` decides the note."""
-    flat_accept = accept.ravel()
+    ``draw_rows(rng, u)`` picks a table row (it may draw into the float buffer
+    ``u`` first), a uniform draw picks the outcome from that row of ``cdf``,
+    and ``accept[row, outcome]`` decides the note.
+
+    The outcome itself is never formed.  Every note starts from the
+    acceptance of row 0's first outcome, and its acceptance flips at each
+    threshold of its row's CDF at or below its uniform where ``accept``
+    changes along the row; a row whose first outcome differs from row 0's
+    flips at threshold 0, which every uniform reaches.  That is the same
+    function of (row, uniform) as ``accept[row, outcome]``, and a table that
+    passes on outcome 0 alone costs one gather and one compare per note.
+    Each worker thread reuses its own m-sized buffers across the batches of
+    this call.
+    """
+    accept = accept.reshape(cdf.shape)
+    start = accept[0, 0]
+    flips = np.diff(accept, axis=1, prepend=np.full((len(accept), 1), start))
+    thresholds = np.hstack((np.zeros((len(cdf), 1)), cdf[:, :-1]))
+    # A threshold that no row flips at decides nothing; inf is never reached.
+    bounds = np.where(flips, thresholds, np.inf)[:, flips.any(axis=0)].T.copy()
+    size = min(trials, BATCH_SIZE) * repetitions
+    local = threading.local()
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
+        if not hasattr(local, "buffers"):
+            local.buffers = (np.empty(size), np.empty(size), np.empty(size, np.intp),
+                             np.empty(size, bool), np.empty(size, bool))
         m = count * repetitions
-        # Widened first (uint8 rows times the width can wrap), then the flat index in place.
-        row = draw_rows(rng, m).astype(np.intp)
-        outcome = _sample_rows(cdf, row, rng.random(m))
-        row *= cdf.shape[1]
-        row += outcome
-        ok = _all_columns(flat_accept[row].reshape(count, repetitions))
+        u, gathered, row, passed, flag = (b[:m] for b in local.buffers)
+        np.copyto(row, draw_rows(rng, u))  # widened: rows may come as uint8
+        rng.random(out=u)
+        passed.fill(start)
+        for column in bounds:
+            np.take(column, row, out=gathered, mode="clip")
+            passed ^= np.less_equal(gathered, u, out=flag)
+        ok = _all_columns(passed.reshape(count, repetitions))
         return (int(np.count_nonzero(ok)),)
 
     (successes,), run = _sample(trials, seed, batch)
@@ -270,7 +299,7 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     # on outcome 0 alone, so its threshold and the closing 1 make the CDF.
     return _note_attack(
         cfg.trials, cfg.seed, cfg.repetitions,
-        lambda rng, m: _sample_rows(key_cdf, 0, rng.random(m)),
+        lambda rng, u: _sample_rows(key_cdf, 0, rng.random(out=u)),
         _cdf_rows(np.array(rows))[:, [0, -1]], np.tile([True, False], (len(rows), 1)),
         channels.success_probability(strategy, ensemble) ** cfg.repetitions,
     )
@@ -297,8 +326,8 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     # Row (2*c1 + c2)*n_keys + key is [challenge pair, key]; key, c1, c2 draw left to right.
     return _note_attack(
         cfg.trials, cfg.seed, cfg.repetitions,
-        lambda rng, m: rng.integers(0, n_keys, size=m)
-        + n_keys * (2 * rng.integers(0, 2, size=m) + rng.integers(0, 2, size=m)),
+        lambda rng, u: rng.integers(0, n_keys, size=len(u))
+        + n_keys * (2 * rng.integers(0, 2, size=len(u)) + rng.integers(0, 2, size=len(u))),
         _cdf_rows(prob.reshape(-1, n_out)), accept,
         cloners.outcome_value(prob, accept) ** cfg.repetitions,
     )
@@ -320,9 +349,31 @@ def simulate_honest_verification(
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
     return _note_attack(
         trials, seed, 1,
-        lambda rng, m: 2 * rng.integers(0, len(prob), size=m) + rng.integers(0, 2, size=m),
+        lambda rng, u: 2 * rng.integers(0, len(prob), size=len(u))
+        + rng.integers(0, 2, size=len(u)),
         _cdf_rows(prob.reshape(-1, scheme.dim)), scheme.accept_table().transpose(2, 0, 1), 1.0,
     )
+
+
+def _bell_probabilities() -> tuple[float, np.ndarray]:
+    """Pass probability of a submitted Bell half, and per Wiesner key that of
+    the retained half once the submitted one passed.
+
+    The first is <psi|rho|psi> with rho the submitted half's reduced state,
+    which is I/2, so it is the same for every key and is taken at the first.
+    """
+    bell = np.zeros(4, dtype=np.complex128)
+    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    submitted = linalg.partial_trace(np.outer(bell, bell.conj()), (2, 2), (0,))
+    states = [psi for _, psi in schemes.wiesner_ensemble().items]
+    p_pass = float(np.real(states[0].conj() @ submitted @ states[0]))
+    p_second = np.empty(len(states))
+    for i, psi in enumerate(states):
+        post = np.kron(np.outer(psi, psi.conj()), np.eye(2)) @ bell
+        p = float(np.real(np.vdot(post, post)))
+        retained = linalg.partial_trace(np.outer(post, post.conj()) / p, (2, 2), (1,))
+        p_second[i] = float(np.real(psi.conj() @ retained @ psi))
+    return p_pass, p_second
 
 
 def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
@@ -330,40 +381,32 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
 
     Per trial: for each of the n qubits a Bell pair is prepared, one half is
     submitted in place of the note qubit, and the other half is retained.
-    The submitted halves are maximally mixed, so the bank's verification
-    passes with probability 2^-n.  When it does, the projective update
-    collapses each retained half onto the conjugate key state, which for
-    these real-amplitude states is the key state itself: the retained note
-    then passes a second verification with certainty, and the attacker still
-    holds the untouched original.  The report's rate covers the first note;
-    ``conditional_rate`` is the second-note rate among accepting trials.
-    The second verification is drawn last in each batch, and only for the
-    trials whose first verification passed.
+    The submitted halves are maximally mixed, so each qubit passes the bank's
+    verification with probability 1/2 whatever its key, and the note with
+    2^-n.  When it does, the projective update collapses each retained half
+    onto the conjugate key state, which for these real-amplitude states is
+    the key state itself: the retained note then passes a second
+    verification with certainty, and the attacker still holds the untouched
+    original.  The report's rate covers the first note; ``conditional_rate``
+    is the second-note rate among accepting trials.
+
+    The bank checks the qubits in order and stops at a trial's first failing
+    one.  Trials are exchangeable, so a batch draws qubit j only for the
+    trials that passed qubits 0..j-1 and keeps just their count.  Keys and
+    the second verification are drawn last, only for the trials that passed.
     """
     if not 1 <= n <= MAX_BELL_QUBITS:
         raise ValueError(f"note length must lie in [1, {MAX_BELL_QUBITS}], got {n}")
     check_sampling(trials, seed)
-
-    ensemble = schemes.wiesner_ensemble()
-    bell = np.zeros(4, dtype=np.complex128)
-    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-    n_states = len(ensemble.items)
-    p_first = np.empty(n_states)
-    p_second = np.empty(n_states)
-    for i, (_, psi) in enumerate(ensemble.items):
-        proj = np.outer(psi, psi.conj())
-        post = np.kron(proj, np.eye(2)) @ bell
-        p = float(np.real(np.vdot(post, post)))
-        retained = linalg.partial_trace(np.outer(post, post.conj()) / p, (2, 2), (1,))
-        p_first[i] = p
-        p_second[i] = float(np.real(psi.conj() @ retained @ psi))
+    p_pass, p_second = _bell_probabilities()
 
     def batch(rng: np.random.Generator, count: int) -> tuple[int, int]:
-        k = rng.integers(0, n_states, size=(count, n))
-        first = _all_columns(rng.random((count, n)) < p_first[k])
-        kept = k[first]
-        second = _all_columns(rng.random(kept.shape) < p_second[kept])
-        return int(np.count_nonzero(first)), int(np.count_nonzero(second))
+        alive = count
+        for _ in range(n):
+            alive = int(np.count_nonzero(rng.random(alive) < p_pass))
+        k = rng.integers(0, len(p_second), size=(alive, n))
+        second = _all_columns(rng.random(k.shape) < p_second[k])
+        return alive, int(np.count_nonzero(second))
 
     (first_total, second_total), run = _sample(trials, seed, batch)
     conditional = second_total / first_total if first_total else None

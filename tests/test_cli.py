@@ -344,6 +344,19 @@ class TestThreshold:
         assert code == 0
         assert abs(float(rec["value"]) - 0.99999982008) < 1e-10
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_ticket_scheme_threshold_is_not_implemented(self, from_file, tmp_path, capsys):
+        scheme = "ticket:2"
+        if from_file:
+            scheme = str(tmp_path / "ticket.json")
+            schemes.save_scheme(scheme, schemes.fourier_ticket_scheme(2))
+        code = cli.main(["threshold", "--scheme", scheme, "--n", "3", "--t", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "classical threshold is not implemented" in captured.err
+
     def test_threshold_above_n_is_a_usage_error(self, capsys):
         code, _ = run_cli(["threshold", "--scheme", "wiesner", "--n", "2", "--t", "3"], capsys)
         assert code == 2

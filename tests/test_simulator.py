@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import channels, cloners, schemes, simulator
+from qmoney import channels, cloners, linalg, schemes, simulator
 from qmoney.exceptions import DimensionError
 
 
@@ -232,6 +232,25 @@ class TestBellAttack:
             simulator.simulate_bell_attack(2, 50_000, seed=4)
         )
 
+    def test_first_verification_rate_is_the_submitted_halfs_overlap(self):
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        submitted = linalg.partial_trace(np.outer(bell, bell), (2, 2), (0,))
+        p_pass, p_second = simulator._bell_probabilities()
+        for _, psi in schemes.wiesner_ensemble().items:
+            assert abs(np.real(psi.conj() @ submitted @ psi) - p_pass) < 1e-15
+        assert abs(p_pass - 0.5) < 1e-15
+        np.testing.assert_allclose(p_second, 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, simulator.MAX_BELL_QUBITS])
+    def test_report_is_independent_of_worker_count(self, n, monkeypatch):
+        trials = 3 * simulator.BATCH_SIZE + 7
+        reports = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("QMONEY_THREADS", threads)
+            reports.append(simulator.simulate_bell_attack(n, trials, seed=11))
+        assert reports[0] == reports[1]
+        assert abs(reports[0].z_score) <= 5.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             simulator.simulate_bell_attack(0, 100)
@@ -291,8 +310,8 @@ GOLDEN = {
         ),
         199881, None,
     ),
-    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37277, 1.0),
-    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 1959, 1.0),
+    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37513, 1.0),
+    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 1950, 1.0),
 }
 
 
@@ -315,14 +334,59 @@ class TestGoldenCounts:
 
 class TestSampling:
     def test_note_attack_widens_narrow_rows_before_indexing(self):
-        # Row 199 as uint8 times width 2 would wrap to row 71, which never passes.
+        # Rows come as uint8; row 199 must pick its own thresholds, and no other row passes.
         cdf = np.ones((200, 2))
         accept = np.zeros((200, 2), dtype=bool)
         accept[199, 0] = True
         report = simulator._note_attack(
-            10, 0, 2, lambda rng, m: np.full(m, 199, dtype=np.uint8), cdf, accept, 1.0
+            10, 0, 2, lambda rng, u: np.full(len(u), 199, dtype=np.uint8), cdf, accept, 1.0
         )
         assert report.successes == 10
+
+    @pytest.mark.parametrize("repetitions", [1, 2])
+    def test_note_attack_decides_as_the_sampled_outcome(self, repetitions):
+        """The kernel's flip thresholds give the same count as drawing the
+        outcome and looking it up, on a table with zero bins, constant rows
+        and rows whose first outcome is accepted or not."""
+        gen = np.random.default_rng(5)
+        prob = gen.random((7, 5))
+        prob[1, 2:4] = 0.0
+        prob[2, :2] = 0.0
+        prob[3, 3:] = 0.0
+        cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
+        accept = gen.random((7, 5)) < 0.5
+        accept[4], accept[5] = True, False
+
+        def reference(rng, count):
+            m = count * repetitions
+            row = rng.integers(0, len(cdf), size=m)
+            outcome = np.count_nonzero(cdf[row, :-1] <= rng.random(m)[:, None], axis=1)
+            passed = accept[row, outcome].reshape(count, repetitions)
+            return (int(np.count_nonzero(passed.all(axis=1))),)
+
+        trials = simulator.BATCH_SIZE + 999
+        (expected,) = simulator._sum_batches(trials, 8, reference)
+        report = simulator._note_attack(
+            trials, 8, repetitions, lambda rng, u: rng.integers(0, len(cdf), size=len(u)),
+            cdf, accept, 0.5,
+        )
+        assert report.successes == expected
+
+    def test_batch_buffers_serve_one_call_only(self, monkeypatch):
+        """Calls that differ in repetitions and trial count, remainder batches
+        included, interleaved in one thread: each report equals a fresh call's."""
+        monkeypatch.setenv("QMONEY_THREADS", "1")
+        shapes = [(123, 3), (simulator.BATCH_SIZE + 77, 3), (5_000, 1),
+                  (2 * simulator.BATCH_SIZE, 2), (simulator.BATCH_SIZE - 1, 1)]
+
+        def run(trials, repetitions):
+            return simulator.simulate_quantum_attack(
+                _wiesner_config(trials=trials, seed=trials, repetitions=repetitions)
+            )
+
+        fresh = {shape: run(*shape) for shape in shapes}
+        for shape in shapes[::-1] + shapes[1::2] + shapes[::2]:
+            assert run(*shape) == fresh[shape]
 
     def test_sample_rows_matches_a_per_row_bisection(self):
         rng = np.random.default_rng(4)
