@@ -218,7 +218,7 @@ def _reduce(problem: CloningSdp) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     q4 = obj.reshape(d_out, d_in, d_out, d_in)
     outside = np.eye(d_out) - v @ v.conj().T
     if r + 1 >= d_out or (
-        np.abs(np.einsum("ab,bjcl->ajcl", outside, q4)).max() > SUPPORT_TOL * np.abs(obj).max()
+        np.abs(outside @ obj.reshape(d_out, -1)).max() > SUPPORT_TOL * np.abs(obj).max()
     ):
         return obj, np.ones(d_out), None
     reduced = np.zeros((r + 1, d_in, r + 1, d_in), dtype=np.complex128)

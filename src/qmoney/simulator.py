@@ -4,13 +4,14 @@ Attacks run as literal sampling processes: keys and challenges are drawn
 from their protocol distributions, measurement outcomes are drawn from
 exact Born probabilities, and acceptance is decided by the same predicates
 the analytic route uses.  Trials are split into fixed-size batches, each
-owning a counter-based generator spawned from the master seed, so a report
+drawing from its own SFC64 stream spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
 
 Within a batch, a trial is decided from its draws in a fixed order, and
 only what decides it is drawn.  The quantum, ticket and honest attacks share
-the kernel :func:`_note_attack`: per note a table row, then a uniform that
-decides acceptance against the thresholds of that row's CDF, in buffers
+the kernel :func:`_note_attack`: per note a table row (one draw, uniform
+over the rows where the protocol makes them equally likely), then a uniform
+that decides acceptance against the thresholds of that row's CDF, in buffers
 each worker thread reuses across the batches of one call.  The Bell attack's
 first verification stops at a trial's first failing qubit, so a batch draws
 qubit j only for the trials still alive; keys and the second verification
@@ -154,7 +155,7 @@ def _sum_batches(
 ) -> tuple[int, ...]:
     """Split ``trials`` into fixed batches and sum the per-batch counters.
 
-    Each batch draws from a Philox stream spawned from the master seed, and
+    Each batch draws from an SFC64 stream spawned from the master seed, and
     batch boundaries depend only on the trial count, so the reduction is an
     order-independent integer sum: worker scheduling cannot affect it.
     """
@@ -165,7 +166,7 @@ def _sum_batches(
 
     def run(args):
         child, count = args
-        return batch_fn(np.random.Generator(np.random.Philox(child)), count)
+        return batch_fn(np.random.Generator(np.random.SFC64(child)), count)
 
     workers = min(worker_count(), len(sizes))
     if workers == 1:
@@ -202,6 +203,12 @@ def _sample_rows(cdf: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.n
     for column in cdf.T[:-1]:
         index += column[rows] <= u
     return index
+
+
+def _uniform_rows(rng: np.random.Generator, count: int, rows: int) -> np.ndarray:
+    """``count`` table rows, each drawn uniformly from ``range(rows)`` with one draw,
+    in the narrowest unsigned dtype that holds ``rows - 1``."""
+    return rng.integers(0, rows, size=count, dtype=np.min_scalar_type(rows - 1))
 
 
 def _all_columns(passed: np.ndarray) -> np.ndarray:
@@ -250,7 +257,7 @@ def _note_attack(
                              np.empty(size, bool), np.empty(size, bool))
         m = count * repetitions
         u, gathered, row, passed, flag = (b[:m] for b in local.buffers)
-        np.copyto(row, draw_rows(rng, u))  # widened: rows may come as uint8
+        np.copyto(row, draw_rows(rng, u))  # widened: rows may come as uint8 or uint16
         rng.random(out=u)
         passed.fill(start)
         for column in bounds:
@@ -308,13 +315,13 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
 def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     """Run a measurement attack on a classical-verification scheme.
 
-    Per note: draw a key and two independent uniform challenges, measure the
-    key state once with the POVM the strategy assigns to that challenge
-    pair, and accept when both reported answers satisfy the scheme's
-    predicate.  Outcomes are sampled from the tables of
-    :func:`cloners.outcome_tables`, built once per call, and the analytic
-    rate is their :func:`cloners.outcome_value` (the exact strategy value)
-    raised to the number of repetitions.
+    Per note: draw a key and two independent uniform challenges (one uniform
+    draw of their table row), measure the key state once with the POVM the
+    strategy assigns to that challenge pair, and accept when both reported
+    answers satisfy the scheme's predicate.  Outcomes are sampled from the
+    tables of :func:`cloners.outcome_tables`, built once per call, and the
+    analytic rate is their :func:`cloners.outcome_value` (the exact strategy
+    value) raised to the number of repetitions.
     """
     scheme, strategy = cfg.scheme, cfg.strategy
     if not isinstance(scheme, schemes.TicketScheme):
@@ -323,11 +330,11 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
         raise TypeError("ticket attack needs a TicketStrategy")
     prob, accept = cloners.outcome_tables(strategy, scheme)
     _, n_keys, n_out = prob.shape
-    # Row (2*c1 + c2)*n_keys + key is [challenge pair, key]; key, c1, c2 draw left to right.
+    # Row (2*c1 + c2)*n_keys + key is [challenge pair, key]; a uniform row is a
+    # uniform key and two uniform challenges.
     return _note_attack(
         cfg.trials, cfg.seed, cfg.repetitions,
-        lambda rng, u: rng.integers(0, n_keys, size=len(u))
-        + n_keys * (2 * rng.integers(0, 2, size=len(u)) + rng.integers(0, 2, size=len(u))),
+        lambda rng, u: _uniform_rows(rng, len(u), 4 * n_keys),
         _cdf_rows(prob.reshape(-1, n_out)), accept,
         cloners.outcome_value(prob, accept) ** cfg.repetitions,
     )
@@ -345,12 +352,10 @@ def simulate_honest_verification(
     check_sampling(trials, seed)
     bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
     # [key, challenge, answer]: Born probabilities in the challenged basis, and
-    # acceptance; row 2*key + c of the flat tables is [key, challenge].
+    # acceptance; row 2*key + c of the flat tables is [key, challenge], drawn uniformly.
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
     return _note_attack(
-        trials, seed, 1,
-        lambda rng, u: 2 * rng.integers(0, len(prob), size=len(u))
-        + rng.integers(0, 2, size=len(u)),
+        trials, seed, 1, lambda rng, u: _uniform_rows(rng, len(u), 2 * len(prob)),
         _cdf_rows(prob.reshape(-1, scheme.dim)), scheme.accept_table().transpose(2, 0, 1), 1.0,
     )
 
@@ -361,19 +366,25 @@ def _bell_probabilities() -> tuple[float, np.ndarray]:
 
     The first is <psi|rho|psi> with rho the submitted half's reduced state,
     which is I/2, so it is the same for every key and is taken at the first.
+    Each rate is the Born weight of psi over the weights of both outcomes of
+    the verifying measurement {psi, psi_perp}, all computed the same way, so a
+    rate of exactly 1/2 or 1 comes out so in floating point; dividing by a
+    trace or a norm computed otherwise leaves it off by roundoff.
     """
+    def rate(rho: np.ndarray, psi: np.ndarray) -> float:
+        perp = np.array([-psi[1].conj(), psi[0].conj()])
+        passed, failed = (float(np.real(v.conj() @ rho @ v)) for v in (psi, perp))
+        return passed / (passed + failed)
+
     bell = np.zeros(4, dtype=np.complex128)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     submitted = linalg.partial_trace(np.outer(bell, bell.conj()), (2, 2), (0,))
     states = [psi for _, psi in schemes.wiesner_ensemble().items]
-    p_pass = float(np.real(states[0].conj() @ submitted @ states[0]))
     p_second = np.empty(len(states))
     for i, psi in enumerate(states):
         post = np.kron(np.outer(psi, psi.conj()), np.eye(2)) @ bell
-        p = float(np.real(np.vdot(post, post)))
-        retained = linalg.partial_trace(np.outer(post, post.conj()) / p, (2, 2), (1,))
-        p_second[i] = float(np.real(psi.conj() @ retained @ psi))
-    return p_pass, p_second
+        p_second[i] = rate(linalg.partial_trace(np.outer(post, post.conj()), (2, 2), (1,)), psi)
+    return rate(submitted, states[0]), p_second
 
 
 def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:

@@ -237,9 +237,20 @@ class TestBellAttack:
         submitted = linalg.partial_trace(np.outer(bell, bell), (2, 2), (0,))
         p_pass, p_second = simulator._bell_probabilities()
         for _, psi in schemes.wiesner_ensemble().items:
-            assert abs(np.real(psi.conj() @ submitted @ psi) - p_pass) < 1e-15
-        assert abs(p_pass - 0.5) < 1e-15
-        np.testing.assert_allclose(p_second, 1.0, rtol=0, atol=1e-15)
+            # The overlap over both outcomes' weights: |+> has squared norm 1 - 2.2e-16.
+            perp = np.array([-psi[1].conj(), psi[0].conj()])
+            passed, failed = (np.real(v.conj() @ submitted @ v) for v in (psi, perp))
+            assert passed / (passed + failed) == p_pass
+        assert p_pass == 0.5
+        np.testing.assert_array_equal(p_second, 1.0)
+
+    def test_no_uniform_fails_a_retained_half(self):
+        """For each of the four Wiesner keys, the retained half's rate lies above
+        the largest uniform a 53-bit draw gives, so its verification never fails."""
+        _, p_second = simulator._bell_probabilities()
+        largest = 1.0 - 2.0**-53
+        assert len(p_second) == 4
+        assert all(largest < rate for rate in p_second.tolist())
 
     @pytest.mark.parametrize("n", [1, simulator.MAX_BELL_QUBITS])
     def test_report_is_independent_of_worker_count(self, n, monkeypatch):
@@ -275,7 +286,7 @@ GOLDEN = {
                 300_001, seed=1, repetitions=3,
             )
         ),
-        88501, None,
+        88923, None,
     ),
     "ticket:3 x2": (
         lambda: simulator.simulate_ticket_attack(
@@ -284,7 +295,7 @@ GOLDEN = {
                 300_001, seed=1, repetitions=2,
             )
         ),
-        239939, None,
+        239979, None,
     ),
     "identity-first x2": (
         lambda: simulator.simulate_quantum_attack(
@@ -293,7 +304,7 @@ GOLDEN = {
                 repetitions=2,
             )
         ),
-        75195, None,
+        74847, None,
     ),
     "werner:3": (
         lambda: simulator.simulate_quantum_attack(
@@ -302,16 +313,16 @@ GOLDEN = {
                 200_000, seed=1,
             )
         ),
-        99995, None,
+        100078, None,
     ),
     "honest strict:3": (
         lambda: simulator.simulate_honest_verification(
             _strict_ticket_scheme(3), 300_001, seed=1
         ),
-        199881, None,
+        199885, None,
     ),
-    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37513, 1.0),
-    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 1950, 1.0),
+    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37580, 1.0),
+    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 2019, 1.0),
 }
 
 
@@ -333,6 +344,26 @@ class TestGoldenCounts:
 
 
 class TestSampling:
+    def test_uniform_rows_take_a_dtype_that_holds_the_last_row(self):
+        # ticket:33's attack table has 4 challenge pairs x 66 keys = 264 rows,
+        # more than uint8 holds.
+        rows = 4 * len(schemes.fourier_ticket_scheme(33).key_states())
+        assert rows == 264
+        drawn = simulator._uniform_rows(np.random.default_rng(3), 20_000, rows)
+        assert drawn.dtype == np.uint16
+        assert drawn.min() == 0 and drawn.max() == rows - 1
+        assert simulator._uniform_rows(np.random.default_rng(3), 10, 256).dtype == np.uint8
+
+    def test_ticket_attack_past_256_rows(self):
+        d = 33
+        report = simulator.simulate_ticket_attack(
+            simulator.TrialConfig(
+                schemes.fourier_ticket_scheme(d), cloners.ticket_cloner(d), 50_000, seed=d
+            )
+        )
+        assert report.analytic == pytest.approx(0.75 + 0.25 / math.sqrt(d), abs=1e-10)
+        assert abs(report.z_score) <= 5.0
+
     def test_note_attack_widens_narrow_rows_before_indexing(self):
         # Rows come as uint8; row 199 must pick its own thresholds, and no other row passes.
         cdf = np.ones((200, 2))
