@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import certificates, channels, cloners, composition, linalg, schemes, sdp, simulator
+from . import certificates, channels, cloners, composition, schemes, sdp, simulator
 from .exceptions import CertificationError, FileFormatError, QuantumMoneyError, SolverError
 
 BUILTIN_SCHEMES = ("wiesner", "six-state", "sic", "symmetric:d", "ticket:d")
@@ -312,14 +312,14 @@ def cmd_threshold(args) -> int:
         raise ValueError(f"threshold must lie in [1, {args.n}], got {args.t}")
     tol = _check_tol(args.tol)
     problem = entry.cloning_problem()
-    norm = linalg.operator_norm(problem.objective)
+    _, flat = sdp.dual_norm_bound(problem)
     solved = min(1.0, max(0.0, sdp.solve(problem, tol=tol).primal_value))
     # The binomial tail is certified only for an ensemble that realises the problem.
     conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
-        entry.ensemble(), norm, solved
+        entry.ensemble(), flat / problem.in_dim, solved
     )
-    # Roundoff can put d_in * ||Q|| just above a value of 1.
-    alpha = min(1.0, problem.in_dim * norm) if conditions else solved
+    # Roundoff can put the flat dual value d_in * ||Q|| just above a value of 1.
+    alpha = min(1.0, flat) if conditions else solved
     value = composition.threshold_value(alpha, args.n, args.t)
     record = {
         "scheme": entry.ident,

@@ -233,9 +233,11 @@ def outcome_tables(
 
 
 def outcome_value(prob: np.ndarray, accept: np.ndarray) -> float:
-    """Success probability from :func:`outcome_tables`: the accepted Born mass,
-    averaged over the equiprobable challenge pairs and keys."""
-    return min(1.0, max(0.0, float((prob * accept).sum(axis=2).mean())))
+    """Success probability from tables like :func:`outcome_tables`'s: each row's
+    accepted share of its Born mass, clipped at 0 as the simulator samples it,
+    averaged over the equiprobable rows (challenge pairs and keys)."""
+    prob = np.clip(prob, 0.0, None)
+    return float(((prob * accept).sum(axis=-1) / prob.sum(axis=-1)).mean())
 
 
 def evaluate_ticket_strategy(

@@ -8,14 +8,14 @@ drawing from its own SFC64 stream spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
 
 Within a batch, a trial is decided from its draws in a fixed order, and
-only what decides it is drawn.  The quantum, ticket and honest attacks share
-the kernel :func:`_note_attack`: per note a table row (one draw, uniform
-over the rows where the protocol makes them equally likely), then a uniform
-that decides acceptance against the thresholds of that row's CDF, in buffers
-each worker thread reuses across the batches of one call.  The Bell attack's
-first verification stops at a trial's first failing qubit, so a batch draws
-qubit j only for the trials still alive; keys and the second verification
-are drawn only for the trials that passed.
+only what decides it is drawn.  The quantum, ticket and honest attacks hand
+the kernel :func:`_note_attack` only their outcome table: per note it draws
+a row of that table itself, uniformly or by the table's row weights, then a
+uniform that decides acceptance against the thresholds of that row's CDF, in
+buffers each worker thread reuses across the batches of one call.  The Bell
+attack's first verification stops at a trial's first failing qubit, so a
+batch draws qubit j only for the trials still alive; keys and the second
+verification are drawn only for the trials that passed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Callable, Union
 import numpy as np
 
 from . import channels, cloners, linalg, schemes
-from .exceptions import DimensionError
 
 BATCH_SIZE = 1 << 16
 MAX_BELL_QUBITS = 20
@@ -96,7 +95,7 @@ class TrialReport:
 
     successes: int
     trials: int
-    analytic: float | None
+    analytic: float
     conditional_rate: float | None = None
     batches: int = 0
     workers: int = field(default=0, compare=False)
@@ -111,10 +110,8 @@ class TrialReport:
         return self.successes / self.trials
 
     @property
-    def z_score(self) -> float | None:
-        """Infinite when an analytic rate of 0 or 1 is missed; None without one."""
-        if self.analytic is None:
-            return None
+    def z_score(self) -> float:
+        """Infinite when an analytic rate of 0 or 1 is missed."""
         gap, se = self.empirical - self.analytic, self.standard_error
         if se > 0.0:
             return gap / se
@@ -122,9 +119,8 @@ class TrialReport:
 
     @property
     def standard_error(self) -> float:
-        """Binomial standard error at the analytic rate (empirical fallback)."""
-        p = self.analytic if self.analytic is not None else self.empirical
-        return math.sqrt(p * (1.0 - p) / self.trials)
+        """Binomial standard error at the analytic rate."""
+        return math.sqrt(self.analytic * (1.0 - self.analytic) / self.trials)
 
 
 def check_sampling(trials: int, seed: int) -> None:
@@ -135,30 +131,17 @@ def check_sampling(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def _sample(
-    trials: int, seed: int, batch_fn: Callable[[np.random.Generator, int], tuple]
-) -> tuple[tuple[int, ...], dict]:
-    """Counters of :func:`_sum_batches`, and the batches, workers and seconds it took."""
-    batches = -(-trials // BATCH_SIZE)
-    start = time.perf_counter()
-    counts = _sum_batches(trials, seed, batch_fn)
-    run = {
-        "batches": batches,
-        "workers": min(worker_count(), batches),
-        "seconds": time.perf_counter() - start,
-    }
-    return counts, run
-
-
 def _sum_batches(
     trials: int, seed: int, batch_fn: Callable[[np.random.Generator, int], tuple]
-) -> tuple[int, ...]:
+) -> tuple[tuple[int, ...], dict]:
     """Split ``trials`` into fixed batches and sum the per-batch counters.
 
     Each batch draws from an SFC64 stream spawned from the master seed, and
     batch boundaries depend only on the trial count, so the reduction is an
     order-independent integer sum: worker scheduling cannot affect it.
+    Returns the counters and the batches, workers and seconds they took.
     """
+    start = time.perf_counter()
     sizes = [BATCH_SIZE] * (trials // BATCH_SIZE)
     if trials % BATCH_SIZE:
         sizes.append(trials % BATCH_SIZE)
@@ -174,7 +157,9 @@ def _sum_batches(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, zip(children, sizes)))
-    return tuple(int(sum(r[i] for r in results)) for i in range(len(results[0])))
+    counts = tuple(int(sum(r[i] for r in results)) for i in range(len(results[0])))
+    run = dict(batches=len(sizes), workers=workers, seconds=time.perf_counter() - start)
+    return counts, run
 
 
 def _cdf_rows(prob: np.ndarray) -> np.ndarray:
@@ -191,17 +176,15 @@ def _cdf_rows(prob: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_rows(cdf: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
-    """Categorical index of each draw: the thresholds of row ``rows[i]`` at or below ``u[i]``.
+def _sample_rows(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Categorical index of each draw: the thresholds of ``cdf_row`` at or below ``u[i]``.
 
-    Equivalent to a right-bisection search in each row; zero-probability
+    Equivalent to a right-bisection search in the row; zero-probability
     bins are skipped because their thresholds coincide with a neighbor.
-    Each CDF column is gathered once, in one dimension, so no (m, K) copy of
-    the rows is made; a single row index ``rows`` serves every draw.
     """
-    index = np.zeros(len(u), dtype=np.min_scalar_type(cdf.shape[1]))
-    for column in cdf.T[:-1]:
-        index += column[rows] <= u
+    index = np.zeros(len(u), dtype=np.min_scalar_type(len(cdf_row)))
+    for threshold in cdf_row[:-1]:
+        index += threshold <= u
     return index
 
 
@@ -224,13 +207,13 @@ def _all_columns(passed: np.ndarray) -> np.ndarray:
 
 
 def _note_attack(
-    trials: int, seed: int, repetitions: int, draw_rows: Callable, cdf: np.ndarray,
-    accept: np.ndarray, analytic: float,
+    trials: int, seed: int, repetitions: int, cdf: np.ndarray, accept: np.ndarray,
+    analytic: float, row_weights: np.ndarray | None = None,
 ) -> TrialReport:
-    """Count the trials whose ``repetitions`` notes all pass: per note,
-    ``draw_rows(rng, u)`` picks a table row (it may draw into the float buffer
-    ``u`` first), a uniform draw picks the outcome from that row of ``cdf``,
-    and ``accept[row, outcome]`` decides the note.
+    """Count the trials whose ``repetitions`` notes all pass: per note, a row
+    of ``cdf`` is drawn (one uniform integer, or one uniform against the CDF of
+    ``row_weights``), a uniform draw picks the outcome from that row, and
+    ``accept[row, outcome]`` decides the note.
 
     The outcome itself is never formed.  Every note starts from the
     acceptance of row 0's first outcome, and its acceptance flips at each
@@ -248,6 +231,7 @@ def _note_attack(
     thresholds = np.hstack((np.zeros((len(cdf), 1)), cdf[:, :-1]))
     # A threshold that no row flips at decides nothing; inf is never reached.
     bounds = np.where(flips, thresholds, np.inf)[:, flips.any(axis=0)].T.copy()
+    row_cdf = None if row_weights is None else _cdf_rows(np.asarray(row_weights)[None, :])[0]
     size = min(trials, BATCH_SIZE) * repetitions
     local = threading.local()
 
@@ -257,58 +241,45 @@ def _note_attack(
                              np.empty(size, bool), np.empty(size, bool))
         m = count * repetitions
         u, gathered, row, passed, flag = (b[:m] for b in local.buffers)
-        np.copyto(row, draw_rows(rng, u))  # widened: rows may come as uint8 or uint16
+        if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
+            np.copyto(row, _uniform_rows(rng, m, len(cdf)))
+        else:
+            np.copyto(row, _sample_rows(row_cdf, rng.random(out=u)))
         rng.random(out=u)
         passed.fill(start)
         for column in bounds:
+            # Rows come from the table, so "clip" never clips; "raise" would copy.
             np.take(column, row, out=gathered, mode="clip")
             passed ^= np.less_equal(gathered, u, out=flag)
         ok = _all_columns(passed.reshape(count, repetitions))
         return (int(np.count_nonzero(ok)),)
 
-    (successes,), run = _sample(trials, seed, batch)
+    (successes,), run = _sum_batches(trials, seed, batch)
     return TrialReport(successes, trials, analytic, **run)
 
 
 def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     """Run a cloning attack: sample a key, clone, verify both clones.
 
-    Per note, the key state is drawn from the ensemble, the cloner's channel
-    is applied, and both output factors are tested independently against the
-    key-state projector; the note passes when both tests do.  The analytic
-    rate is the exact channel success probability raised to the number of
-    repetitions.
+    Per note, the key state is drawn with its ensemble weight and passes with
+    the probability that both output factors of the cloner's channel pass
+    their test against the key-state projector.  The analytic rate is the
+    exact channel success probability raised to the number of repetitions.
     """
     ensemble, strategy = cfg.scheme, cfg.strategy
     if not isinstance(ensemble, schemes.Ensemble):
         raise TypeError("quantum attack needs an Ensemble scheme")
     if not isinstance(strategy, channels.ChoiOperator):
         raise TypeError("quantum attack needs a ChoiOperator strategy")
-    d = ensemble.dim
-    if strategy.in_dim != d or strategy.out_dim != d * d:
-        raise DimensionError(
-            f"cloner maps {strategy.in_dim} -> {strategy.out_dim}, need {d} -> {d * d}"
-        )
-
+    # Checks the channel's dimensions, and finds the rate by applying it.
+    analytic = channels.success_probability(strategy, ensemble) ** cfg.repetitions
     weights = np.array([w for w, _ in ensemble.items])
-    key_cdf = np.append(np.cumsum(weights / weights.sum())[:-1], 1.0)[None, :]
-    eye = np.eye(d)
-    rows = []
-    for _, psi in ensemble.items:
-        proj = np.outer(psi, psi.conj())
-        rho = channels.apply_channel(strategy, proj)
-        both = float(np.real(np.trace(np.kron(proj, proj) @ rho)))
-        first = float(np.real(np.trace(np.kron(proj, eye) @ rho)))
-        second = float(np.real(np.trace(np.kron(eye, proj) @ rho)))
-        rows.append([both, first - both, second - both, 1.0 - first - second + both])
-    # The four outcomes sum to one by construction, so _cdf_rows checks their
-    # non-negativity (ChoiOperator checked trace preservation).  A note passes
-    # on outcome 0 alone, so its threshold and the closing 1 make the CDF.
+    # Key k's row is [pass, fail], passing at <psi psi| Phi(|psi><psi|) |psi psi>.
+    rates = np.array([channels.pair_with_conjugate(strategy, np.kron(psi, psi), psi)
+                      for _, psi in ensemble.items])
     return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions,
-        lambda rng, u: _sample_rows(key_cdf, 0, rng.random(out=u)),
-        _cdf_rows(np.array(rows))[:, [0, -1]], np.tile([True, False], (len(rows), 1)),
-        channels.success_probability(strategy, ensemble) ** cfg.repetitions,
+        cfg.trials, cfg.seed, cfg.repetitions, _cdf_rows(np.column_stack((rates, 1.0 - rates))),
+        np.tile([True, False], (len(rates), 1)), analytic, weights,
     )
 
 
@@ -329,14 +300,11 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     if not isinstance(strategy, cloners.TicketStrategy):
         raise TypeError("ticket attack needs a TicketStrategy")
     prob, accept = cloners.outcome_tables(strategy, scheme)
-    _, n_keys, n_out = prob.shape
-    # Row (2*c1 + c2)*n_keys + key is [challenge pair, key]; a uniform row is a
+    # Row (2*c1 + c2)*2d + key is [challenge pair, key]; a uniform row is a
     # uniform key and two uniform challenges.
     return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions,
-        lambda rng, u: _uniform_rows(rng, len(u), 4 * n_keys),
-        _cdf_rows(prob.reshape(-1, n_out)), accept,
-        cloners.outcome_value(prob, accept) ** cfg.repetitions,
+        cfg.trials, cfg.seed, cfg.repetitions, _cdf_rows(prob.reshape(-1, prob.shape[-1])),
+        accept, cloners.outcome_value(prob, accept) ** cfg.repetitions,
     )
 
 
@@ -346,17 +314,19 @@ def simulate_honest_verification(
     """Honest single verification: measure in the challenged basis, answer it.
 
     The holder measures the key state in whichever basis the single
-    challenge names and reports the observed index.  The scheme's predicate
-    accepts this with certainty, so the analytic rate is 1.
+    challenge names and reports the observed index.  The analytic rate is the
+    :func:`cloners.outcome_value` of the sampled tables: 1 unless the scheme's
+    predicate rejects some honest answers.
     """
     check_sampling(trials, seed)
     bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
     # [key, challenge, answer]: Born probabilities in the challenged basis, and
     # acceptance; row 2*key + c of the flat tables is [key, challenge], drawn uniformly.
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
+    accept = scheme.accept_table().transpose(2, 0, 1)
     return _note_attack(
-        trials, seed, 1, lambda rng, u: _uniform_rows(rng, len(u), 2 * len(prob)),
-        _cdf_rows(prob.reshape(-1, scheme.dim)), scheme.accept_table().transpose(2, 0, 1), 1.0,
+        trials, seed, 1, _cdf_rows(prob.reshape(-1, scheme.dim)), accept,
+        cloners.outcome_value(prob, accept),
     )
 
 
@@ -419,6 +389,6 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
         second = _all_columns(rng.random(k.shape) < p_second[k])
         return alive, int(np.count_nonzero(second))
 
-    (first_total, second_total), run = _sample(trials, seed, batch)
+    (first_total, second_total), run = _sum_batches(trials, seed, batch)
     conditional = second_total / first_total if first_total else None
     return TrialReport(first_total, trials, 0.5**n, conditional, **run)

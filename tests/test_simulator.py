@@ -70,7 +70,6 @@ class TestConfigAndReport:
         report = simulator.TrialReport(3, 4, 0.5)
         assert report.empirical == 3 / 4
         assert report.z_score == (3 / 4 - 0.5) / report.standard_error
-        assert simulator.TrialReport(3, 4, None).z_score is None
 
     def test_z_score_is_infinite_when_a_certain_rate_is_missed(self):
         assert simulator.TrialReport(3, 4, 1.0).z_score == -math.inf
@@ -144,6 +143,40 @@ class TestQuantumAttack:
         assert report.trials == simulator.BATCH_SIZE + 1
         assert abs(report.z_score) <= 4.0
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_keys_are_drawn_by_their_weights(self, threads, monkeypatch):
+        """Unequal key weights and a key of weight 0: the count equals a
+        reference that draws each key by a right search of the weights' CDF
+        and passes it with the rate found by applying the channel."""
+        monkeypatch.setenv("QMONEY_THREADS", threads)
+        s = 1.0 / math.sqrt(2.0)
+        ensemble = schemes.Ensemble(2, (
+            (0.6, np.array([1.0, 0.0])), (0.0, np.array([s, -1j * s])),
+            (0.3, np.array([s, s])), (0.1, np.array([s, 1j * s])),
+        ))
+        strategy = cloners.wiesner_optimal_cloner()
+        weights = np.array([w for w, _ in ensemble.items])
+        key_cdf = np.cumsum(weights / weights.sum())
+        rates = []
+        for _, psi in ensemble.items:
+            pair = np.kron(psi, psi)
+            out = channels.apply_channel(strategy, np.outer(psi, psi.conj()))
+            rates.append(np.real(pair.conj() @ out @ pair))
+        rates = np.array(rates)
+
+        def reference(rng, count):
+            key = np.searchsorted(key_cdf[:-1], rng.random(count), side="right")
+            return (int(np.count_nonzero(rng.random(count) < rates[key])),)
+
+        trials = 2 * simulator.BATCH_SIZE + 5
+        (expected,), _ = simulator._sum_batches(trials, 13, reference)
+        report = simulator.simulate_quantum_attack(
+            simulator.TrialConfig(ensemble, strategy, trials, seed=13)
+        )
+        assert report.successes == expected
+        assert report.analytic == pytest.approx(0.9 * 0.75 + 0.1 / 3.0, abs=1e-12)
+        assert abs(report.z_score) <= 5.0
+
     def test_rejects_mismatched_and_wrong_inputs(self):
         with pytest.raises(DimensionError):
             simulator.simulate_quantum_attack(
@@ -189,12 +222,23 @@ class TestTicketAttack:
         assert simulator.simulate_ticket_attack(cfg) == simulator.simulate_ticket_attack(cfg)
 
     def test_honest_verification_always_accepts(self):
+        for d in range(2, 7):
+            report = simulator.simulate_honest_verification(
+                schemes.fourier_ticket_scheme(d), 200_000, seed=1
+            )
+            assert report.successes == report.trials
+            assert report.empirical == 1.0
+            assert report.analytic == 1.0
+            assert report.z_score == 0.0
+
+    def test_honest_rate_is_read_from_the_acceptance_table(self):
+        # The strict predicate accepts only the key's index: certain when the
+        # challenge names the key's basis, 1/3 otherwise.
         report = simulator.simulate_honest_verification(
-            schemes.fourier_ticket_scheme(2), 200_000, seed=1
+            _strict_ticket_scheme(3), 300_001, seed=1
         )
-        assert report.successes == report.trials
-        assert report.empirical == 1.0
-        assert report.z_score == 0.0
+        assert report.analytic == pytest.approx(2 / 3, abs=1e-12)
+        assert abs(report.z_score) <= 5.0
 
     def test_rejects_mismatched_and_wrong_inputs(self):
         with pytest.raises(DimensionError):
@@ -364,44 +408,33 @@ class TestSampling:
         assert report.analytic == pytest.approx(0.75 + 0.25 / math.sqrt(d), abs=1e-10)
         assert abs(report.z_score) <= 5.0
 
-    def test_note_attack_widens_narrow_rows_before_indexing(self):
-        # Rows come as uint8; row 199 must pick its own thresholds, and no other row passes.
-        cdf = np.ones((200, 2))
-        accept = np.zeros((200, 2), dtype=bool)
-        accept[199, 0] = True
-        report = simulator._note_attack(
-            10, 0, 2, lambda rng, u: np.full(len(u), 199, dtype=np.uint8), cdf, accept, 1.0
-        )
-        assert report.successes == 10
-
     @pytest.mark.parametrize("repetitions", [1, 2])
     def test_note_attack_decides_as_the_sampled_outcome(self, repetitions):
         """The kernel's flip thresholds give the same count as drawing the
-        outcome and looking it up, on a table with zero bins, constant rows
-        and rows whose first outcome is accepted or not."""
+        outcome and looking it up, on tables with zero bins, constant rows
+        and rows whose first outcome is accepted or not.  The 300-row table's
+        rows are drawn as uint16, and each must pick its own thresholds."""
         gen = np.random.default_rng(5)
-        prob = gen.random((7, 5))
-        prob[1, 2:4] = 0.0
-        prob[2, :2] = 0.0
-        prob[3, 3:] = 0.0
-        cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
-        accept = gen.random((7, 5)) < 0.5
-        accept[4], accept[5] = True, False
-
-        def reference(rng, count):
-            m = count * repetitions
-            row = rng.integers(0, len(cdf), size=m)
-            outcome = np.count_nonzero(cdf[row, :-1] <= rng.random(m)[:, None], axis=1)
-            passed = accept[row, outcome].reshape(count, repetitions)
-            return (int(np.count_nonzero(passed.all(axis=1))),)
-
         trials = simulator.BATCH_SIZE + 999
-        (expected,) = simulator._sum_batches(trials, 8, reference)
-        report = simulator._note_attack(
-            trials, 8, repetitions, lambda rng, u: rng.integers(0, len(cdf), size=len(u)),
-            cdf, accept, 0.5,
-        )
-        assert report.successes == expected
+        for n_rows in (7, 300):
+            prob = gen.random((n_rows, 5))
+            prob[1, 2:4] = 0.0
+            prob[2, :2] = 0.0
+            prob[3, 3:] = 0.0
+            cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
+            accept = gen.random((n_rows, 5)) < 0.5
+            accept[4], accept[5] = True, False
+
+            def reference(rng, count):
+                m = count * repetitions
+                row = simulator._uniform_rows(rng, m, len(cdf))
+                outcome = np.count_nonzero(cdf[row, :-1] <= rng.random(m)[:, None], axis=1)
+                passed = accept[row, outcome].reshape(count, repetitions)
+                return (int(np.count_nonzero(passed.all(axis=1))),)
+
+            (expected,), _ = simulator._sum_batches(trials, 8, reference)
+            report = simulator._note_attack(trials, 8, repetitions, cdf, accept, 0.5)
+            assert report.successes == expected, n_rows
 
     def test_batch_buffers_serve_one_call_only(self, monkeypatch):
         """Calls that differ in repetitions and trial count, remainder batches
@@ -421,26 +454,20 @@ class TestSampling:
 
     def test_sample_rows_matches_a_per_row_bisection(self):
         rng = np.random.default_rng(4)
-        prob = rng.random((5, 6))
+        prob = rng.random((4, 6))
         prob[1, 2:4] = 0.0  # zero-probability bins inside a row
         prob[2, :2] = 0.0  # leading zero bins
         prob[3, 4:] = 0.0  # trailing zero bins
-        cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
-        rows = rng.integers(0, len(cdf), size=4000)
-        u = rng.random(4000)
-        # Draws lying exactly on a threshold, including a zero bin's; a
-        # threshold of 1 is never drawn, since draws lie in [0, 1).
-        on = cdf[rows[:40], rng.integers(0, 5, size=40)]
-        u[:40] = np.where(on < 1.0, on, u[:40])
-        u[40:45] = 0.0
-        got = simulator._sample_rows(cdf, rows, u)
-        for r in range(len(cdf)):
-            mine = rows == r
-            expected = np.searchsorted(cdf[r, :-1], u[mine], side="right")
-            np.testing.assert_array_equal(got[mine], expected)
-        assert np.all(prob[rows, got] > 0.0)
-        one = simulator._sample_rows(cdf[3:4], 0, u)
-        np.testing.assert_array_equal(one, np.searchsorted(cdf[3, :-1], u, side="right"))
+        for p, cdf_row in zip(prob, simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))):
+            u = rng.random(1000)
+            # Draws lying exactly on a threshold, including a zero bin's; a
+            # threshold of 1 is never drawn, since draws lie in [0, 1).
+            on = cdf_row[rng.integers(0, 5, size=40)]
+            u[:40] = np.where(on < 1.0, on, u[:40])
+            u[40:45] = 0.0
+            got = simulator._sample_rows(cdf_row, u)
+            np.testing.assert_array_equal(got, np.searchsorted(cdf_row[:-1], u, side="right"))
+            assert np.all(p[got] > 0.0)
 
     @pytest.mark.parametrize("shape", [(7, 1), (1000, 3), (0, 10)])
     def test_all_columns_is_a_row_wise_all(self, shape):
