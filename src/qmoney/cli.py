@@ -9,6 +9,7 @@ written through ``--output`` keep full binary64 precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -334,7 +335,10 @@ def cmd_threshold(args) -> int:
     return 0 if conditions else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` dispatches each
+    command to this module's ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="qmoney",
         description=(
@@ -355,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--n", type=int, default=1, help="independent notes per trial")
     analyze.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help="solver tolerance")
     analyze.add_argument("--output", help="write the record with an embedded certificate")
-    analyze.set_defaults(func=cmd_analyze)
 
     certify = sub.add_parser("certify", help="verify a stored certificate file")
     certify.add_argument("certificate", help="certificate file path")
@@ -363,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, help="override the stored tolerance"
     )
     certify.add_argument("--output", help="write the verification report")
-    certify.set_defaults(func=cmd_certify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo attack simulation")
     simulate.add_argument("--scheme", default=None, help="scheme name or file path")
@@ -384,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="notes per trial (qubits per note for --attack bell)",
     )
     simulate.add_argument("--output", help="write the trial report")
-    simulate.set_defaults(func=cmd_simulate)
 
     threshold = sub.add_parser(
         "threshold", help="tail bound for accepting t of n verifications"
@@ -394,14 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     threshold.add_argument("--t", type=int, required=True, help="acceptance threshold")
     threshold.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help="solver tolerance")
     threshold.add_argument("--output", help="write the threshold record")
-    threshold.set_defaults(func=cmd_threshold)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (QuantumMoneyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))

@@ -170,9 +170,14 @@ def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
 
 def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, block by block when it is a
-    permuted direct sum: the blocks are the components of its nonzero pattern."""
-    n = m.shape[0]
-    if n < BLOCK_SPLIT_MIN_DIM or np.all(m[0]):  # every index is linked to index 0
+    permuted direct sum: the blocks are the components of its nonzero pattern.
+    A stack large enough to be split is split matrix by matrix."""
+    n = m.shape[-1]
+    if n < BLOCK_SPLIT_MIN_DIM:
+        return np.linalg.eigvalsh(m)
+    if m.ndim > 2:
+        return np.stack([_blockwise_eigvalsh(part) for part in m])
+    if np.all(m[0]):  # every index is linked to index 0
         return np.linalg.eigvalsh(m)
     linked = (m != 0) | (m != 0).T
     labels = np.arange(n)
@@ -192,17 +197,19 @@ def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def _spectral(decompose, m: np.ndarray, what: str):
-    """Run a LAPACK Hermitian eigensolver, mapping failure to EigendecompositionError."""
+    """Run a LAPACK Hermitian eigensolver on a matrix or on a stack of them (leading
+    axes index the stack), mapping failure to EigendecompositionError."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     try:
         return decompose(m)
     except np.linalg.LinAlgError as exc:
+        n = m.shape[-1]
         scale = np.abs(m).max() if m.size else 0.0
+        stack = f" in a stack of shape {m.shape[:-2]}" if m.ndim > 2 else ""
         raise EigendecompositionError(
-            f"{what} failed for a {m.shape[0]}x{m.shape[0]} matrix "
-            f"(max entry {scale:.3e}): {exc}"
+            f"{what} failed for a {n}x{n} matrix{stack} (max entry {scale:.3e}): {exc}"
         ) from exc
 
 
@@ -227,18 +234,19 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def positive_definite_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`hermitian_eig` of a positive definite matrix, whose singular values
-    and left singular vectors are its eigenpairs.
+    and left singular vectors are its eigenpairs; of each matrix on a stack.
 
     The SVD stays on one thread up to a few dozen rows, where the Hermitian
     eigensolver of OpenBLAS 0.3.31 already waits on its thread pool (from 26).
     """
     u, w, _ = _spectral(np.linalg.svd, m, "singular value decomposition")
-    return w[::-1], u[:, ::-1]
+    return w[..., ::-1], u[..., ::-1]
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors; a
-    direct sum of k blocks costs k small factorizations instead of one large."""
+    direct sum of k blocks costs k small factorizations instead of one large.
+    On a stack of matrices, the eigenvalues of each along the last axis."""
     return _spectral(_blockwise_eigvalsh, m, "eigenvalue computation")
 
 

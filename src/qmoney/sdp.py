@@ -52,6 +52,18 @@ X = (V (x) I) X_s (V (x) I)^H + P_c (x) Z, so the reported values and the
 independent certifier both see the full problem.  The solver judges
 feasibility only of its own iterates, to decide when to stop; whether a
 returned pair is feasible is for :mod:`qmoney.certificates` to say.
+
+Stacks.  The iteration runs on a stack of reduced problems of one shape, the
+block data of SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999):
+every iterate carries a leading stack axis, so the Cholesky factors, the SVDs
+of the NT scaling, the Schur complements and the step-length spectra of the
+whole stack are one batched LAPACK call each, and the stack pays for one
+Python pass per iteration.  LAPACK factors each matrix of a stack as it would
+factor it alone, and each problem keeps its own step lengths, stopping test
+and best iterate; a problem that meets its stopping test leaves the stack.  So
+each problem's trajectory is the one it has when solved alone.  :func:`solve`
+is the stack of one; :func:`solve_block_diagonal` reduces its blocks and runs
+one stack per reduced shape.
 """
 
 from __future__ import annotations
@@ -168,9 +180,14 @@ class SdpSolution:
             )
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b), without forming the product."""
-    return float(np.real(np.sum(a * b.T)))
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a b) for each pair of matrices on two stacks, without forming the products."""
+    return np.real(np.sum(a * b.swapaxes(-1, -2), axis=(-2, -1)))
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2 for each matrix on a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
@@ -187,10 +204,36 @@ def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _step_length(lam_min: float) -> float:
-    """Fraction-to-boundary step, capped at 1, along a direction M from I:
+def _step_length(lam_min: np.ndarray) -> np.ndarray:
+    """Fraction-to-boundary steps, capped at 1, along directions M from I:
     I + alpha * M stays positive semidefinite up to alpha = -1 / lambda_min(M)."""
-    return 1.0 if lam_min >= 0.0 else min(1.0, -STEP_FRACTION / lam_min)
+    return np.minimum(1.0, STEP_FRACTION / -np.minimum(lam_min, -STEP_FRACTION))
+
+
+def _schur_complement(w: np.ndarray, rows: int, d_in: int) -> np.ndarray:
+    """For each W on a stack, the matrix of dY -> Tr_out(W (I (x) dY) W) on vec(dY):
+    N[(i, j), (k, l)] = sum_{c, a} W[(c, l), (a, j)] W[(a, i), (c, k)], one batched product."""
+    k = len(w)
+    w5 = w.reshape(k, rows, d_in, rows, d_in)
+    left = w5.transpose(0, 2, 4, 1, 3).reshape(k, d_in**2, rows**2)  # [(l, j), (c, a)]
+    right = w5.transpose(0, 3, 1, 2, 4).reshape(k, rows**2, d_in**2)  # [(c, a), (i, k)]
+    m = (left @ right).reshape(k, d_in, d_in, d_in, d_in)  # [l, j, i, k]
+    return m.transpose(0, 3, 2, 4, 1).reshape(k, d_in**2, d_in**2)
+
+
+def _schur_solvers(m: np.ndarray) -> list:
+    """One solver per Schur complement on a stack: its Cholesky factor, or, where
+    roundoff has left the complement indefinite, LU after a relative jitter."""
+    try:
+        # Not scipy's: its complex potrf wakes a second BLAS thread pool (3 notes: 2x slower).
+        factors = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if len(m) > 1:  # factor each alone: only an indefinite one is jittered
+            return [solver for part in m for solver in _schur_solvers(part[None])]
+        jitter = 1e-13 * max(1.0, np.trace(m[0]).real / m.shape[1])
+        m_reg = m[0] + jitter * np.eye(m.shape[1])
+        return [lambda rhs: np.linalg.solve(m_reg, rhs)]
+    return [lambda rhs, c=c: scipy.linalg.lapack.zpotrs(c, rhs, lower=1)[0] for c in factors]
 
 
 def _output_support(problem: CloningSdp) -> np.ndarray:
@@ -241,10 +284,216 @@ def _lift_primal(x: np.ndarray, support: np.ndarray | None, problem: CloningSdp)
     return (full + full.conj().T) / 2
 
 
-def _solution_from_iterates(problem, x, y, iterations, stats):
-    pval = _pair(problem.objective, x)
+def _solution_from_iterates(problem, support, x, y, iterations, stats):
+    x = _lift_primal(x, support, problem)
+    pval = float(_pair(problem.objective, x))
     dval = float(np.real(np.trace(y)))
     return SdpSolution(x, y, pval, dval, dval - pval, iterations, tuple(stats))
+
+
+def _solve_all(problems: list[CloningSdp], tol: float, max_iterations: int) -> list[SdpSolution]:
+    """Solve each problem; those of one reduced shape share one stacked iteration.
+
+    The solutions come back in input order.  When there are several problems, a
+    :class:`SolverError` names the block it comes from."""
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    solutions: list = [None] * len(problems)
+    groups: dict[tuple, list] = {}
+    for i, problem in enumerate(problems):
+        obj, weights, support = _reduce(problem)
+        norm = linalg.operator_norm(obj)
+        if norm == 0.0:
+            x = np.eye(problem.dim, dtype=np.complex128) / problem.out_dim
+            y = np.zeros((problem.in_dim,) * 2, dtype=np.complex128)
+            solutions[i] = _solution_from_iterates(problem, None, x, y, 0, [])
+            continue
+        label = f"block {i}: " if len(problems) > 1 else ""
+        # Problems sharing dims and reduced rows share their row weights too.
+        groups.setdefault((obj.shape, tuple(weights)), []).append(
+            (i, label, problem, obj, weights, support, norm)
+        )
+    for entries in groups.values():
+        for (i, *_), solution in zip(entries, _solve_stack(entries, tol, max_iterations)):
+            solutions[i] = solution
+    return solutions
+
+
+def _solve_stack(entries: list, tol: float, max_iterations: int) -> list[SdpSolution]:
+    """The interior-point iteration on a stack of reduced problems of one shape.
+
+    Each entry is (index, label, problem, reduced objective, row weights, support,
+    objective norm) as :func:`_solve_all` builds it.  Every problem keeps its own
+    step lengths, stopping test and best iterate; one that meets the stopping test
+    leaves the stack, so its trajectory is that of solving it alone.
+    """
+    _, labels, problems, objs, row_weights, supports, norms = zip(*entries)
+    first = problems[0]
+    n, d_in, d_out = first.dim, first.in_dim, first.out_dim
+    weights = row_weights[0]
+    rows = len(weights)
+    size = rows * d_in
+    solutions: list = [None] * len(entries)
+    stats: list[list[IterateStats]] = [[] for _ in entries]
+    best: list = [None] * len(entries)  # (score, x, y) of each problem's best iterate
+    active = np.arange(len(entries))  # problems still on the stack, in stack order
+    # One problem is stacked as a view: a copy of a large objective raises peak memory.
+    obj = objs[0][None] if len(objs) == 1 else np.stack(objs)
+    norms = np.array(norms)
+
+    eye_in = np.eye(d_in, dtype=np.complex128)
+    omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
+    heavy = np.flatnonzero(omega != 1.0)
+    diagonal = np.arange(rows)
+
+    def trace_out(m):
+        return m.reshape(-1, rows, d_in, rows, d_in).trace(axis1=1, axis2=3)
+
+    def lift_dual(m):
+        out = np.zeros((len(m), rows, d_in, rows, d_in), dtype=np.complex128)
+        out[:, diagonal, :, diagonal] = m
+        return out.reshape(len(m), size, size)
+
+    # Strictly feasible start: X the identity / d_out on the full space (weight w on
+    # the complement row), Y far enough out that the dual slack is positive definite.
+    x = np.broadcast_to(np.diag(omega / d_out), obj.shape).astype(np.complex128)
+    y = (norms + 1.0)[:, None, None] * eye_in
+    s = _hermitian(lift_dual(y) - obj)
+    obj_scale = 1.0 + np.abs(norms)
+
+    def finish(i: int, x, y, iterations: int) -> SdpSolution:
+        return _solution_from_iterates(problems[i], supports[i], x, y, iterations, stats[i])
+
+    def stalled(i: int, message: str, iterations: int) -> SolverError:
+        _, bx, by = best[i]
+        return SolverError(labels[i] + message, solution=finish(i, bx, by, iterations))
+
+    gap, pval, dval = _pair(x, s), _pair(obj, x), np.real(np.trace(y, axis1=1, axis2=2))
+    for iteration in range(1, max_iterations + 1):
+        r_primal = eye_in - trace_out(x)
+        r_dual = _hermitian(obj + s - lift_dual(y))
+        pinf = np.abs(r_primal).max(axis=(1, 2))
+        dinf = np.abs(r_dual).max(axis=(1, 2))
+        rel_gap = gap / np.maximum(1.0, (np.abs(pval) + np.abs(dval)) / 2.0)
+
+        score = rel_gap + pinf + dinf
+        for j, i in enumerate(active):
+            if best[i] is None or score[j] < best[i][0]:
+                best[i] = (score[j], x[j], y[j])  # iterates are replaced, never updated in place
+
+        done = (rel_gap <= tol) & (pinf <= tol * obj_scale) & (dinf <= tol * obj_scale)
+        if done.any():
+            for j in np.flatnonzero(done):
+                solutions[active[j]] = finish(active[j], x[j], y[j], iteration - 1)
+            if done.all():
+                return solutions
+            keep = ~done  # copies only on the iterations where a problem leaves
+            active, obj_scale, obj, x, y, s, gap, r_primal, r_dual, pinf, dinf = (
+                a[keep]
+                for a in (active, obj_scale, obj, x, y, s, gap, r_primal, r_dual, pinf, dinf)
+            )
+        mu = gap / n
+
+        # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
+        # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
+        # S^-1 = H H^H, W = H D H^H, and H^H dS H = D^(-1/2) G^H dS G D^(-1/2).
+        try:
+            chol = np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            chol = np.empty_like(x)
+            for j, i in enumerate(active):
+                factor = _shifted_cholesky(x[j])
+                if factor is None:
+                    raise stalled(
+                        i,
+                        f"primal iterate lost positive definiteness at iteration {iteration}: "
+                        f"Cholesky failed at every shift {CHOLESKY_SHIFTS} of the mean diagonal; "
+                        f"smallest diagonal {float(np.diagonal(x[j]).real.min()):.3e}",
+                        iteration - 1,
+                    )
+                chol[j] = factor
+        lam, q = linalg.positive_definite_eig(_hermitian(chol.conj().swapaxes(1, 2) @ s @ chol))
+        positive = gap > 0.0  # tr(L^H S L) = <X, S>; singular values cannot show its sign
+        if not positive.all():
+            raise stalled(
+                active[np.argmin(positive)],
+                f"dual slack is not positive at iteration {iteration}",
+                iteration - 1,
+            )
+        # The floor caps the condition number of the scaling when roundoff
+        # leaves tiny or zero eigenvalues in nominally positive iterates.
+        lam = np.maximum(lam, lam[:, -1:] * 1e-16)
+        h = (chol @ q) * lam[:, None, :] ** -0.5
+        # Omega commutes with L and S (block diagonal), so the normalised scaled
+        # Omega S^-1 is lam^-1/2 Q^H Omega Q lam^-1/2 = diag(1 / lam) + lam^-1/2 spread
+        # lam^-1/2, with spread = Q^H (Omega - I) Q from the complement row's indices.
+        q_heavy = q[:, heavy]
+        spread = (q_heavy.conj().swapaxes(1, 2) * (omega[heavy] - 1.0)) @ q_heavy
+        del chol, q, q_heavy  # dense temporaries freed early keep peak memory flat
+        h_h = h.conj().swapaxes(1, 2)
+        w = _hermitian((h * lam[:, None, :] ** 0.5) @ h_h)
+
+        solvers = _schur_solvers(_schur_complement(w, rows, d_in))
+        rhs_dual = trace_out(w @ r_dual @ w) - r_primal
+
+        def newton_direction(r_center):
+            """dX, dY, dS and the normalised scaled dS for a centering residual."""
+            rhs = (trace_out(r_center) + rhs_dual).reshape(len(solvers), -1)
+            dy = np.stack([solve_m(b) for solve_m, b in zip(solvers, rhs)])
+            dy = _hermitian(dy.reshape(-1, d_in, d_in))
+            ds = _hermitian(lift_dual(dy) - r_dual)
+            dx = _hermitian(r_center - w @ ds @ w)
+            return dx, dy, ds, h_h @ ds @ h
+
+        # In the scaled space dX~ = G^-1 R_c G^-H - dS~ with a diagonal first
+        # term, so each step length is one smallest eigenvalue.
+        dx_aff, _, ds_aff, t_aff = newton_direction(-x)
+        # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
+        t = linalg.eigenvalues(t_aff)
+        alpha_p_aff = _step_length(-1.0 - t[:, -1])
+        alpha_d_aff = _step_length(t[:, 0])
+        mu_aff = _pair(
+            x + alpha_p_aff[:, None, None] * dx_aff, s + alpha_d_aff[:, None, None] * ds_aff
+        ) / n
+        del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
+        # Python floats: numpy's ** 3 on an array rounds differently from libm's pow.
+        sigma = np.array([
+            min(1.0, max((m_aff / m) ** 3, 0.0)) if m > 0 else 0.1
+            for m_aff, m in zip(mu_aff.tolist(), mu.tolist())
+        ])
+        sigma_mu = (sigma * mu)[:, None, None]
+
+        h_omega = np.sqrt(omega)[:, None] * h
+        # sigma mu Omega^1/2 S^-1 Omega^1/2 - X, which is sigma mu Omega S^-1 - X.
+        r_center = sigma_mu * (h_omega @ h_omega.conj().swapaxes(1, 2)) - x
+        dx, dy, ds, t_ds = newton_direction(r_center)
+        lam_root = lam**-0.5
+        t_dx = sigma_mu * lam_root[:, :, None] * spread * lam_root[:, None, :]
+        t_dx.reshape(len(t_dx), -1)[:, :: size + 1] += sigma_mu[:, :, 0] / lam - 1.0
+        t_dx -= t_ds
+        # Both corrector spectra in one call: the primal's first, then the dual's.
+        lam_min = linalg.eigenvalues(np.concatenate((t_dx, t_ds)))[:, 0]
+        alpha_p, alpha_d = _step_length(lam_min[: len(x)]), _step_length(lam_min[len(x) :])
+
+        x = _hermitian(x + alpha_p[:, None, None] * dx)
+        y = _hermitian(y + alpha_d[:, None, None] * dy)
+        s = _hermitian(s + alpha_d[:, None, None] * ds)
+        del dx, ds, t_dx, t_ds, r_center, h, h_h, h_omega, w, spread  # freed before the next SVD
+
+        gap, pval, dval = _pair(x, s), _pair(obj, x), np.real(np.trace(y, axis1=1, axis2=2))
+        columns = (pval, dval, gap, mu, pinf, dinf, alpha_p, alpha_d)  # IterateStats order
+        for i, *values in zip(active, *(column.tolist() for column in columns)):
+            stats[i].append(IterateStats(iteration, *values))
+
+    i = active[0]
+    raise stalled(
+        i,
+        f"no convergence to tol {tol:.1e} within {max_iterations} iterations; "
+        f"best relative gap {best[i][0]:.3e}",
+        max_iterations,
+    )
 
 
 def solve(
@@ -272,170 +521,8 @@ def solve(
     SdpSolution
         Converged primal/dual pair with per-iteration statistics attached.
     """
-    if not MIN_TOL <= tol <= MAX_TOL:
-        raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    return _solve_all([problem], tol, max_iterations)[0]
 
-    obj, weights, support = _reduce(problem)
-    n = problem.dim
-    d_in = problem.in_dim
-    d_out = problem.out_dim
-    rows = len(weights)
-    obj_norm = linalg.operator_norm(obj)
-
-    if obj_norm == 0.0:
-        x = np.eye(n, dtype=np.complex128) / d_out
-        y = np.zeros((d_in, d_in), dtype=np.complex128)
-        return _solution_from_iterates(problem, x, y, 0, [])
-
-    eye_in = np.eye(d_in, dtype=np.complex128)
-    omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
-    heavy = np.flatnonzero(omega != 1.0)
-
-    def trace_out(m):
-        return linalg.partial_trace(m, (rows, d_in), [1])
-
-    def lift_dual(m):
-        return np.kron(np.eye(rows, dtype=np.complex128), m)
-
-    def hermitian(m):
-        return (m + m.conj().T) / 2
-
-    # Strictly feasible start: X the identity / d_out on the full space (weight w on
-    # the complement row), Y far enough out that the dual slack is positive definite.
-    x = np.diag(omega / d_out).astype(np.complex128)
-    y = (obj_norm + 1.0) * eye_in
-    s = hermitian(lift_dual(y) - obj)
-
-    obj_scale = 1.0 + abs(obj_norm)
-    stats: list[IterateStats] = []
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-
-    def stalled(message: str, iterations: int) -> SolverError:
-        _, bx, by = best
-        partial = _solution_from_iterates(
-            problem, _lift_primal(bx, support, problem), by, iterations, stats
-        )
-        return SolverError(message, solution=partial)
-
-    for iteration in range(1, max_iterations + 1):
-        gap = _pair(x, s)
-        mu = gap / n
-        pval = _pair(obj, x)
-        dval = float(np.real(np.trace(y)))
-        r_primal = eye_in - trace_out(x)
-        r_dual = hermitian(obj + s - lift_dual(y))
-        pinf = float(np.abs(r_primal).max())
-        dinf = float(np.abs(r_dual).max())
-        rel_gap = gap / max(1.0, (abs(pval) + abs(dval)) / 2.0)
-
-        score = rel_gap + pinf + dinf
-        if best is None or score < best[0]:
-            best = (score, x, y)  # iterates are replaced, never updated in place
-
-        if rel_gap <= tol and pinf <= tol * obj_scale and dinf <= tol * obj_scale:
-            return _solution_from_iterates(
-                problem, _lift_primal(x, support, problem), y, iteration - 1, stats
-            )
-
-        # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
-        # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
-        # S^-1 = H H^H, W = H D H^H, and H^H dS H = D^(-1/2) G^H dS G D^(-1/2).
-        chol = _shifted_cholesky(x)
-        if chol is None:
-            raise stalled(
-                f"primal iterate lost positive definiteness at iteration {iteration}: "
-                f"Cholesky failed at every shift {CHOLESKY_SHIFTS} of the mean diagonal; "
-                f"smallest diagonal {float(np.diagonal(x).real.min()):.3e}",
-                iteration - 1,
-            )
-        lam, q = linalg.positive_definite_eig(hermitian(chol.conj().T @ s @ chol))
-        if not gap > 0.0:  # tr(L^H S L) = <X, S>; singular values cannot show its sign
-            raise stalled(f"dual slack is not positive at iteration {iteration}", iteration - 1)
-        # The floor caps the condition number of the scaling when roundoff
-        # leaves tiny or zero eigenvalues in nominally positive iterates.
-        lam = np.maximum(lam, lam[-1] * 1e-16)
-        h = (chol @ q) * lam**-0.5
-        # Omega commutes with L and S (block diagonal), so the normalised scaled
-        # Omega S^-1 is lam^-1/2 Q^H Omega Q lam^-1/2 = diag(1 / lam) + lam^-1/2 spread
-        # lam^-1/2, with spread = Q^H (Omega - I) Q from the complement row's indices.
-        q_heavy = q[heavy]
-        spread = (q_heavy.conj().T * (omega[heavy] - 1.0)) @ q_heavy
-        del chol, q, q_heavy  # dense temporaries freed early keep peak memory flat
-        h_h = h.conj().T
-        w = hermitian((h * lam**0.5) @ h_h)
-
-        # Schur complement dY -> trace_out(W (1 x dY) W) on vec(dY), through its Gram
-        # tensor N(dY)[i, j] = sum_{a, c, k, l} W[(a,i),(c,k)] dY[k,l] W[(c,l),(a,j)].
-        w4 = w.reshape(rows, d_in, rows, d_in)
-        m = np.einsum("aick,claj->ijkl", w4, w4, optimize=True).reshape(d_in**2, d_in**2)
-        try:
-            # Not scipy's: its complex potrf wakes a second BLAS thread pool (3 notes: 2x slower).
-            chol_m = np.linalg.cholesky(m)
-            solve_m = lambda rhs: scipy.linalg.cho_solve((chol_m, True), rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = 1e-13 * max(1.0, np.trace(m).real / m.shape[0])
-            m_reg = m + jitter * np.eye(m.shape[0])
-            solve_m = lambda rhs: np.linalg.solve(m_reg, rhs)
-
-        rhs_dual = trace_out(w @ r_dual @ w) - r_primal
-
-        def newton_direction(r_center):
-            """dX, dY, dS and the normalised scaled dS for a centering residual."""
-            rhs = trace_out(r_center) + rhs_dual
-            dy = hermitian(solve_m(rhs.ravel()).reshape(d_in, d_in))
-            ds = hermitian(lift_dual(dy) - r_dual)
-            dx = hermitian(r_center - w @ ds @ w)
-            return dx, dy, ds, h_h @ ds @ h
-
-        # In the scaled space dX~ = G^-1 R_c G^-H - dS~ with a diagonal first
-        # term, so each step length is one smallest eigenvalue.
-        dx_aff, _, ds_aff, t_aff = newton_direction(-x)
-        # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
-        t = linalg.eigenvalues(t_aff)
-        alpha_p_aff = _step_length(-1.0 - float(t[-1]))
-        alpha_d_aff = _step_length(float(t[0]))
-        mu_aff = _pair(x + alpha_p_aff * dx_aff, s + alpha_d_aff * ds_aff) / n
-        del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
-
-        h_omega = np.sqrt(omega)[:, None] * h
-        # sigma mu Omega^1/2 S^-1 Omega^1/2 - X, which is sigma mu Omega S^-1 - X.
-        r_center = sigma * mu * (h_omega @ h_omega.conj().T) - x
-        dx, dy, ds, t_ds = newton_direction(r_center)
-        t_dx = (
-            np.diag(sigma * mu / lam - 1.0)
-            + sigma * mu * (lam**-0.5)[:, None] * spread * lam**-0.5
-            - t_ds
-        )
-        alpha_p = _step_length(linalg.min_eigenvalue(t_dx))
-        alpha_d = _step_length(linalg.min_eigenvalue(t_ds))
-
-        x = hermitian(x + alpha_p * dx)
-        y = hermitian(y + alpha_d * dy)
-        s = hermitian(s + alpha_d * ds)
-        del dx, ds, t_dx, t_ds, r_center, h, h_h, h_omega, w, spread  # freed before the next SVD
-
-        stats.append(
-            IterateStats(
-                iteration=iteration,
-                primal_value=_pair(obj, x),
-                dual_value=float(np.real(np.trace(y))),
-                gap=_pair(x, s),
-                mu=mu,
-                primal_infeasibility=pinf,
-                dual_infeasibility=dinf,
-                step_primal=alpha_p,
-                step_dual=alpha_d,
-            )
-        )
-
-    raise stalled(
-        f"no convergence to tol {tol:.1e} within {max_iterations} iterations; "
-        f"best relative gap {best[0]:.3e}",
-        max_iterations,
-    )
 
 
 def dual_norm_bound(problem: CloningSdp) -> tuple[np.ndarray, float]:
@@ -479,17 +566,26 @@ def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> Clonin
 
 
 def solve_block_diagonal(
-    blocks: list[CloningSdp], weights: list[float], tol: float = DEFAULT_TOL
+    blocks: list[CloningSdp],
+    weights: list[float],
+    tol: float = DEFAULT_TOL,
+    *,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> SdpSolution:
     """Solve weighted same-shape subproblems and assemble one solution.
 
-    Each block is solved independently; the returned primal/dual pair lives on
-    the combined space of :func:`assemble_block_sdp`, which is not built here,
-    and its values are the weighted sums of the block values.  Per-block
-    solutions are kept on ``block_solutions``.
+    Each block is reduced to its output support, and the blocks of one reduced
+    shape run one stacked iteration together; every block keeps its own step
+    lengths, stopping test and best iterate, so its trajectory is that of its
+    separate :func:`solve`.  The returned primal/dual pair lives on the combined
+    space of :func:`assemble_block_sdp`, which is not built here, and its values
+    are the weighted sums of the block values.  Per-block solutions are kept on
+    ``block_solutions``, in input order.  A block that exhausts ``max_iterations``
+    or loses positive definiteness raises :class:`SolverError` naming it and
+    carrying its own best iterate, on its own space.
     """
     first = _check_blocks(blocks, weights)
-    solutions = [solve(b, tol=tol) for b in blocks]
+    solutions = _solve_all(blocks, tol, max_iterations)
     x = linalg.direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
     y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
     pval = sum(w * s.primal_value for s, w in zip(solutions, weights))

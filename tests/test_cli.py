@@ -398,3 +398,10 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+
+def test_the_parser_is_built_once_and_dispatches_to_the_current_command(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_threshold", lambda args: 7 if args.t == 2 else 8)
+    assert cli.main(["threshold", "--scheme", "wiesner", "--n", "3", "--t", "2"]) == 7
+    assert capsys.readouterr().out == ""

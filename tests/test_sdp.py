@@ -305,6 +305,109 @@ class TestStall:
         assert partial.iterations == 0 and partial.trace == ()
 
 
+def _qubit_stack():
+    """Wiesner, six-state, SIC, 2.5 x Wiesner (6 iterations, not 7) and a zero objective."""
+    q = schemes.cloning_objective(schemes.wiesner_ensemble())
+    objectives = [
+        q,
+        schemes.cloning_objective(schemes.six_state_ensemble()),
+        schemes.cloning_objective(schemes.sic_qubit_ensemble()),
+        2.5 * q,
+        np.zeros((8, 8)),
+    ]
+    return [_qubit_problem(o) for o in objectives]
+
+
+def _assert_same_solution(got, alone):
+    assert got.iterations == alone.iterations
+    assert abs(got.primal_value - alone.primal_value) <= 1e-12
+    assert abs(got.dual_value - alone.dual_value) <= 1e-12
+    assert np.abs(got.primal_x - alone.primal_x).max() <= 1e-12
+    assert np.abs(got.dual_y - alone.dual_y).max() <= 1e-12
+    assert len(got.trace) == len(alone.trace)
+    for mine, theirs in zip(got.trace, alone.trace):
+        assert mine.iteration == theirs.iteration
+        for field in ("primal_value", "dual_value", "gap", "mu", "primal_infeasibility",
+                      "dual_infeasibility", "step_primal", "step_dual"):
+            assert abs(getattr(mine, field) - getattr(theirs, field)) <= 1e-12, field
+
+
+def _recording_stacks(monkeypatch):
+    """Record the stack size of each stacked iteration that runs."""
+    sizes = []
+    solve_stack = sdp._solve_stack
+
+    def recording(entries, *args):
+        sizes.append(len(entries))
+        return solve_stack(entries, *args)
+
+    monkeypatch.setattr(sdp, "_solve_stack", recording)
+    return sizes
+
+
+class TestStacks:
+    def test_a_stack_equals_separate_solves(self, monkeypatch):
+        problems = _qubit_stack()
+        alone = [sdp.solve(p) for p in problems]
+        assert len({s.iterations for s in alone}) == 3  # 7, 6 and 0 iterations
+        sizes = _recording_stacks(monkeypatch)
+        sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        # The zero objective is answered at once, without iterating.
+        assert sizes == [4]
+        for got, ref in zip(sol.block_solutions, alone):
+            _assert_same_solution(got, ref)
+
+    def test_blocks_of_different_reduced_shapes_run_in_separate_stacks(self, monkeypatch):
+        ranks = [2, 1, 3, 2, 1]
+        problems = [
+            _rank_deficient_problem(np.random.default_rng([7, i]), 6, 3, r)
+            for i, r in enumerate(ranks)
+        ]
+        assert [sdp._reduce(p)[0].shape[0] for p in problems] == [3 * (r + 1) for r in ranks]
+        alone = [sdp.solve(p) for p in problems]
+        sizes = _recording_stacks(monkeypatch)
+        sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        assert sorted(sizes) == [1, 2, 2]
+        for got, ref in zip(sol.block_solutions, alone):
+            _assert_same_solution(got, ref)
+        assert abs(sol.primal_value - sum(0.2 * s.primal_value for s in alone)) < 1e-12
+
+    def test_a_block_at_the_cap_raises_with_its_own_best_iterate(self):
+        notes = (schemes.wiesner_ensemble(), schemes.six_state_ensemble(),
+                 schemes.sic_qubit_ensemble())
+        blocks = [composition.repeated_sdp([_qubit_problem(schemes.cloning_objective(e))] * 2)
+                  for e in notes]
+        assert {sdp._reduce(b)[0].shape for b in blocks} == {(40, 40)}
+        with pytest.raises(SolverError, match="^block 0: no convergence") as excinfo:
+            sdp.solve_block_diagonal(blocks, [0.5, 0.25, 0.25], max_iterations=2)
+        with pytest.raises(SolverError) as alone:
+            sdp.solve(blocks[0], max_iterations=2)
+        partial = excinfo.value.solution
+        assert partial.primal_x.shape == (64, 64)
+        assert partial.iterations == 2 and len(partial.trace) == 2
+        _assert_same_solution(partial, alone.value.solution)
+
+    def test_a_block_that_loses_positive_definiteness_stops_the_stack(self, monkeypatch):
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def fail_after_the_first_block(a):
+            # The stacked call fails, block 0 then factors alone, block 1 never does.
+            calls.append(np.ndim(a))
+            if np.ndim(a) > 2 or calls.count(2) > 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_after_the_first_block)
+        problems = _qubit_stack()[:3]
+        with pytest.raises(SolverError, match="^block 1: .*smallest diagonal") as excinfo:
+            sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
+        partial = excinfo.value.solution
+        assert partial.iterations == 0 and partial.trace == ()
+        assert partial.primal_x.shape == (8, 8)
+        assert abs(partial.primal_value - float(np.trace(problems[1].objective).real) / 4) < 1e-12
+
+
 def _support_rank(problem):
     return sdp._output_support(problem).shape[1]
 
