@@ -311,8 +311,8 @@ def _solve_all(problems: list[CloningSdp], tol: float, max_iterations: int) -> l
             solutions[i] = _solution_from_iterates(problem, None, x, y, 0, [])
             continue
         label = f"block {i}: " if len(problems) > 1 else ""
-        # Problems sharing dims and reduced rows share their row weights too.
-        groups.setdefault((obj.shape, tuple(weights)), []).append(
+        # The problems share dims, so the reduced shape fixes the row weights too.
+        groups.setdefault(obj.shape, []).append(
             (i, label, problem, obj, weights, support, norm)
         )
     for entries in groups.values():
@@ -569,8 +569,6 @@ def solve_block_diagonal(
     blocks: list[CloningSdp],
     weights: list[float],
     tol: float = DEFAULT_TOL,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> SdpSolution:
     """Solve weighted same-shape subproblems and assemble one solution.
 
@@ -580,12 +578,15 @@ def solve_block_diagonal(
     separate :func:`solve`.  The returned primal/dual pair lives on the combined
     space of :func:`assemble_block_sdp`, which is not built here, and its values
     are the weighted sums of the block values.  Per-block solutions are kept on
-    ``block_solutions``, in input order.  A block that exhausts ``max_iterations``
+    ``block_solutions``, in input order.  A block that exhausts ``MAX_ITERATIONS``
     or loses positive definiteness raises :class:`SolverError` naming it and
-    carrying its own best iterate, on its own space.
+    carrying its own best iterate, on its own space.  When several blocks would
+    fail, the error names the first to fail: stacks run in the order of their
+    first block, and within a stack the block failing at the earliest iteration
+    is named, which need not be the lowest failing index.
     """
     first = _check_blocks(blocks, weights)
-    solutions = _solve_all(blocks, tol, max_iterations)
+    solutions = _solve_all(blocks, tol, MAX_ITERATIONS)
     x = linalg.direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
     y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
     pval = sum(w * s.primal_value for s, w in zip(solutions, weights))

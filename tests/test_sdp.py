@@ -379,7 +379,7 @@ class TestStacks:
                   for e in notes]
         assert {sdp._reduce(b)[0].shape for b in blocks} == {(40, 40)}
         with pytest.raises(SolverError, match="^block 0: no convergence") as excinfo:
-            sdp.solve_block_diagonal(blocks, [0.5, 0.25, 0.25], max_iterations=2)
+            sdp._solve_all(blocks, sdp.DEFAULT_TOL, 2)
         with pytest.raises(SolverError) as alone:
             sdp.solve(blocks[0], max_iterations=2)
         partial = excinfo.value.solution
