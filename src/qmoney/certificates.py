@@ -1,12 +1,15 @@
 """Independent verification of claimed primal/dual pairs for cloning problems.
 
-The checks here recompute everything from the handed-in matrices with the
-eigensolver; nothing is trusted from whatever produced them.  They are the
-only feasibility check of a solved pair in the package: the solver reports
-values and a gap, never whether its pair is feasible.  A pair whose
-sides are both feasible and whose values agree within tolerance certifies the
-optimal value, since any feasible dual point upper-bounds every feasible
-primal value.
+The checks here recompute everything from the handed-in matrices; nothing is
+trusted from whatever produced them.  Each positivity verdict is a verified
+Cholesky factorization (:func:`qmoney.linalg.bounded_below`): it proves that
+the smallest eigenvalue of X, respectively of the slack I (x) Y - Q, is at
+least -tol.  The eigenvalues themselves are computed only when a report's
+``min_eigenvalue`` is read.  These checks are the only feasibility check of a
+solved pair in the package: the solver reports values and a gap, never
+whether its pair is feasible.  A pair whose sides are both feasible and whose
+values agree within tolerance certifies the optimal value, since any feasible
+dual point upper-bounds every feasible primal value.
 
 A serialization format is provided so certificates can be stored, shipped,
 and re-checked later: a JSON object carrying the objective, both matrices as
@@ -15,8 +18,10 @@ nested [re, im] arrays, the tolerance, and the claimed value.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,21 +34,38 @@ DEFAULT_CERTIFICATE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class PrimalCheck:
-    """Feasibility verdict and residuals for a claimed primal point."""
+    """Feasibility verdict and residuals for a claimed primal point.
+
+    ``min_eigenvalue`` is computed when first read, from the checked matrix
+    ``x`` as the caller handed it in.
+    """
 
     feasible: bool
     value: float
-    min_eigenvalue: float
     trace_defect: float
+    x: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float:
+        return linalg.min_eigenvalue(linalg.as_hermitian(self.x, tol=1e-6))
 
 
 @dataclass(frozen=True)
 class DualCheck:
-    """Feasibility verdict and slack residual for a claimed dual point."""
+    """Feasibility verdict for a claimed dual point.
+
+    ``min_eigenvalue``, that of the slack I (x) y - Q, is computed when first
+    read, from the checked ``y`` as the caller handed it in and its problem.
+    """
 
     feasible: bool
     value: float
-    min_eigenvalue: float
+    y: np.ndarray = field(repr=False, compare=False)
+    problem: CloningSdp = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def min_eigenvalue(self) -> float:
+        return linalg.min_eigenvalue(_slack(self.y, self.problem))
 
 
 @dataclass(frozen=True)
@@ -76,6 +98,10 @@ class CertificateReport:
         return self.dual.value
 
 
+def _slack(y: np.ndarray, problem: CloningSdp) -> np.ndarray:
+    return problem.lift_dual(linalg.as_hermitian(y, tol=1e-6)) - problem.objective
+
+
 def check_primal(
     x: np.ndarray, problem: CloningSdp, tol: float = DEFAULT_CERTIFICATE_TOL
 ) -> PrimalCheck:
@@ -85,15 +111,14 @@ def check_primal(
         raise DimensionError(
             f"primal matrix has shape {x.shape}, expected {(problem.dim, problem.dim)}"
         )
-    x = linalg.as_hermitian(x, tol=1e-6)
-    min_eig = linalg.min_eigenvalue(x)
-    defect = float(np.abs(problem.trace_out(x) - np.eye(problem.in_dim)).max())
-    value = float(np.real(np.sum(problem.objective * x.T)))  # tr(QX) without forming QX
+    hermitian = linalg.as_hermitian(x, tol=1e-6)
+    defect = float(np.abs(problem.trace_out(hermitian) - np.eye(problem.in_dim)).max())
+    value = float(np.real(np.sum(problem.objective * hermitian.T)))  # tr(QX) without forming QX
     return PrimalCheck(
-        feasible=bool(min_eig >= -tol and defect <= tol),
+        feasible=bool(defect <= tol and linalg.bounded_below(hermitian, -tol)),
         value=value,
-        min_eigenvalue=min_eig,
         trace_defect=defect,
+        x=x,
     )
 
 
@@ -106,12 +131,11 @@ def check_dual(
         raise DimensionError(
             f"dual matrix has shape {y.shape}, expected {(problem.in_dim, problem.in_dim)}"
         )
-    y = linalg.as_hermitian(y, tol=1e-6)
-    slack_eig = linalg.min_eigenvalue(problem.lift_dual(y) - problem.objective)
     return DualCheck(
-        feasible=bool(slack_eig >= -tol),
+        feasible=linalg.bounded_below(_slack(y, problem), -tol),
         value=float(np.real(np.trace(y))),
-        min_eigenvalue=slack_eig,
+        y=y,
+        problem=problem,
     )
 
 
@@ -216,8 +240,8 @@ def load_certificate(path: str) -> CertificateFile:
         stored_n_out = payload.get("n_out", len(raw) - 1)
         if type(stored_n_out) is not int or not 1 <= stored_n_out < len(raw):
             raise FileFormatError(f"n_out must be a factor split index, got {stored_n_out!r}")
-        stored_out = int(np.prod(raw[:stored_n_out]))
-        stored_in = int(np.prod(raw[stored_n_out:]))
+        stored_out = math.prod(raw[:stored_n_out])
+        stored_in = math.prod(raw[stored_n_out:])
         if (stored_out, stored_in) != (out_dim, in_dim):
             raise FileFormatError(
                 f"stored dims {raw} split as {(stored_out, stored_in)} but the "

@@ -59,10 +59,10 @@ class ChoiOperator:
                 f"Choi matrix has shape {mat.shape}, expected {(n, n)} "
                 f"for out_dim {self.out_dim} and in_dim {self.in_dim}"
             )
-        min_eig = linalg.min_eigenvalue(mat)
-        if min_eig < -CP_TOL:
+        if not linalg.bounded_below(mat, -CP_TOL):
             raise ChannelValidationError(
-                f"channel is not completely positive: minimum Choi eigenvalue {min_eig:.3e}"
+                "channel is not completely positive: minimum Choi eigenvalue "
+                f"{linalg.min_eigenvalue(mat):.3e}"
             )
         reduced = linalg.partial_trace(mat, (self.out_dim, self.in_dim), [1])
         defect = np.abs(reduced - np.eye(self.in_dim)).max()

@@ -153,7 +153,9 @@ class TicketStrategy:
                     )
                 if len(answers) != 2:
                     raise DimensionError(f"outcome must carry an answer pair, got {answers}")
-                if linalg.min_eigenvalue(linalg.as_hermitian(effect, tol=1e-9)) < -POVM_POSITIVITY_TOL:
+                if not linalg.bounded_below(
+                    linalg.as_hermitian(effect, tol=1e-9), -POVM_POSITIVITY_TOL
+                ):
                     raise ChannelValidationError(
                         f"effect for challenges {pair} is not positive semidefinite"
                     )

@@ -105,9 +105,7 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     objective = _grouped_product([p.objective for p in problems], problems)
     outputs = [d for p in problems for d in p.dims[: p.n_out]]
     inputs = [d for p in problems for d in p.dims[p.n_out :]]
-    return CloningSdp(
-        linalg.as_hermitian(objective, tol=1e-9), tuple(outputs + inputs), n_out=len(outputs)
-    )
+    return CloningSdp(objective, tuple(outputs + inputs), n_out=len(outputs))
 
 
 def tensor_certificates(

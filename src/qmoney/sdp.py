@@ -109,10 +109,10 @@ class CloningSdp:
             raise DimensionError(
                 f"n_out must leave at least one input factor, got {n_out} of {len(dims)}"
             )
-        min_eig = linalg.min_eigenvalue(obj)
-        if min_eig < -PSD_OBJECTIVE_TOL:
+        if not linalg.bounded_below(obj, -PSD_OBJECTIVE_TOL):
             raise DimensionError(
-                f"objective must be positive semidefinite, minimum eigenvalue {min_eig:.3e}"
+                "objective must be positive semidefinite, minimum eigenvalue "
+                f"{linalg.min_eigenvalue(obj):.3e}"
             )
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "dims", dims)

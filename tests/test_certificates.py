@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import _codec, certificates, cloners, schemes, sdp
-from qmoney.exceptions import DimensionError, FileFormatError
+from qmoney import _codec, certificates, cloners, composition, linalg, schemes, sdp
+from qmoney.channels import ChoiOperator
+from qmoney.exceptions import DimensionError, FileFormatError, HermiticityError
 
 
 def _wiesner_problem():
@@ -57,6 +58,50 @@ class TestAnalyticPairs:
         assert not report.dual.feasible
         # the largest objective eigenvalue is 3/8, so the slack dips to 0.3 - 0.375
         assert report.dual.min_eigenvalue == pytest.approx(-0.075, abs=1e-9)
+
+    def test_eigenvalues_are_computed_only_when_read(self, monkeypatch):
+        problem = _wiesner_problem()
+        x = cloners.wiesner_optimal_cloner().matrix
+        y = 0.375 * np.eye(2)
+        bx, by = composition.tensor_certificates([x] * 3, [y] * 3, [problem] * 3)
+        product = composition.repeated_sdp([problem] * 3)
+        assert product.dim == 512
+        calls = []
+        eigenvalues = linalg.eigenvalues
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigenvalues(m)
+
+        monkeypatch.setattr(linalg, "eigenvalues", counting)
+        report = certificates.certify(bx, by, product)
+        assert report.certified and calls == []
+        primal = report.primal.min_eigenvalue
+        dual = report.dual.min_eigenvalue
+        assert calls == [(512, 512)] * 2
+        monkeypatch.undo()
+        assert primal == linalg.min_eigenvalue(linalg.as_hermitian(bx, tol=1e-6))
+        slack = product.lift_dual(linalg.as_hermitian(by, tol=1e-6)) - product.objective
+        assert dual == linalg.min_eigenvalue(slack)
+
+    def test_non_finite_entries_never_reach_the_positivity_check(self, monkeypatch):
+        bounded_below = linalg.bounded_below
+
+        def finite_only(m, bound):
+            assert np.all(np.isfinite(m)), "bounded_below saw a non-finite matrix"
+            return bounded_below(m, bound)
+
+        monkeypatch.setattr(linalg, "bounded_below", finite_only)
+        bad = np.full((8, 8), np.nan, dtype=np.complex128)
+        problem = _wiesner_problem()
+        with pytest.raises(HermiticityError):
+            sdp.CloningSdp(bad, dims=(2, 2, 2))
+        with pytest.raises(HermiticityError):
+            ChoiOperator(bad, in_dim=2, out_dim=4)
+        with pytest.raises(HermiticityError):
+            certificates.check_primal(bad, problem)
+        with pytest.raises(HermiticityError):
+            certificates.check_dual(np.full((2, 2), np.nan), problem)
 
     def test_classical_block_dual(self):
         for d in (2, 3, 4, 5):

@@ -147,6 +147,19 @@ class TestCertify:
         assert captured.err.startswith(f"error: {next(iter(update))} must be")
 
 
+    def test_stored_dims_whose_product_overflows_int64_are_a_parse_error(
+        self, certificate, capsys
+    ):
+        # (2**62 + 1) * 4 wraps to 4 in int64, which would match the 4 output rows.
+        payload = json.loads(certificate.read_text())
+        payload.update(dims=[2**62 + 1, 4, 2], n_out=2)
+        certificate.write_text(json.dumps(payload))
+        assert cli.main(["certify", str(certificate)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "split as" in captured.err
+
+
 class TestSimulate:
     def test_wiesner_optimal(self, capsys):
         argv = [

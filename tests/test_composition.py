@@ -40,6 +40,23 @@ class TestRepeatedSdp:
         rep = composition.repeated_sdp([_wiesner_problem()] * 2)
         assert abs(linalg.operator_norm(rep.objective) - 0.375**2) < 1e-12
 
+    @pytest.mark.parametrize(
+        "ensembles",
+        [
+            [schemes.wiesner_ensemble()] * 3,
+            [schemes.six_state_ensemble(), schemes.sic_qubit_ensemble()],
+        ],
+    )
+    def test_objective_is_exactly_hermitian_and_needs_no_symmetrizing(self, ensembles):
+        problems = [
+            sdp.CloningSdp(schemes.cloning_objective(e), dims=(2, 2, 2)) for e in ensembles
+        ]
+        q = composition.repeated_sdp(problems).objective
+        assert np.array_equal(q, q.conj().T)
+        product = composition._grouped_product([p.objective for p in problems], problems)
+        symmetrized = linalg.as_hermitian(linalg.as_hermitian(product, tol=1e-9))
+        assert np.array_equal(q, symmetrized)
+
     def test_single_component_passthrough(self):
         problem = _wiesner_problem()
         assert composition.repeated_sdp([problem]) is problem

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import linalg
+from qmoney import linalg, sdp
 from qmoney.exceptions import DimensionError, EigendecompositionError, HermiticityError
 
 
@@ -274,6 +274,62 @@ def test_operator_norm_and_min_eigenvalue():
     m = np.diag([-3.0, 0.5, 2.0]).astype(np.complex128)
     assert linalg.operator_norm(m) == pytest.approx(3.0)
     assert linalg.min_eigenvalue(m) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 512])
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+def test_bounded_below_agrees_with_the_smallest_eigenvalue(n, tol, factor):
+    rng = np.random.default_rng(n)
+    bound = -tol
+    spectrum = np.concatenate([[bound * factor], rng.uniform(0.0, 1e-6, n - 1)])
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    m = linalg.as_hermitian((u * spectrum) @ u.conj().T)
+    verdict = linalg.bounded_below(m, bound)
+    assert verdict == (linalg.min_eigenvalue(m) >= bound)
+    assert verdict == (factor < 1)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 512])
+def test_zero_and_rank_one_objectives_are_bounded_below(n):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    rank_one = linalg.as_hermitian(np.outer(v, v.conj()))
+    assert linalg.bounded_below(np.zeros((n, n)), -sdp.PSD_OBJECTIVE_TOL)
+    assert linalg.bounded_below(rank_one, -sdp.PSD_OBJECTIVE_TOL)
+
+
+def test_bounded_below_leaves_its_argument_alone():
+    m = np.diag([2.0, 3.0]).astype(np.complex128)
+    assert linalg.bounded_below(m, 1.0) and not linalg.bounded_below(m, 2.5)
+    np.testing.assert_array_equal(m, np.diag([2.0, 3.0]))
+    # The shift lands on a copy of any memory layout, not on a discarded one.
+    assert not linalg.bounded_below(np.asfortranarray(np.diag([2.0, 3.0, 0.5])), 1.0)
+
+
+def test_bounded_below_factors_a_direct_sum_block_by_block(monkeypatch):
+    m = _permuted_direct_sum(np.random.default_rng(3), [12, 40, 1, 12, 1])
+    lowest = linalg.min_eigenvalue(m)
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    assert linalg.bounded_below(m, lowest - 1e-3)
+    assert sorted(shapes) == [(1, 40, 40), (2, 1, 1), (2, 12, 12)]
+    assert not linalg.bounded_below(m, lowest + 1e-3)
+
+
+@pytest.mark.parametrize("where, value", [((1, 1), np.nan), ((2, 1), np.nan), ((2, 1), np.inf)])
+def test_bounded_below_proves_nothing_about_non_finite_matrices(where, value):
+    m = np.eye(3, dtype=np.complex128)
+    m[where] = m[where[::-1]] = value
+    assert not linalg.bounded_below(m, -1.0)
 
 
 def test_eigenvalue_failure_is_wrapped_with_the_size(monkeypatch):

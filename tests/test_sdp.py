@@ -296,9 +296,10 @@ class TestStall:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
+        problem = _wiesner_sdp()  # built first: the objective check factors too
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(SolverError, match="smallest diagonal") as excinfo:
-            sdp.solve(_wiesner_sdp())
+            sdp.solve(problem)
         assert str(sdp.CHOLESKY_SHIFTS) in str(excinfo.value)
         partial = excinfo.value.solution
         assert partial is not None
@@ -398,8 +399,8 @@ class TestStacks:
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(a)
 
+        problems = _qubit_stack()[:3]  # built first: the objective check factors too
         monkeypatch.setattr(np.linalg, "cholesky", fail_after_the_first_block)
-        problems = _qubit_stack()[:3]
         with pytest.raises(SolverError, match="^block 1: .*smallest diagonal") as excinfo:
             sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
         partial = excinfo.value.solution
