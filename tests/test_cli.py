@@ -146,7 +146,6 @@ class TestCertify:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {next(iter(update))} must be")
 
-
     def test_stored_dims_whose_product_overflows_int64_are_a_parse_error(
         self, certificate, capsys
     ):
