@@ -64,6 +64,17 @@ and best iterate; a problem that meets its stopping test leaves the stack.  So
 each problem's trajectory is the one it has when solved alone.  :func:`solve`
 is the stack of one; :func:`solve_block_diagonal` reduces its blocks and runs
 one stack per reduced shape.
+
+Spectral pair.  Before it iterates, the solver takes one eigendecomposition
+of each reduced objective, which also gives ||Q||.  Let T hold the k
+eigenvectors within tol * ||Q|| of the largest eigenvalue lambda.  Then
+X = (d_in / k) T T^H is positive semidefinite, Y = lambda I is dual feasible,
+and the two values differ by at most d_in tol ||Q||.  When Tr_out X = I, the
+pair is optimal: this is the flat dual of the source paper's (3/4)^n,
+2/(d+1) and ticket values, with its matching primal.  The pair is accepted
+by the stopping test of the iteration (relative gap and primal residual at
+most tol, the residual scaled by 1 + ||Q||) and returned after 0 iterations.
+A problem that fails the test joins its stack unchanged.
 """
 
 from __future__ import annotations
@@ -291,6 +302,36 @@ def _solution_from_iterates(problem, support, x, y, iterations, stats):
     return SdpSolution(x, y, pval, dval, dval - pval, iterations, tuple(stats))
 
 
+def _stopping_test(gap, pval, dval, pinf, dinf, obj_scale, tol):
+    """The relative gap and whether each problem has converged: rel_gap <= tol and both
+    residuals at most tol * (1 + ||Q||), the one acceptance policy of the solver."""
+    rel_gap = gap / np.maximum(1.0, (np.abs(pval) + np.abs(dval)) / 2.0)
+    return rel_gap, (rel_gap <= tol) & (pinf <= tol * obj_scale) & (dinf <= tol * obj_scale)
+
+
+def _spectral_solution(problem, support, w, v, norm, tol) -> SdpSolution | None:
+    """The spectral pair X = (d_in / k) T T^H, Y = lambda_max I from the top cluster T
+    (the k eigenvectors of the reduced objective within tol * ||Q|| of lambda_max),
+    or None when it fails the stopping test.  Y is feasible by construction, so the
+    test decides on X's partial-trace residual and on the gap."""
+    d_in = problem.in_dim
+    top = w >= w[-1] - tol * norm
+    k = int(top.sum())
+    t = v[:, top].reshape(-1, d_in, k)
+    pinf = np.abs(np.eye(d_in) - (d_in / k) * np.einsum("ajk,alk->jl", t, t.conj())).max()
+    pval = d_in / k * float(w[top].sum())
+    dval = d_in * float(w[-1])
+    _, done = _stopping_test(dval - pval, pval, dval, pinf, 0.0, 1.0 + norm, tol)
+    if not done:
+        return None
+    if support is not None:  # lift T, not X: T vanishes on the complement row, where Q~ is 0
+        t = np.einsum("ar,rjk->ajk", support, t[: support.shape[1]])
+    t = t.reshape(problem.dim, k)
+    x = _hermitian((d_in / k) * (t @ t.conj().T))
+    y = float(w[-1]) * np.eye(d_in, dtype=np.complex128)
+    return _solution_from_iterates(problem, None, x, y, 0, [])
+
+
 def _solve_all(problems: list[CloningSdp], tol: float, max_iterations: int) -> list[SdpSolution]:
     """Solve each problem; those of one reduced shape share one stacked iteration.
 
@@ -304,11 +345,15 @@ def _solve_all(problems: list[CloningSdp], tol: float, max_iterations: int) -> l
     groups: dict[tuple, list] = {}
     for i, problem in enumerate(problems):
         obj, weights, support = _reduce(problem)
-        norm = linalg.operator_norm(obj)
+        w, v = linalg.hermitian_eig(obj)
+        norm = float(max(-w[0], w[-1], 0.0))
         if norm == 0.0:
             x = np.eye(problem.dim, dtype=np.complex128) / problem.out_dim
             y = np.zeros((problem.in_dim,) * 2, dtype=np.complex128)
             solutions[i] = _solution_from_iterates(problem, None, x, y, 0, [])
+            continue
+        solutions[i] = _spectral_solution(problem, support, w, v, norm, tol)
+        if solutions[i] is not None:
             continue
         label = f"block {i}: " if len(problems) > 1 else ""
         # The problems share dims, so the reduced shape fixes the row weights too.
@@ -376,14 +421,13 @@ def _solve_stack(entries: list, tol: float, max_iterations: int) -> list[SdpSolu
         r_dual = _hermitian(obj + s - lift_dual(y))
         pinf = np.abs(r_primal).max(axis=(1, 2))
         dinf = np.abs(r_dual).max(axis=(1, 2))
-        rel_gap = gap / np.maximum(1.0, (np.abs(pval) + np.abs(dval)) / 2.0)
+        rel_gap, done = _stopping_test(gap, pval, dval, pinf, dinf, obj_scale, tol)
 
         score = rel_gap + pinf + dinf
         for j, i in enumerate(active):
             if best[i] is None or score[j] < best[i][0]:
                 best[i] = (score[j], x[j], y[j])  # iterates are replaced, never updated in place
 
-        done = (rel_gap <= tol) & (pinf <= tol * obj_scale) & (dinf <= tol * obj_scale)
         if done.any():
             for j in np.flatnonzero(done):
                 solutions[active[j]] = finish(active[j], x[j], y[j], iteration - 1)
@@ -520,6 +564,9 @@ def solve(
     -------
     SdpSolution
         Converged primal/dual pair with per-iteration statistics attached.
+        ``iterations == 0`` with an empty ``trace`` means the spectral pair
+        met the stopping test and no interior-point iteration ran (a zero
+        objective also returns at once).
     """
     return _solve_all([problem], tol, max_iterations)[0]
 
@@ -572,10 +619,11 @@ def solve_block_diagonal(
 ) -> SdpSolution:
     """Solve weighted same-shape subproblems and assemble one solution.
 
-    Each block is reduced to its output support, and the blocks of one reduced
-    shape run one stacked iteration together; every block keeps its own step
-    lengths, stopping test and best iterate, so its trajectory is that of its
-    separate :func:`solve`.  The returned primal/dual pair lives on the combined
+    Each block is reduced to its output support and first tries the spectral
+    pair.  The blocks that fail it and share one reduced shape run one stacked
+    iteration together; every block keeps its own step lengths, stopping test
+    and best iterate, so its trajectory is that of its separate :func:`solve`.
+    The returned primal/dual pair lives on the combined
     space of :func:`assemble_block_sdp`, which is not built here, and its values
     are the weighted sums of the block values.  Per-block solutions are kept on
     ``block_solutions``, in input order.  A block that exhausts ``MAX_ITERATIONS``

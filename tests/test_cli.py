@@ -122,10 +122,28 @@ class TestCertify:
         code, _ = run_cli(["certify", str(empty)], capsys)
         assert code == 2
 
-    def test_tolerance_override_can_reject(self, certificate, capsys):
-        code, rec = run_cli(["certify", str(certificate), "--tol", "1e-12"], capsys)
+    @pytest.fixture()
+    def widened_certificate(self, certificate):
+        """The certificate with its dual scaled by 1 + 1e-9: still feasible, with a
+        gap of about 7.5e-10 where the spectral pair's own gap is at roundoff."""
+        payload = json.loads(certificate.read_text())
+        payload["dual_y"] = [
+            [[(1 + 1e-9) * re, (1 + 1e-9) * im] for re, im in row] for row in payload["dual_y"]
+        ]
+        certificate.write_text(json.dumps(payload))
+        return certificate
+
+    def test_tolerance_override_can_reject(self, widened_certificate, capsys):
+        code, rec = run_cli(["certify", str(widened_certificate), "--tol", "1e-12"], capsys)
         assert code == 1
         assert rec["certified"] == "false"
+
+    def test_widened_certificate_passes_at_its_stored_tolerance(self, widened_certificate, capsys):
+        code, rec = run_cli(["certify", str(widened_certificate)], capsys)
+        assert code == 0
+        assert rec["certified"] == "true"
+        assert rec["tolerance"] == "1e-07"
+        assert 7e-10 < float(rec["gap"]) < 8e-10
 
     @pytest.mark.parametrize(
         "update",

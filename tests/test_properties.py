@@ -78,6 +78,7 @@ class TestWeakDuality:
             schemes.cloning_objective(schemes.Ensemble(2, items)), dims=(2, 2, 2)
         )
 
+    @pytest.mark.usefixtures("interior_point")
     def test_every_iterate_keeps_weak_duality(self):
         for problem in self._problems():
             solution = sdp.solve(problem)

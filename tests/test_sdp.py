@@ -1,4 +1,4 @@
-"""Solver tests: known optimal values, duality, validation, block assembly."""
+"""Solver tests: known optimal values, duality, validation, block assembly, the spectral pair."""
 
 import math
 
@@ -51,6 +51,7 @@ class TestKnownValues:
 
 
 class TestDuality:
+    @pytest.mark.usefixtures("interior_point")
     def test_weak_duality_along_the_whole_trace(self):
         sol = _solved(schemes.cloning_objective(schemes.wiesner_ensemble()), (2, 2, 2))
         assert sol.trace
@@ -98,6 +99,7 @@ class TestSolutionObjects:
         assert sol.iterations == 0
         assert np.allclose(sol.primal_x, np.eye(8) / 4.0)
 
+    @pytest.mark.usefixtures("interior_point")
     def test_iteration_cap_raises_with_best_iterate(self):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
         with pytest.raises(SolverError) as excinfo:
@@ -277,6 +279,7 @@ TRAJECTORIES = {
 }
 
 
+@pytest.mark.usefixtures("interior_point")
 class TestTrajectory:
     @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
     def test_matches_reference_trajectory(self, name):
@@ -291,6 +294,7 @@ class TestTrajectory:
         np.testing.assert_allclose(got, steps, rtol=0, atol=1e-6)
 
 
+@pytest.mark.usefixtures("interior_point")
 class TestStall:
     def test_unfactorable_primal_iterate_stops_at_once(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -347,6 +351,7 @@ def _recording_stacks(monkeypatch):
 
 
 class TestStacks:
+    @pytest.mark.usefixtures("interior_point")
     def test_a_stack_equals_separate_solves(self, monkeypatch):
         problems = _qubit_stack()
         alone = [sdp.solve(p) for p in problems]
@@ -373,6 +378,7 @@ class TestStacks:
             _assert_same_solution(got, ref)
         assert abs(sol.primal_value - sum(0.2 * s.primal_value for s in alone)) < 1e-12
 
+    @pytest.mark.usefixtures("interior_point")
     def test_a_block_at_the_cap_raises_with_its_own_best_iterate(self):
         notes = (schemes.wiesner_ensemble(), schemes.six_state_ensemble(),
                  schemes.sic_qubit_ensemble())
@@ -388,6 +394,7 @@ class TestStacks:
         assert partial.iterations == 2 and len(partial.trace) == 2
         _assert_same_solution(partial, alone.value.solution)
 
+    @pytest.mark.usefixtures("interior_point")
     def test_a_block_that_loses_positive_definiteness_stops_the_stack(self, monkeypatch):
         cholesky = np.linalg.cholesky
         calls = []
@@ -521,6 +528,7 @@ class TestOutputSupport:
         assert sol.primal_x.shape == (64, 64)
         assert sizes and 64 not in sizes
 
+    @pytest.mark.usefixtures("interior_point")
     def test_stall_carries_a_full_size_best_iterate(self):
         problem = composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()])
         assert _support_rank(problem) == 9
@@ -533,3 +541,105 @@ class TestOutputSupport:
         assert primal.min_eigenvalue > 0.0
         paired = float(np.real(np.trace(problem.objective @ partial.primal_x)))
         assert abs(paired - partial.primal_value) < 1e-12
+
+
+def _rotated(q, u):
+    """(U (x) U (x) conj U) Q (U (x) U (x) conj U)^H: the objective of the rotated states."""
+    big = np.kron(np.kron(u, u), u.conj())
+    return big @ q @ big.conj().T
+
+
+FLAT = {
+    "wiesner": (lambda: schemes.cloning_objective(schemes.wiesner_ensemble()), 2, 3 / 4),
+    "six-state": (lambda: schemes.cloning_objective(schemes.six_state_ensemble()), 2, 2 / 3),
+    "sic": (lambda: schemes.cloning_objective(schemes.sic_qubit_ensemble()), 2, 2 / 3),
+    **{
+        f"symmetric:{d}": (lambda d=d: schemes.symmetric_cloning_objective(d), d, 2 / (d + 1))
+        for d in (2, 3, 4)
+    },
+}
+
+
+def _random_four_state_problem(seed):
+    rng = np.random.default_rng([4, seed])
+    states = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    ensemble = schemes.Ensemble(2, tuple((0.25, psi) for psi in states))
+    return _qubit_problem(schemes.cloning_objective(ensemble))
+
+
+class TestSpectralPair:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(FLAT))
+    def test_haar_rotated_flat_problems_take_no_iteration(self, name, seed):
+        make, d, value = FLAT[name]
+        u = _haar_unitary(np.random.default_rng([d, seed]), d)
+        problem = sdp.CloningSdp(_rotated(make(), u), dims=(d, d, d))
+        sol = sdp.solve(problem)
+        assert sol.iterations == 0 and sol.trace == ()
+        assert abs(sol.primal_value - value) <= 1e-12
+        assert abs(sol.dual_value - value) <= 1e-12
+        report = certificates.certify(sol.primal_x, sol.dual_y, problem)
+        assert report.certified and abs(report.gap) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_ticket_challenge_block_takes_no_iteration(self, d):
+        blocks, weights = schemes.classical_objective_blocks(schemes.fourier_ticket_scheme(d))
+        pairs = sorted(weights)
+        problems = [
+            sdp.CloningSdp(schemes.assemble_challenge_block(blocks, d, *pair), dims=(d, d, d))
+            for pair in pairs
+        ]
+        sol = sdp.solve_block_diagonal(problems, [weights[pair] for pair in pairs])
+        assert sol.iterations == 0
+        mixed = (1 + 1 / math.sqrt(d)) / 2
+        for (c1, c2), problem, block in zip(pairs, problems, sol.block_solutions):
+            assert block.iterations == 0
+            assert abs(block.primal_value - (1.0 if c1 == c2 else mixed)) <= 1e-12
+            report = certificates.certify(block.primal_x, block.dual_y, problem)
+            assert report.certified and abs(report.gap) <= 1e-12
+        assert abs(sol.primal_value - (0.75 + 0.25 / math.sqrt(d))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_four_state_ensembles_fall_back(self, seed, request):
+        problem = _random_four_state_problem(seed)
+        sol = sdp.solve(problem)
+        assert sol.iterations > 0
+        request.getfixturevalue("interior_point")
+        _assert_same_solution(sol, sdp.solve(problem))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9])
+    @pytest.mark.parametrize("split", [10.0, -10.0, 0.1, -0.1])
+    def test_a_split_top_eigenvalue_is_never_certified_at_a_wrong_value(
+        self, split, tol, request
+    ):
+        # One top eigenvector of a Haar-rotated Wiesner objective moves by split * tol * ||Q||:
+        # a 10 tol split leaves the top cluster, a 0.1 tol split stays in it.
+        u = _haar_unitary(np.random.default_rng(99), 2)
+        q = _rotated(schemes.cloning_objective(schemes.wiesner_ensemble()), u)
+        w, v = np.linalg.eigh(q)
+        problem = _qubit_problem(q + split * tol * w[-1] * np.outer(v[:, -1], v[:, -1].conj()))
+        sol = sdp.solve(problem, tol=tol)
+        if sol.iterations == 0:
+            trace_defect = np.abs(problem.trace_out(sol.primal_x) - np.eye(2)).max()
+            assert sol.gap <= tol * sol.dual_value and trace_defect <= tol * (1 + w[-1])
+        assert (sol.iterations == 0) == (abs(split) < 1)
+        request.getfixturevalue("interior_point")
+        reference = sdp.solve(problem, tol=tol)
+        assert abs(sol.primal_value - reference.primal_value) <= tol
+        assert certificates.certify(sol.primal_x, sol.dual_y, problem, tol=10 * tol).certified
+
+    def test_an_objective_that_is_zero_up_to_roundoff_falls_back(self):
+        # Q is PSD within PSD_OBJECTIVE_TOL; ||Q|| is its eigenvalue -1e-11, not its top one.
+        problem = _qubit_problem(np.diag([1e-12] + [0.0] * 6 + [-1e-11]))
+        sol = sdp.solve(problem)
+        assert sol.iterations > 0
+        assert certificates.certify(sol.primal_x, sol.dual_y, problem).certified
+
+    def test_three_wiesner_notes_never_reach_the_iteration(self, monkeypatch):
+        problem = composition.repeated_sdp([_wiesner_sdp()] * 3)
+        sizes = _recording_stacks(monkeypatch)
+        sol = sdp.solve(problem)
+        assert sizes == []
+        assert sol.iterations == 0 and abs(sol.primal_value - 27 / 64) <= 1e-12
+        assert sol.primal_x.shape == (512, 512)
