@@ -47,7 +47,7 @@ class PrimalCheck:
 
     @functools.cached_property
     def min_eigenvalue(self) -> float:
-        return linalg.min_eigenvalue(linalg.as_hermitian(self.x, tol=1e-6))
+        return linalg.min_eigenvalue(linalg.as_hermitian(self.x))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class CertificateReport:
 
 
 def _slack(y: np.ndarray, problem: CloningSdp) -> np.ndarray:
-    return problem.lift_dual(linalg.as_hermitian(y, tol=1e-6)) - problem.objective
+    return problem.lift_dual(linalg.as_hermitian(y)) - problem.objective
 
 
 def check_primal(
@@ -111,7 +111,7 @@ def check_primal(
         raise DimensionError(
             f"primal matrix has shape {x.shape}, expected {(problem.dim, problem.dim)}"
         )
-    hermitian = linalg.as_hermitian(x, tol=1e-6)
+    hermitian = linalg.as_hermitian(x)
     defect = float(np.abs(problem.trace_out(hermitian) - np.eye(problem.in_dim)).max())
     value = float(np.real(np.sum(problem.objective * hermitian.T)))  # tr(QX) without forming QX
     return PrimalCheck(

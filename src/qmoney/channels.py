@@ -25,11 +25,6 @@ import numpy as np
 from . import linalg
 from .exceptions import ChannelValidationError, DimensionError
 
-CP_TOL = 1e-9
-TP_TOL = 1e-9
-KRAUS_TOL = 1e-10
-CROSS_CHECK_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ChoiOperator:
@@ -59,14 +54,14 @@ class ChoiOperator:
                 f"Choi matrix has shape {mat.shape}, expected {(n, n)} "
                 f"for out_dim {self.out_dim} and in_dim {self.in_dim}"
             )
-        if not linalg.bounded_below(mat, -CP_TOL):
+        if not linalg.positive_semidefinite(mat):
             raise ChannelValidationError(
                 "channel is not completely positive: minimum Choi eigenvalue "
                 f"{linalg.min_eigenvalue(mat):.3e}"
             )
         reduced = linalg.partial_trace(mat, (self.out_dim, self.in_dim), [1])
         defect = np.abs(reduced - np.eye(self.in_dim)).max()
-        if defect > TP_TOL:
+        if defect > linalg.VALUE_TOL:
             raise ChannelValidationError(
                 f"channel is not trace preserving: partial trace defect {defect:.3e}"
             )
@@ -88,7 +83,7 @@ def validate_kraus(kraus: list[np.ndarray]) -> list[np.ndarray]:
         raise DimensionError("Kraus operators must share one shape")
     total = sum(a.conj().T @ a for a in mats)
     defect = np.abs(total - np.eye(shape[1])).max()
-    if defect > KRAUS_TOL:
+    if defect > linalg.VALUE_TOL:
         raise ChannelValidationError(
             f"Kraus completeness sum deviates from the identity by {defect:.3e}"
         )
@@ -155,7 +150,7 @@ def success_probability(choi: ChoiOperator, ensemble) -> float:
     issuer projects both output registers onto the state.  The value is
     computed along two independent routes, by applying the channel and taking
     the expectation directly, and through the Choi quadratic form with the
-    conjugated input, and the two must agree to 1e-12.
+    conjugated input, and the two must agree to ``linalg.ROUNDOFF_TOL``.
     """
     d = ensemble.dim
     if choi.in_dim != d or choi.out_dim != d * d:
@@ -170,10 +165,10 @@ def success_probability(choi: ChoiOperator, ensemble) -> float:
         out = apply_channel(choi, np.outer(psi, psi.conj()))
         direct += weight * float(np.real(target.conj() @ out @ target))
         quad += weight * pair_with_conjugate(choi, target, psi)
-    if abs(direct - quad) > CROSS_CHECK_TOL:
+    if abs(direct - quad) > linalg.ROUNDOFF_TOL:
         raise ChannelValidationError(
             f"success probability routes disagree: {direct!r} vs {quad!r}"
         )
-    if not -1e-9 <= direct <= 1 + 1e-9:
+    if not -linalg.VALUE_TOL <= direct <= 1 + linalg.VALUE_TOL:
         raise ChannelValidationError(f"success probability {direct!r} outside [0, 1]")
     return min(1.0, max(0.0, direct))

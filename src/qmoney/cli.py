@@ -263,7 +263,7 @@ def _simulate_quantum(entry: ResolvedScheme, args) -> simulator.TrialReport:
         strategy = entry.strategy_factory()
     else:
         problem = entry.cloning_problem()
-        solution = sdp.solve(problem, tol=1e-9)
+        solution = sdp.solve(problem)
         strategy = channels.ChoiOperator(
             solution.primal_x, problem.in_dim, problem.out_dim
         )
@@ -312,15 +312,13 @@ def cmd_threshold(args) -> int:
     if not 1 <= args.t <= args.n:
         raise ValueError(f"threshold must lie in [1, {args.n}], got {args.t}")
     tol = _check_tol(args.tol)
-    problem = entry.cloning_problem()
-    _, flat = sdp.dual_norm_bound(problem)
-    solved = min(1.0, max(0.0, sdp.solve(problem, tol=tol).primal_value))
+    solution = sdp.solve(entry.cloning_problem(), tol=tol)
     # The binomial tail is certified only for an ensemble that realises the problem.
     conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
-        entry.ensemble(), flat / problem.in_dim, solved
+        entry.ensemble(), solution
     )
     # Roundoff can put the flat dual value d_in * ||Q|| just above a value of 1.
-    alpha = min(1.0, flat) if conditions else solved
+    alpha = min(1.0, solution.dual_value if conditions else max(0.0, solution.primal_value))
     value = composition.threshold_value(alpha, args.n, args.t)
     record = {
         "scheme": entry.ident,

@@ -22,10 +22,6 @@ from . import linalg, schemes
 from .channels import ChoiOperator, choi_from_kraus
 from .exceptions import ChannelValidationError, DimensionError
 
-POVM_COMPLETENESS_TOL = 1e-10
-POVM_POSITIVITY_TOL = 1e-10
-PAULI_CONJUGATION_TOL = 1e-12
-
 CHALLENGE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -100,12 +96,12 @@ class PauliOperators:
             u = getattr(self, name)
             if u.shape != (self.dim, self.dim):
                 raise DimensionError(f"{name} has shape {u.shape}, expected square of {self.dim}")
-            if np.abs(u.conj().T @ u - eye).max() > PAULI_CONJUGATION_TOL:
+            if np.abs(u.conj().T @ u - eye).max() > linalg.ROUNDOFF_TOL:
                 raise ChannelValidationError(f"{name} is not unitary")
         defect = np.abs(
             self.shift - self.fourier @ self.phase @ self.fourier.conj().T
         ).max()
-        if defect > PAULI_CONJUGATION_TOL:
+        if defect > linalg.ROUNDOFF_TOL:
             raise ChannelValidationError(
                 f"shift is not the Fourier conjugate of phase: defect {defect:.3e}"
             )
@@ -153,15 +149,13 @@ class TicketStrategy:
                     )
                 if len(answers) != 2:
                     raise DimensionError(f"outcome must carry an answer pair, got {answers}")
-                if not linalg.bounded_below(
-                    linalg.as_hermitian(effect, tol=1e-9), -POVM_POSITIVITY_TOL
-                ):
+                if not linalg.positive_semidefinite(linalg.as_hermitian(effect)):
                     raise ChannelValidationError(
                         f"effect for challenges {pair} is not positive semidefinite"
                     )
                 total += effect
             defect = np.abs(total - eye).max()
-            if defect > POVM_COMPLETENESS_TOL:
+            if defect > linalg.VALUE_TOL:
                 raise ChannelValidationError(
                     f"measurement for challenges {pair} is incomplete: defect {defect:.3e}"
                 )

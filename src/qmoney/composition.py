@@ -24,10 +24,8 @@ import numpy as np
 
 from . import certificates, linalg, schemes
 from .exceptions import CertificationError, DimensionError
-from .sdp import CloningSdp
+from .sdp import CloningSdp, SdpSolution
 
-AVERAGE_STATE_TOL = 1e-10
-NORM_CONDITION_TOL = 1e-9
 DENSE_GUARD = 1024
 
 
@@ -139,7 +137,7 @@ def tensor_certificates(
         )
     x = _grouped_product([np.asarray(m, dtype=np.complex128) for m in x_list], problems)
     y = _tensor([np.asarray(m, dtype=np.complex128) for m in y_list])
-    return linalg.as_hermitian(x, tol=1e-9), linalg.as_hermitian(y, tol=1e-9)
+    return linalg.as_hermitian(x), linalg.as_hermitian(y)
 
 
 @dataclass(frozen=True)
@@ -161,26 +159,21 @@ def build_threshold_operators(ensemble: schemes.Ensemble) -> ThresholdOperators:
     d = ensemble.dim
     success = schemes.cloning_objective(ensemble)
     failure = np.kron(np.eye(d * d), ensemble.average_state().conj()) - success
-    return ThresholdOperators(
-        success=success, failure=linalg.as_hermitian(failure, tol=1e-10)
-    )
+    return ThresholdOperators(success=success, failure=linalg.as_hermitian(failure))
 
 
-def threshold_conditions_hold(
-    ensemble: schemes.Ensemble, objective_norm: float, alpha: float
-) -> bool:
+def threshold_conditions_hold(ensemble: schemes.Ensemble, solution: SdpSolution) -> bool:
     """Whether the binomial-tail threshold analysis applies to this ensemble.
 
     Requires the ensemble average to be the maximally mixed state and
-    ``objective_norm``, the operator norm of the ensemble's cloning objective,
-    to equal alpha divided by the dimension, which makes the flat dual point
-    optimal for the single round.
+    ``solution``, the solved cloning problem of the ensemble, to be the
+    solver's spectral pair (``iterations == 0``): the flat dual point ||Q|| I
+    with a primal of the same value, so the flat dual is optimal for the
+    single round.
     """
     d = ensemble.dim
     average = ensemble.average_state()
-    if np.abs(average - np.eye(d) / d).max() > AVERAGE_STATE_TOL:
-        return False
-    return abs(objective_norm - alpha / d) <= NORM_CONDITION_TOL
+    return solution.iterations == 0 and np.abs(average - np.eye(d) / d).max() <= linalg.VALUE_TOL
 
 
 def _check_dense_guard(d: int, n: int) -> None:
@@ -237,5 +230,5 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     ops = build_threshold_operators(ensemble)
     r = _threshold_operator(ops, n, t)
     perm = _grouping_permutation([(3, 2)] * n)
-    objective = linalg.as_hermitian(_regroup(r, [d] * (3 * n), perm), tol=1e-9)
+    objective = linalg.as_hermitian(_regroup(r, [d] * (3 * n), perm))
     return CloningSdp(objective, tuple([d] * (3 * n)), n_out=2 * n)

@@ -10,6 +10,27 @@ Conventions used across the package:
   are row-major: factor 0 is the most significant.
 - Hermitian operators are symmetrized at the boundary by :func:`as_hermitian`,
   which repairs roundoff-sized defects and rejects anything larger.
+- Every check in the package decides with one of three tolerances, each
+  multiplied by max(1, scale) for the scale of what it judges:
+
+  * ``ROUNDOFF_TOL``, identities that hold to roundoff: Hermiticity (scale:
+    the largest entry), unit norms, orthonormality, unitarity, the two-route
+    cross-check (scale 1) and ensemble weight sums (scale: the number of
+    weights);
+  * ``PSD_TOL``, positive semidefiniteness verdicts by
+    :func:`positive_semidefinite` (scale: the trace, which for a positive
+    semidefinite matrix bounds its norm);
+  * ``VALUE_TOL``, comparisons of values: trace preservation, completeness
+    sums, average states, probabilities and block weights (scale 1), and
+    weak duality (scale: the larger objective value).
+
+  The floor at 1 keeps the absolute tolerance for scales up to 1, so no
+  verdict there moves and a tiny or zero matrix is not held to a vanishing
+  tolerance.  Above 1 the tolerance grows with the scale as roundoff does, so
+  an objective scaled by c > 1 is judged as it is at scale 1.  The solver's
+  support rank cut is a plain fraction of the largest eigenvalue, with no
+  floor.  A caller's own tolerance (the solver's and the certifier's ``tol``)
+  is absolute and outside this policy.
 
 Everything here is dense.  The problem sizes in this package top out around a
 few hundred dimensions, where dense LAPACK kernels are both faster and more
@@ -26,15 +47,17 @@ import numpy as np
 
 from .exceptions import DimensionError, EigendecompositionError, HermiticityError
 
-HERMITICITY_TOL = 1e-12
+ROUNDOFF_TOL = 1e-12
+PSD_TOL = 1e-9
+VALUE_TOL = 1e-9
 BLOCK_SPLIT_MIN_DIM = 64  # below it one LAPACK call costs less than finding blocks
 
 
-def as_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def as_hermitian(mat: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m†)/2 of a nearly Hermitian matrix.
 
-    Entrywise defects up to ``tol`` (relative to the largest entry) are treated
-    as roundoff and silently repaired.  A larger defect is a logic error
+    Entrywise defects up to ``ROUNDOFF_TOL`` times max(1, largest entry) are
+    treated as roundoff and silently repaired.  A larger defect is a logic error
     somewhere upstream, so it raises instead of being averaged away.
     """
     m = np.asarray(mat, dtype=np.complex128)
@@ -44,11 +67,13 @@ def as_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise HermiticityError("matrix has non-finite entries")
     m_h = m.conj().T
     defect = np.abs(m - m_h).max() if m.size else 0.0
-    scale = max(1.0, np.abs(m).max()) if m.size else 1.0
-    if defect > tol * scale:
-        raise HermiticityError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
+    if defect > ROUNDOFF_TOL:  # within it the verdict holds at any scale: entries go unread
+        scale = np.abs(m).max()
+        if defect > ROUNDOFF_TOL * scale:
+            raise HermiticityError(
+                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+                f"{ROUNDOFF_TOL:.1e} * {scale:.3e}"
+            )
     return (m + m_h) / 2
 
 
@@ -155,7 +180,7 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     acc = np.zeros((total, total), dtype=np.complex128)
     for perm in itertools.permutations(range(k)):
         acc += permutation_operator(dims, perm)
-    return as_hermitian(acc / math.factorial(k), tol=1e-10)
+    return as_hermitian(acc / math.factorial(k))
 
 
 def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
@@ -294,6 +319,11 @@ def bounded_below(m: np.ndarray, bound: float) -> bool:
         if not np.isfinite(factor).all():  # OpenBLAS factors NaN entries without failing
             return False
     return True
+
+
+def positive_semidefinite(m: np.ndarray) -> bool:
+    """Whether :func:`bounded_below` proves lambda_min(m) >= -PSD_TOL max(1, tr m)."""
+    return bounded_below(m, -PSD_TOL * max(1.0, float(np.trace(m).real)))
 
 
 def operator_norm(m: np.ndarray) -> float:

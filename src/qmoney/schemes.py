@@ -37,10 +37,6 @@ from . import linalg
 from ._codec import complex_to_pairs, is_number, pairs_to_vector
 from .exceptions import DimensionError, FileFormatError
 
-WEIGHT_TOL = 1e-12
-UNIT_TOL = 1e-12
-ORTHONORMAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -59,16 +55,16 @@ class Ensemble:
         for weight, vec in self.items:
             w = float(weight)
             v = np.asarray(vec, dtype=np.complex128).ravel()
-            if not w >= -WEIGHT_TOL:  # written so that NaN fails too
+            if not w >= -linalg.ROUNDOFF_TOL:  # written so that NaN fails too
                 raise DimensionError(f"weight {w} is negative or not a number")
             if v.size != self.dim:
                 raise DimensionError(f"state has size {v.size}, expected {self.dim}")
             norm = np.linalg.norm(v)
-            if not abs(norm - 1.0) <= UNIT_TOL:
+            if not abs(norm - 1.0) <= linalg.ROUNDOFF_TOL:
                 raise DimensionError(f"state norm {norm!r} is not 1")
             total += w
             cleaned.append((w, v))
-        if abs(total - 1.0) > WEIGHT_TOL * max(1, len(cleaned)):
+        if abs(total - 1.0) > linalg.ROUNDOFF_TOL * max(1, len(cleaned)):
             raise DimensionError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "items", tuple(cleaned))
 
@@ -77,7 +73,7 @@ class Ensemble:
         acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for w, v in self.items:
             acc += w * np.outer(v, v.conj())
-        return linalg.as_hermitian(acc, tol=1e-10)
+        return linalg.as_hermitian(acc)
 
 
 def wiesner_ensemble() -> Ensemble:
@@ -128,7 +124,7 @@ def cloning_objective(ensemble: Ensemble) -> np.ndarray:
     for w, psi in ensemble.items:
         v = np.kron(np.kron(psi, psi), psi.conj())
         acc += w * np.outer(v, v.conj())
-    return linalg.as_hermitian(acc, tol=1e-10)
+    return linalg.as_hermitian(acc)
 
 
 def symmetric_cloning_objective(d: int) -> np.ndarray:
@@ -140,9 +136,7 @@ def symmetric_cloning_objective(d: int) -> np.ndarray:
     """
     proj = linalg.symmetric_projector(d, 3)
     rank = math.comb(d + 2, 3)
-    return linalg.as_hermitian(
-        linalg.partial_transpose(proj, (d, d, d), [2]) / rank, tol=1e-10
-    )
+    return linalg.as_hermitian(linalg.partial_transpose(proj, (d, d, d), [2]) / rank)
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class BasisPair:
             if b.shape != (self.dim, self.dim):
                 raise DimensionError(f"{name} has shape {b.shape}, expected square of {self.dim}")
             gram = b.conj().T @ b
-            if not np.abs(gram - np.eye(self.dim)).max() <= ORTHONORMAL_TOL:
+            if not np.abs(gram - np.eye(self.dim)).max() <= linalg.ROUNDOFF_TOL:
                 raise DimensionError(f"{name} is not orthonormal")
             object.__setattr__(self, name, b)
 
@@ -236,7 +230,7 @@ def overlap_block(scheme: TicketScheme, s: int, t: int) -> np.ndarray:
     """The rank-two block |e_s^0><e_s^0| + |e_t^1><e_t^1| of the mixed-challenge objective."""
     u = scheme.pair.vector(s, 0)
     v = scheme.pair.vector(t, 1)
-    return linalg.as_hermitian(np.outer(u, u.conj()) + np.outer(v, v.conj()), tol=1e-10)
+    return linalg.as_hermitian(np.outer(u, u.conj()) + np.outer(v, v.conj()))
 
 
 def classical_objective_blocks(
@@ -254,7 +248,7 @@ def classical_objective_blocks(
     # [c1, c2, a1, a2, i, j]: the projectors of the keys accepting both answers, summed.
     stack = np.einsum("xak,ybk,ki,kj->xyabij", accept, accept, states, states.conj())
     stack /= 2 * scheme.dim
-    blocks = {i: linalg.as_hermitian(stack[i], tol=1e-10) for i in np.ndindex(stack.shape[:4])}
+    blocks = {i: linalg.as_hermitian(stack[i]) for i in np.ndindex(stack.shape[:4])}
     return blocks, {pair: 0.25 for pair in np.ndindex(2, 2)}
 
 
@@ -267,7 +261,7 @@ def assemble_challenge_block(
     the answer factors: the direct sum over the answer pair, with no output factor.
     """
     stack = [blocks[(c1, c2) + pair] for pair in np.ndindex(d, d)]
-    return linalg.as_hermitian(linalg.direct_sum(stack, 1, d), tol=1e-10)
+    return linalg.as_hermitian(linalg.direct_sum(stack, 1, d))
 
 
 def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.ndarray]:
@@ -308,7 +302,7 @@ def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.n
                 x[comp[0], comp[1], :, comp[0], comp[1], :] = np.outer(
                     vecs[:, 0], vecs[:, 0].conj()
                 )
-            witnesses[(c1, c2)] = linalg.as_hermitian(x.reshape(d**3, d**3), tol=1e-10)
+            witnesses[(c1, c2)] = linalg.as_hermitian(x.reshape(d**3, d**3))
     return witnesses
 
 

@@ -93,9 +93,7 @@ MIN_TOL = 1e-12
 MAX_TOL = 1e-2
 MAX_ITERATIONS = 200
 STEP_FRACTION = 0.98
-PSD_OBJECTIVE_TOL = 1e-9
 CHOLESKY_SHIFTS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
-SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class CloningSdp:
             raise DimensionError(
                 f"n_out must leave at least one input factor, got {n_out} of {len(dims)}"
             )
-        if not linalg.bounded_below(obj, -PSD_OBJECTIVE_TOL):
+        if not linalg.positive_semidefinite(obj):
             raise DimensionError(
                 "objective must be positive semidefinite, minimum eigenvalue "
                 f"{linalg.min_eigenvalue(obj):.3e}"
@@ -185,7 +183,8 @@ class SdpSolution:
     block_solutions: tuple["SdpSolution", ...] | None = None
 
     def __post_init__(self):
-        if self.gap < -1e-8:
+        scale = max(1.0, abs(self.primal_value), abs(self.dual_value))
+        if self.gap < -linalg.VALUE_TOL * scale:
             raise SolverError(
                 f"solution violates weak duality: gap {self.gap:.3e}", solution=None
             )
@@ -249,11 +248,11 @@ def _schur_solvers(m: np.ndarray) -> list:
 
 def _output_support(problem: CloningSdp) -> np.ndarray:
     """Orthonormal basis V (d_out x r) of the support of Tr_in Q: its eigenvectors
-    above ``SUPPORT_TOL`` times the largest eigenvalue."""
+    above ``linalg.ROUNDOFF_TOL`` times the largest eigenvalue."""
     w, v = linalg.hermitian_eig(
         linalg.partial_trace(problem.objective, (problem.out_dim, problem.in_dim), [0])
     )
-    return v[:, w > SUPPORT_TOL * w[-1]]
+    return v[:, w > linalg.ROUNDOFF_TOL * w[-1]]
 
 
 def _reduce(problem: CloningSdp) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -261,7 +260,7 @@ def _reduce(problem: CloningSdp) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     rows, and the support basis V (None when the problem is kept whole).
 
     The cut is taken only if it shrinks the problem (r + 1 < d_out) and Q's coupling
-    outside V (x) I is at most ``SUPPORT_TOL`` times Q's largest entry (itself at most
+    outside V (x) I is at most ``linalg.ROUNDOFF_TOL`` times Q's largest entry (itself at most
     ||Q||).  That coupling vanishes for an exact cut of a positive semidefinite Q, so
     the check only guards against a cut too coarse.
     """
@@ -272,7 +271,7 @@ def _reduce(problem: CloningSdp) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     q4 = obj.reshape(d_out, d_in, d_out, d_in)
     outside = np.eye(d_out) - v @ v.conj().T
     if r + 1 >= d_out or (
-        np.abs(outside @ obj.reshape(d_out, -1)).max() > SUPPORT_TOL * np.abs(obj).max()
+        np.abs(outside @ obj.reshape(d_out, -1)).max() > linalg.ROUNDOFF_TOL * np.abs(obj).max()
     ):
         return obj, np.ones(d_out), None
     reduced = np.zeros((r + 1, d_in, r + 1, d_in), dtype=np.complex128)
@@ -571,19 +570,6 @@ def solve(
     return _solve_all([problem], tol, max_iterations)[0]
 
 
-
-def dual_norm_bound(problem: CloningSdp) -> tuple[np.ndarray, float]:
-    """The closed-form dual point ||Q|| times the identity and its objective value.
-
-    Feasible by construction since lifting multiplies the identity by the
-    output identity, and optimal exactly when the problem admits a flat dual
-    optimum.  The value is in_dim * ||Q||.
-    """
-    norm = linalg.operator_norm(problem.objective)
-    y = norm * np.eye(problem.in_dim, dtype=np.complex128)
-    return y, float(problem.in_dim * norm)
-
-
 def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     """Validate weighted same-shape blocks; return the first, whose structure they share."""
     if not blocks or len(blocks) != len(weights):
@@ -591,7 +577,7 @@ def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     first = blocks[0]
     if any(b.dims != first.dims or b.n_out != first.n_out for b in blocks):
         raise DimensionError("blocks must share one factor structure")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > linalg.VALUE_TOL:
         raise DimensionError("weights must be nonnegative and sum to 1")
     return first
 

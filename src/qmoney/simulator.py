@@ -35,7 +35,6 @@ from . import channels, cloners, linalg, schemes
 BATCH_SIZE = 1 << 16
 MAX_BELL_QUBITS = 20
 DEFAULT_MAX_WORKERS = 8
-DISTRIBUTION_TOL = 1e-9
 
 SchemeLike = Union[schemes.Ensemble, schemes.TicketScheme]
 StrategyLike = Union[channels.ChoiOperator, cloners.TicketStrategy]
@@ -165,11 +164,11 @@ def _sum_batches(
 def _cdf_rows(prob: np.ndarray) -> np.ndarray:
     """Row-wise CDFs for categorical sampling, validated and exactly capped."""
     prob = np.asarray(prob, dtype=np.float64)
-    if prob.min() < -DISTRIBUTION_TOL:
+    if prob.min() < -linalg.VALUE_TOL:
         raise ValueError(f"negative outcome probability {prob.min():.3e}")
     prob = np.clip(prob, 0.0, None)
     sums = prob.sum(axis=1)
-    if np.abs(sums - 1.0).max() > DISTRIBUTION_TOL:
+    if np.abs(sums - 1.0).max() > linalg.VALUE_TOL:
         raise ValueError("outcome probabilities do not sum to one")
     cdf = np.cumsum(prob / sums[:, None], axis=1)
     cdf[:, -1] = 1.0

@@ -80,8 +80,8 @@ class TestAnalyticPairs:
         dual = report.dual.min_eigenvalue
         assert calls == [(512, 512)] * 2
         monkeypatch.undo()
-        assert primal == linalg.min_eigenvalue(linalg.as_hermitian(bx, tol=1e-6))
-        slack = product.lift_dual(linalg.as_hermitian(by, tol=1e-6)) - product.objective
+        assert primal == linalg.min_eigenvalue(linalg.as_hermitian(bx))
+        slack = product.lift_dual(linalg.as_hermitian(by)) - product.objective
         assert dual == linalg.min_eigenvalue(slack)
 
     def test_non_finite_entries_never_reach_the_positivity_check(self, monkeypatch):

@@ -75,7 +75,7 @@ def test_apply_channel_preserves_trace_and_positivity():
     psi = random_state(rng, 2)
     out = channels.apply_channel(choi, np.outer(psi, psi.conj()))
     np.testing.assert_allclose(np.trace(out).real, 1.0, atol=1e-11)
-    assert linalg.min_eigenvalue(linalg.as_hermitian(out, tol=1e-10)) >= -1e-10
+    assert linalg.min_eigenvalue(linalg.as_hermitian(out)) >= -1e-10
 
 
 def test_success_probability_identity_times_fixed_second_clone():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import linalg, sdp
+from qmoney import linalg
 from qmoney.exceptions import DimensionError, EigendecompositionError, HermiticityError
 
 
@@ -297,8 +297,8 @@ def test_zero_and_rank_one_objectives_are_bounded_below(n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     rank_one = linalg.as_hermitian(np.outer(v, v.conj()))
-    assert linalg.bounded_below(np.zeros((n, n)), -sdp.PSD_OBJECTIVE_TOL)
-    assert linalg.bounded_below(rank_one, -sdp.PSD_OBJECTIVE_TOL)
+    assert linalg.bounded_below(np.zeros((n, n)), -linalg.PSD_TOL)
+    assert linalg.bounded_below(rank_one, -linalg.PSD_TOL)
 
 
 def test_bounded_below_leaves_its_argument_alone():

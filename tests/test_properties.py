@@ -1,15 +1,18 @@
 """Standalone property suites.
 
-Four families, each independent of the rest of the test tree: channel
+Five families, each independent of the rest of the test tree: channel
 validation (CP and TP recognition), weak duality along every solver
-iterate, the Choi quadratic-form identity on random channels and states,
-and honest-user acceptance.
+iterate, scale invariance of the solved and certified optimum, the Choi
+quadratic-form identity on random channels and states, and honest-user
+acceptance.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from qmoney import channels, cloners, linalg, schemes, sdp, simulator
+from qmoney import certificates, channels, cloners, linalg, schemes, sdp, simulator
 from qmoney.exceptions import ChannelValidationError
 
 
@@ -93,6 +96,42 @@ class TestWeakDuality:
         for problem in self._problems():
             solution = sdp.solve(problem)
             assert solution.gap >= -1e-8
+
+
+class TestScaleInvariance:
+    """Scaling the objective by c scales the optimum by c and moves no verdict."""
+
+    CLOSED_FORMS = {"wiesner": 0.75, "six-state": 2.0 / 3.0, "ticket:2": 0.75 + 0.25 / math.sqrt(2)}
+
+    @staticmethod
+    def _solved(name, scale):
+        """The scaled problem and its solution; for ticket:2, the problem combining the
+        challenge blocks and the solution of the blocks."""
+        if name == "ticket:2":
+            blocks, weights = schemes.classical_objective_blocks(schemes.fourier_ticket_scheme(2))
+            problems = [
+                sdp.CloningSdp(scale * schemes.assemble_challenge_block(blocks, 2, *pair), (2,) * 3)
+                for pair in cloners.CHALLENGE_PAIRS
+            ]
+            weights = [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
+            return (
+                sdp.assemble_block_sdp(problems, weights),
+                sdp.solve_block_diagonal(problems, weights),
+            )
+        ensemble = {"wiesner": schemes.wiesner_ensemble, "six-state": schemes.six_state_ensemble}
+        problem = sdp.CloningSdp(scale * schemes.cloning_objective(ensemble[name]()), (2, 2, 2))
+        return problem, sdp.solve(problem)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("name", ["wiesner", "six-state", "ticket:2"])
+    def test_scaled_objective_solves_to_the_scaled_closed_form(self, name, scale):
+        problem, solution = self._solved(name, scale)
+        expected = scale * self.CLOSED_FORMS[name]
+        assert solution.iterations == 0
+        assert abs(solution.primal_value - expected) <= 1e-9 * expected
+        assert abs(solution.dual_value - expected) <= 1e-9 * expected
+        if scale <= 1e4:  # the certifier's tolerance is absolute, so larger scales are not asked
+            assert certificates.certify(solution.primal_x, solution.dual_y, problem).certified
 
 
 class TestOutputOverlapIdentity:

@@ -191,7 +191,7 @@ def test_custom_accept_predicate():
     blocks, _ = schemes.classical_objective_blocks(strict)
     loose_blocks, _ = schemes.classical_objective_blocks(base)
     for key in blocks:
-        diff = linalg.as_hermitian(loose_blocks[key] - blocks[key], tol=1e-10)
+        diff = linalg.as_hermitian(loose_blocks[key] - blocks[key])
         assert linalg.min_eigenvalue(diff) >= -1e-12
 
 

@@ -71,20 +71,6 @@ class TestDuality:
         sol = _solved(2.5 * q, (2, 2, 2))
         assert abs(sol.primal_value - 2.5 * 0.75) < 1e-5
 
-    def test_flat_dual_bound_matches_solver(self):
-        cases = [
-            (schemes.cloning_objective(schemes.wiesner_ensemble()), (2, 2, 2)),
-            (schemes.cloning_objective(schemes.six_state_ensemble()), (2, 2, 2)),
-            (schemes.symmetric_cloning_objective(3), (3, 3, 3)),
-        ]
-        for q, dims in cases:
-            problem = sdp.CloningSdp(q, dims=dims)
-            y, bound = sdp.dual_norm_bound(problem)
-            sol = sdp.solve(problem)
-            assert abs(bound - sol.primal_value) < 1e-6
-            slack = problem.lift_dual(y) - q
-            assert np.linalg.eigvalsh(slack)[0] > -1e-12
-
 
 class TestSolutionObjects:
     def test_primal_solution_is_an_attack_channel(self):
@@ -630,7 +616,7 @@ class TestSpectralPair:
         assert certificates.certify(sol.primal_x, sol.dual_y, problem, tol=10 * tol).certified
 
     def test_an_objective_that_is_zero_up_to_roundoff_falls_back(self):
-        # Q is PSD within PSD_OBJECTIVE_TOL; ||Q|| is its eigenvalue -1e-11, not its top one.
+        # Q is PSD within linalg.PSD_TOL; ||Q|| is its eigenvalue -1e-11, not its top one.
         problem = _qubit_problem(np.diag([1e-12] + [0.0] * 6 + [-1e-11]))
         sol = sdp.solve(problem)
         assert sol.iterations > 0
