@@ -219,11 +219,7 @@ def _direct_sum_blocks(m: np.ndarray) -> list[np.ndarray] | None:
 
 def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, block by block when it is a
-    permuted direct sum.  A stack large enough to be split is split matrix by matrix."""
-    if m.shape[-1] < BLOCK_SPLIT_MIN_DIM:
-        return np.linalg.eigvalsh(m)
-    if m.ndim > 2:
-        return np.stack([_blockwise_eigvalsh(part) for part in m])
+    permuted direct sum."""
     blocks = _direct_sum_blocks(m)
     if blocks is None:
         return np.linalg.eigvalsh(m)
@@ -231,19 +227,18 @@ def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def _spectral(decompose, m: np.ndarray, what: str):
-    """Run a LAPACK Hermitian eigensolver on a matrix or on a stack of them (leading
-    axes index the stack), mapping failure to EigendecompositionError."""
+    """Run a LAPACK Hermitian eigensolver on a square matrix, mapping failure to
+    EigendecompositionError."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     try:
         return decompose(m)
     except np.linalg.LinAlgError as exc:
-        n = m.shape[-1]
+        n = m.shape[0]
         scale = np.abs(m).max() if m.size else 0.0
-        stack = f" in a stack of shape {m.shape[:-2]}" if m.ndim > 2 else ""
         raise EigendecompositionError(
-            f"{what} failed for a {n}x{n} matrix{stack} (max entry {scale:.3e}): {exc}"
+            f"{what} failed for a {n}x{n} matrix (max entry {scale:.3e}): {exc}"
         ) from exc
 
 
@@ -268,19 +263,18 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def positive_definite_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`hermitian_eig` of a positive definite matrix, whose singular values
-    and left singular vectors are its eigenpairs; of each matrix on a stack.
+    and left singular vectors are its eigenpairs.
 
     The SVD stays on one thread up to a few dozen rows, where the Hermitian
     eigensolver of OpenBLAS 0.3.31 already waits on its thread pool (from 26).
     """
     u, w, _ = _spectral(np.linalg.svd, m, "singular value decomposition")
-    return w[..., ::-1], u[..., ::-1]
+    return w[::-1], u[:, ::-1]
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors; a
-    direct sum of k blocks costs k small factorizations instead of one large.
-    On a stack of matrices, the eigenvalues of each along the last axis."""
+    direct sum of k blocks costs k small factorizations instead of one large."""
     return _spectral(_blockwise_eigvalsh, m, "eigenvalue computation")
 
 

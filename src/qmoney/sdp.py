@@ -53,20 +53,8 @@ independent certifier both see the full problem.  The solver judges
 feasibility only of its own iterates, to decide when to stop; whether a
 returned pair is feasible is for :mod:`qmoney.certificates` to say.
 
-Stacks.  The iteration runs on a stack of reduced problems of one shape, the
-block data of SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999):
-every iterate carries a leading stack axis, so the Cholesky factors, the SVDs
-of the NT scaling, the Schur complements and the step-length spectra of the
-whole stack are one batched LAPACK call each, and the stack pays for one
-Python pass per iteration.  LAPACK factors each matrix of a stack as it would
-factor it alone, and each problem keeps its own step lengths, stopping test
-and best iterate; a problem that meets its stopping test leaves the stack.  So
-each problem's trajectory is the one it has when solved alone.  :func:`solve`
-is the stack of one; :func:`solve_block_diagonal` reduces its blocks and runs
-one stack per reduced shape.
-
 Spectral pair.  Before it iterates, the solver takes one eigendecomposition
-of each reduced objective, which also gives ||Q||.  Let T hold the k
+of the reduced objective, which also gives ||Q||.  Let T hold the k
 eigenvectors within tol * ||Q|| of the largest eigenvalue lambda.  Then
 X = (d_in / k) T T^H is positive semidefinite, Y = lambda I is dual feasible,
 and the two values differ by at most d_in tol ||Q||.  When Tr_out X = I, the
@@ -74,7 +62,7 @@ pair is optimal: this is the flat dual of the source paper's (3/4)^n,
 2/(d+1) and ticket values, with its matching primal.  The pair is accepted
 by the stopping test of the iteration (relative gap and primal residual at
 most tol, the residual scaled by 1 + ||Q||) and returned after 0 iterations.
-A problem that fails the test joins its stack unchanged.
+A problem that fails the test goes on to the iteration.
 """
 
 from __future__ import annotations
@@ -190,14 +178,14 @@ class SdpSolution:
             )
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(a b) for each pair of matrices on two stacks, without forming the products."""
-    return np.real(np.sum(a * b.swapaxes(-1, -2), axis=(-2, -1)))
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a b), without forming the product."""
+    return float(np.real(np.sum(a * b.T)))
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 for each matrix on a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """(m + m^H) / 2."""
+    return (m + m.conj().T) / 2
 
 
 def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
@@ -214,36 +202,33 @@ def _shifted_cholesky(m: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _step_length(lam_min: np.ndarray) -> np.ndarray:
-    """Fraction-to-boundary steps, capped at 1, along directions M from I:
+def _step_length(lam_min: float) -> float:
+    """Fraction-to-boundary step, capped at 1, along a direction M from I:
     I + alpha * M stays positive semidefinite up to alpha = -1 / lambda_min(M)."""
-    return np.minimum(1.0, STEP_FRACTION / -np.minimum(lam_min, -STEP_FRACTION))
+    return float(np.minimum(1.0, STEP_FRACTION / -np.minimum(lam_min, -STEP_FRACTION)))
 
 
 def _schur_complement(w: np.ndarray, rows: int, d_in: int) -> np.ndarray:
-    """For each W on a stack, the matrix of dY -> Tr_out(W (I (x) dY) W) on vec(dY):
-    N[(i, j), (k, l)] = sum_{c, a} W[(c, l), (a, j)] W[(a, i), (c, k)], one batched product."""
-    k = len(w)
-    w5 = w.reshape(k, rows, d_in, rows, d_in)
-    left = w5.transpose(0, 2, 4, 1, 3).reshape(k, d_in**2, rows**2)  # [(l, j), (c, a)]
-    right = w5.transpose(0, 3, 1, 2, 4).reshape(k, rows**2, d_in**2)  # [(c, a), (i, k)]
-    m = (left @ right).reshape(k, d_in, d_in, d_in, d_in)  # [l, j, i, k]
-    return m.transpose(0, 3, 2, 4, 1).reshape(k, d_in**2, d_in**2)
+    """The matrix of dY -> Tr_out(W (I (x) dY) W) on vec(dY):
+    N[(i, j), (k, l)] = sum_{c, a} W[(c, l), (a, j)] W[(a, i), (c, k)], one product."""
+    w4 = w.reshape(rows, d_in, rows, d_in)
+    left = w4.transpose(1, 3, 0, 2).reshape(d_in**2, rows**2)  # [(l, j), (c, a)]
+    right = w4.transpose(2, 0, 1, 3).reshape(rows**2, d_in**2)  # [(c, a), (i, k)]
+    m = (left @ right).reshape(d_in, d_in, d_in, d_in)  # [l, j, i, k]
+    return m.transpose(2, 1, 3, 0).reshape(d_in**2, d_in**2)
 
 
-def _schur_solvers(m: np.ndarray) -> list:
-    """One solver per Schur complement on a stack: its Cholesky factor, or, where
-    roundoff has left the complement indefinite, LU after a relative jitter."""
+def _schur_solver(m: np.ndarray):
+    """A solver for the Schur complement: its Cholesky factor, or, where roundoff has
+    left the complement indefinite, LU after a relative jitter."""
     try:
         # Not scipy's: its complex potrf wakes a second BLAS thread pool (3 notes: 2x slower).
-        factors = np.linalg.cholesky(m)
+        factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        if len(m) > 1:  # factor each alone: only an indefinite one is jittered
-            return [solver for part in m for solver in _schur_solvers(part[None])]
-        jitter = 1e-13 * max(1.0, np.trace(m[0]).real / m.shape[1])
-        m_reg = m[0] + jitter * np.eye(m.shape[1])
-        return [lambda rhs: np.linalg.solve(m_reg, rhs)]
-    return [lambda rhs, c=c: scipy.linalg.lapack.zpotrs(c, rhs, lower=1)[0] for c in factors]
+        jitter = 1e-13 * max(1.0, np.trace(m).real / m.shape[0])
+        m_reg = m + jitter * np.eye(m.shape[0])
+        return lambda rhs: np.linalg.solve(m_reg, rhs)
+    return lambda rhs: scipy.linalg.lapack.zpotrs(factor, rhs, lower=1)[0]
 
 
 def _output_support(problem: CloningSdp) -> np.ndarray:
@@ -296,13 +281,13 @@ def _lift_primal(x: np.ndarray, support: np.ndarray | None, problem: CloningSdp)
 
 def _solution_from_iterates(problem, support, x, y, iterations, stats):
     x = _lift_primal(x, support, problem)
-    pval = float(_pair(problem.objective, x))
+    pval = _pair(problem.objective, x)
     dval = float(np.real(np.trace(y)))
     return SdpSolution(x, y, pval, dval, dval - pval, iterations, tuple(stats))
 
 
 def _stopping_test(gap, pval, dval, pinf, dinf, obj_scale, tol):
-    """The relative gap and whether each problem has converged: rel_gap <= tol and both
+    """The relative gap and whether the problem has converged: rel_gap <= tol and both
     residuals at most tol * (1 + ||Q||), the one acceptance policy of the solver."""
     rel_gap = gap / np.maximum(1.0, (np.abs(pval) + np.abs(dval)) / 2.0)
     return rel_gap, (rel_gap <= tol) & (pinf <= tol * obj_scale) & (dinf <= tol * obj_scale)
@@ -331,61 +316,15 @@ def _spectral_solution(problem, support, w, v, norm, tol) -> SdpSolution | None:
     return _solution_from_iterates(problem, None, x, y, 0, [])
 
 
-def _solve_all(problems: list[CloningSdp], tol: float, max_iterations: int) -> list[SdpSolution]:
-    """Solve each problem; those of one reduced shape share one stacked iteration.
-
-    The solutions come back in input order.  When there are several problems, a
-    :class:`SolverError` names the block it comes from."""
-    if not MIN_TOL <= tol <= MAX_TOL:
-        raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    solutions: list = [None] * len(problems)
-    groups: dict[tuple, list] = {}
-    for i, problem in enumerate(problems):
-        obj, weights, support = _reduce(problem)
-        w, v = linalg.hermitian_eig(obj)
-        norm = float(max(-w[0], w[-1], 0.0))
-        if norm == 0.0:
-            x = np.eye(problem.dim, dtype=np.complex128) / problem.out_dim
-            y = np.zeros((problem.in_dim,) * 2, dtype=np.complex128)
-            solutions[i] = _solution_from_iterates(problem, None, x, y, 0, [])
-            continue
-        solutions[i] = _spectral_solution(problem, support, w, v, norm, tol)
-        if solutions[i] is not None:
-            continue
-        label = f"block {i}: " if len(problems) > 1 else ""
-        # The problems share dims, so the reduced shape fixes the row weights too.
-        groups.setdefault(obj.shape, []).append(
-            (i, label, problem, obj, weights, support, norm)
-        )
-    for entries in groups.values():
-        for (i, *_), solution in zip(entries, _solve_stack(entries, tol, max_iterations)):
-            solutions[i] = solution
-    return solutions
-
-
-def _solve_stack(entries: list, tol: float, max_iterations: int) -> list[SdpSolution]:
-    """The interior-point iteration on a stack of reduced problems of one shape.
-
-    Each entry is (index, label, problem, reduced objective, row weights, support,
-    objective norm) as :func:`_solve_all` builds it.  Every problem keeps its own
-    step lengths, stopping test and best iterate; one that meets the stopping test
-    leaves the stack, so its trajectory is that of solving it alone.
-    """
-    _, labels, problems, objs, row_weights, supports, norms = zip(*entries)
-    first = problems[0]
-    n, d_in, d_out = first.dim, first.in_dim, first.out_dim
-    weights = row_weights[0]
+def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -> SdpSolution:
+    """The interior-point iteration on a reduced problem: its objective, the barrier
+    weight of each of its output rows, its support basis and the objective norm, as
+    :func:`solve` finds them."""
+    n, d_in, d_out = problem.dim, problem.in_dim, problem.out_dim
     rows = len(weights)
     size = rows * d_in
-    solutions: list = [None] * len(entries)
-    stats: list[list[IterateStats]] = [[] for _ in entries]
-    best: list = [None] * len(entries)  # (score, x, y) of each problem's best iterate
-    active = np.arange(len(entries))  # problems still on the stack, in stack order
-    # One problem is stacked as a view: a copy of a large objective raises peak memory.
-    obj = objs[0][None] if len(objs) == 1 else np.stack(objs)
-    norms = np.array(norms)
+    stats: list[IterateStats] = []
+    best = None  # (score, x, y) of the best iterate
 
     eye_in = np.eye(d_in, dtype=np.complex128)
     omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
@@ -393,99 +332,76 @@ def _solve_stack(entries: list, tol: float, max_iterations: int) -> list[SdpSolu
     diagonal = np.arange(rows)
 
     def trace_out(m):
-        return m.reshape(-1, rows, d_in, rows, d_in).trace(axis1=1, axis2=3)
+        return m.reshape(rows, d_in, rows, d_in).trace(axis1=0, axis2=2)
 
     def lift_dual(m):
-        out = np.zeros((len(m), rows, d_in, rows, d_in), dtype=np.complex128)
-        out[:, diagonal, :, diagonal] = m
-        return out.reshape(len(m), size, size)
+        out = np.zeros((rows, d_in, rows, d_in), dtype=np.complex128)
+        out[diagonal, :, diagonal] = m
+        return out.reshape(size, size)
 
     # Strictly feasible start: X the identity / d_out on the full space (weight w on
     # the complement row), Y far enough out that the dual slack is positive definite.
-    x = np.broadcast_to(np.diag(omega / d_out), obj.shape).astype(np.complex128)
-    y = (norms + 1.0)[:, None, None] * eye_in
+    x = np.diag(omega / d_out).astype(np.complex128)
+    y = (norm + 1.0) * eye_in
     s = _hermitian(lift_dual(y) - obj)
-    obj_scale = 1.0 + np.abs(norms)
+    obj_scale = 1.0 + norm
 
-    def finish(i: int, x, y, iterations: int) -> SdpSolution:
-        return _solution_from_iterates(problems[i], supports[i], x, y, iterations, stats[i])
+    def finish(x, y, iterations: int) -> SdpSolution:
+        return _solution_from_iterates(problem, support, x, y, iterations, stats)
 
-    def stalled(i: int, message: str, iterations: int) -> SolverError:
-        _, bx, by = best[i]
-        return SolverError(labels[i] + message, solution=finish(i, bx, by, iterations))
+    def stalled(message: str, iterations: int) -> SolverError:
+        _, bx, by = best
+        return SolverError(message, solution=finish(bx, by, iterations))
 
-    gap, pval, dval = _pair(x, s), _pair(obj, x), np.real(np.trace(y, axis1=1, axis2=2))
+    gap, pval, dval = _pair(x, s), _pair(obj, x), float(np.trace(y).real)
     for iteration in range(1, max_iterations + 1):
         r_primal = eye_in - trace_out(x)
         r_dual = _hermitian(obj + s - lift_dual(y))
-        pinf = np.abs(r_primal).max(axis=(1, 2))
-        dinf = np.abs(r_dual).max(axis=(1, 2))
+        pinf = float(np.abs(r_primal).max())
+        dinf = float(np.abs(r_dual).max())
         rel_gap, done = _stopping_test(gap, pval, dval, pinf, dinf, obj_scale, tol)
 
         score = rel_gap + pinf + dinf
-        for j, i in enumerate(active):
-            if best[i] is None or score[j] < best[i][0]:
-                best[i] = (score[j], x[j], y[j])  # iterates are replaced, never updated in place
-
-        if done.any():
-            for j in np.flatnonzero(done):
-                solutions[active[j]] = finish(active[j], x[j], y[j], iteration - 1)
-            if done.all():
-                return solutions
-            keep = ~done  # copies only on the iterations where a problem leaves
-            active, obj_scale, obj, x, y, s, gap, r_primal, r_dual, pinf, dinf = (
-                a[keep]
-                for a in (active, obj_scale, obj, x, y, s, gap, r_primal, r_dual, pinf, dinf)
-            )
+        if best is None or score < best[0]:
+            best = (score, x, y)  # iterates are replaced, never updated in place
+        if done:
+            return finish(x, y, iteration - 1)
         mu = gap / n
 
         # NT scaling: X = L L^H and L^H S L = Q diag(lam) Q^H; G = L Q lam^(-1/4) gives
         # G^-1 X G^-H = G^H S G = D = diag(sqrt(lam)) and W = G G^H.  With H = G D^(-1/2),
         # S^-1 = H H^H, W = H D H^H, and H^H dS H = D^(-1/2) G^H dS G D^(-1/2).
-        try:
-            chol = np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            chol = np.empty_like(x)
-            for j, i in enumerate(active):
-                factor = _shifted_cholesky(x[j])
-                if factor is None:
-                    raise stalled(
-                        i,
-                        f"primal iterate lost positive definiteness at iteration {iteration}: "
-                        f"Cholesky failed at every shift {CHOLESKY_SHIFTS} of the mean diagonal; "
-                        f"smallest diagonal {float(np.diagonal(x[j]).real.min()):.3e}",
-                        iteration - 1,
-                    )
-                chol[j] = factor
-        lam, q = linalg.positive_definite_eig(_hermitian(chol.conj().swapaxes(1, 2) @ s @ chol))
-        positive = gap > 0.0  # tr(L^H S L) = <X, S>; singular values cannot show its sign
-        if not positive.all():
+        chol = _shifted_cholesky(x)
+        if chol is None:
             raise stalled(
-                active[np.argmin(positive)],
-                f"dual slack is not positive at iteration {iteration}",
+                f"primal iterate lost positive definiteness at iteration {iteration}: "
+                f"Cholesky failed at every shift {CHOLESKY_SHIFTS} of the mean diagonal; "
+                f"smallest diagonal {float(np.diagonal(x).real.min()):.3e}",
                 iteration - 1,
             )
+        lam, q = linalg.positive_definite_eig(_hermitian(chol.conj().T @ s @ chol))
+        if not gap > 0.0:  # tr(L^H S L) = <X, S>; singular values cannot show its sign
+            raise stalled(f"dual slack is not positive at iteration {iteration}", iteration - 1)
         # The floor caps the condition number of the scaling when roundoff
         # leaves tiny or zero eigenvalues in nominally positive iterates.
-        lam = np.maximum(lam, lam[:, -1:] * 1e-16)
-        h = (chol @ q) * lam[:, None, :] ** -0.5
+        lam = np.maximum(lam, lam[-1] * 1e-16)
+        h = (chol @ q) * lam**-0.5
         # Omega commutes with L and S (block diagonal), so the normalised scaled
         # Omega S^-1 is lam^-1/2 Q^H Omega Q lam^-1/2 = diag(1 / lam) + lam^-1/2 spread
         # lam^-1/2, with spread = Q^H (Omega - I) Q from the complement row's indices.
-        q_heavy = q[:, heavy]
-        spread = (q_heavy.conj().swapaxes(1, 2) * (omega[heavy] - 1.0)) @ q_heavy
+        q_heavy = q[heavy]
+        spread = (q_heavy.conj().T * (omega[heavy] - 1.0)) @ q_heavy
         del chol, q, q_heavy  # dense temporaries freed early keep peak memory flat
-        h_h = h.conj().swapaxes(1, 2)
-        w = _hermitian((h * lam[:, None, :] ** 0.5) @ h_h)
+        h_h = h.conj().T
+        w = _hermitian((h * lam**0.5) @ h_h)
 
-        solvers = _schur_solvers(_schur_complement(w, rows, d_in))
+        solve_schur = _schur_solver(_schur_complement(w, rows, d_in))
         rhs_dual = trace_out(w @ r_dual @ w) - r_primal
 
         def newton_direction(r_center):
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
-            rhs = (trace_out(r_center) + rhs_dual).reshape(len(solvers), -1)
-            dy = np.stack([solve_m(b) for solve_m, b in zip(solvers, rhs)])
-            dy = _hermitian(dy.reshape(-1, d_in, d_in))
+            dy = solve_schur((trace_out(r_center) + rhs_dual).reshape(-1))
+            dy = _hermitian(dy.reshape(d_in, d_in))
             ds = _hermitian(lift_dual(dy) - r_dual)
             dx = _hermitian(r_center - w @ ds @ w)
             return dx, dy, ds, h_h @ ds @ h
@@ -495,46 +411,36 @@ def _solve_stack(entries: list, tol: float, max_iterations: int) -> list[SdpSolu
         dx_aff, _, ds_aff, t_aff = newton_direction(-x)
         # Normalised scaled dX~ is -I - t_aff here, so one spectrum gives both.
         t = linalg.eigenvalues(t_aff)
-        alpha_p_aff = _step_length(-1.0 - t[:, -1])
-        alpha_d_aff = _step_length(t[:, 0])
-        mu_aff = _pair(
-            x + alpha_p_aff[:, None, None] * dx_aff, s + alpha_d_aff[:, None, None] * ds_aff
-        ) / n
+        alpha_p_aff = _step_length(-1.0 - t[-1])
+        alpha_d_aff = _step_length(t[0])
+        mu_aff = _pair(x + alpha_p_aff * dx_aff, s + alpha_d_aff * ds_aff) / n
         del dx_aff, ds_aff, t_aff  # freed before the corrector, as above
         # Python floats: numpy's ** 3 on an array rounds differently from libm's pow.
-        sigma = np.array([
-            min(1.0, max((m_aff / m) ** 3, 0.0)) if m > 0 else 0.1
-            for m_aff, m in zip(mu_aff.tolist(), mu.tolist())
-        ])
-        sigma_mu = (sigma * mu)[:, None, None]
+        sigma = min(1.0, max((mu_aff / mu) ** 3, 0.0)) if mu > 0 else 0.1
+        sigma_mu = sigma * mu
 
         h_omega = np.sqrt(omega)[:, None] * h
         # sigma mu Omega^1/2 S^-1 Omega^1/2 - X, which is sigma mu Omega S^-1 - X.
-        r_center = sigma_mu * (h_omega @ h_omega.conj().swapaxes(1, 2)) - x
+        r_center = sigma_mu * (h_omega @ h_omega.conj().T) - x
         dx, dy, ds, t_ds = newton_direction(r_center)
         lam_root = lam**-0.5
-        t_dx = sigma_mu * lam_root[:, :, None] * spread * lam_root[:, None, :]
-        t_dx.reshape(len(t_dx), -1)[:, :: size + 1] += sigma_mu[:, :, 0] / lam - 1.0
+        t_dx = sigma_mu * lam_root[:, None] * spread * lam_root
+        t_dx.reshape(-1)[:: size + 1] += sigma_mu / lam - 1.0
         t_dx -= t_ds
-        # Both corrector spectra in one call: the primal's first, then the dual's.
-        lam_min = linalg.eigenvalues(np.concatenate((t_dx, t_ds)))[:, 0]
-        alpha_p, alpha_d = _step_length(lam_min[: len(x)]), _step_length(lam_min[len(x) :])
+        alpha_p = _step_length(linalg.min_eigenvalue(t_dx))
+        alpha_d = _step_length(linalg.min_eigenvalue(t_ds))
 
-        x = _hermitian(x + alpha_p[:, None, None] * dx)
-        y = _hermitian(y + alpha_d[:, None, None] * dy)
-        s = _hermitian(s + alpha_d[:, None, None] * ds)
+        x = _hermitian(x + alpha_p * dx)
+        y = _hermitian(y + alpha_d * dy)
+        s = _hermitian(s + alpha_d * ds)
         del dx, ds, t_dx, t_ds, r_center, h, h_h, h_omega, w, spread  # freed before the next SVD
 
-        gap, pval, dval = _pair(x, s), _pair(obj, x), np.real(np.trace(y, axis1=1, axis2=2))
-        columns = (pval, dval, gap, mu, pinf, dinf, alpha_p, alpha_d)  # IterateStats order
-        for i, *values in zip(active, *(column.tolist() for column in columns)):
-            stats[i].append(IterateStats(iteration, *values))
+        gap, pval, dval = _pair(x, s), _pair(obj, x), float(np.trace(y).real)
+        stats.append(IterateStats(iteration, pval, dval, gap, mu, pinf, dinf, alpha_p, alpha_d))
 
-    i = active[0]
     raise stalled(
-        i,
         f"no convergence to tol {tol:.1e} within {max_iterations} iterations; "
-        f"best relative gap {best[i][0]:.3e}",
+        f"best relative gap {best[0]:.3e}",
         max_iterations,
     )
 
@@ -567,7 +473,21 @@ def solve(
         met the stopping test and no interior-point iteration ran (a zero
         objective also returns at once).
     """
-    return _solve_all([problem], tol, max_iterations)[0]
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    obj, weights, support = _reduce(problem)
+    w, v = linalg.hermitian_eig(obj)
+    norm = float(max(-w[0], w[-1], 0.0))
+    if norm == 0.0:
+        x = np.eye(problem.dim, dtype=np.complex128) / problem.out_dim
+        y = np.zeros((problem.in_dim,) * 2, dtype=np.complex128)
+        return _solution_from_iterates(problem, None, x, y, 0, [])
+    solution = _spectral_solution(problem, support, w, v, norm, tol)
+    if solution is not None:
+        return solution
+    return _interior_point(problem, obj, weights, support, norm, tol, max_iterations)
 
 
 def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
@@ -577,7 +497,8 @@ def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     first = blocks[0]
     if any(b.dims != first.dims or b.n_out != first.n_out for b in blocks):
         raise DimensionError("blocks must share one factor structure")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > linalg.VALUE_TOL:
+    # Written so that NaN fails both tests.
+    if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= linalg.VALUE_TOL:
         raise DimensionError("weights must be nonnegative and sum to 1")
     return first
 
@@ -605,22 +526,21 @@ def solve_block_diagonal(
 ) -> SdpSolution:
     """Solve weighted same-shape subproblems and assemble one solution.
 
-    Each block is reduced to its output support and first tries the spectral
-    pair.  The blocks that fail it and share one reduced shape run one stacked
-    iteration together; every block keeps its own step lengths, stopping test
-    and best iterate, so its trajectory is that of its separate :func:`solve`.
-    The returned primal/dual pair lives on the combined
-    space of :func:`assemble_block_sdp`, which is not built here, and its values
-    are the weighted sums of the block values.  Per-block solutions are kept on
-    ``block_solutions``, in input order.  A block that exhausts ``MAX_ITERATIONS``
-    or loses positive definiteness raises :class:`SolverError` naming it and
-    carrying its own best iterate, on its own space.  When several blocks would
-    fail, the error names the first to fail: stacks run in the order of their
-    first block, and within a stack the block failing at the earliest iteration
-    is named, which need not be the lowest failing index.
+    Each block is solved by :func:`solve`, in input order.  The returned
+    primal/dual pair lives on the combined space of :func:`assemble_block_sdp`,
+    which is not built here, and its values are the weighted sums of the block
+    values.  Per-block solutions are kept on ``block_solutions``, in input order.
+    A block that exhausts ``MAX_ITERATIONS`` or loses positive definiteness
+    raises :class:`SolverError` naming it and carrying its own best iterate, on
+    its own space; with several failing blocks, the error names the lowest.
     """
     first = _check_blocks(blocks, weights)
-    solutions = _solve_all(blocks, tol, MAX_ITERATIONS)
+    solutions = []
+    for i, block in enumerate(blocks):
+        try:
+            solutions.append(solve(block, tol, max_iterations=MAX_ITERATIONS))
+        except SolverError as exc:
+            raise SolverError(f"block {i}: {exc}", solution=exc.solution) from exc
     x = linalg.direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
     y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
     pval = sum(w * s.primal_value for s, w in zip(solutions, weights))

@@ -164,11 +164,12 @@ def _sum_batches(
 def _cdf_rows(prob: np.ndarray) -> np.ndarray:
     """Row-wise CDFs for categorical sampling, validated and exactly capped."""
     prob = np.asarray(prob, dtype=np.float64)
-    if prob.min() < -linalg.VALUE_TOL:
-        raise ValueError(f"negative outcome probability {prob.min():.3e}")
+    # Written so that NaN fails both tests.
+    if not prob.min() >= -linalg.VALUE_TOL:
+        raise ValueError(f"negative or NaN outcome probability {prob.min():.3e}")
     prob = np.clip(prob, 0.0, None)
     sums = prob.sum(axis=1)
-    if np.abs(sums - 1.0).max() > linalg.VALUE_TOL:
+    if not np.abs(sums - 1.0).max() <= linalg.VALUE_TOL:
         raise ValueError("outcome probabilities do not sum to one")
     cdf = np.cumsum(prob / sums[:, None], axis=1)
     cdf[:, -1] = 1.0

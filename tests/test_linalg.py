@@ -356,36 +356,11 @@ def _permuted_direct_sum(rng, sizes):
     return m[np.ix_(perm, perm)]
 
 
-@pytest.mark.parametrize("n", [1, 6, 27, 70])
-def test_spectra_of_a_stack_are_those_of_its_slices(n):
-    """Each slice of a (k, n, n) stack gets exactly its 2-D eigenvalues and eigenpairs;
-    at n = 70 the slices split into direct-sum blocks of their own."""
-    rng = np.random.default_rng(n)
-    if n >= linalg.BLOCK_SPLIT_MIN_DIM:
-        stack = np.stack([_permuted_direct_sum(rng, [40, 30]), _permuted_direct_sum(rng, [50, 20]),
-                          random_hermitian(rng, n, 1.0)])
-    else:
-        stack = np.stack([random_hermitian(rng, n, 1.0) for _ in range(3)])
-    positive = stack @ stack + 1e-3 * np.eye(n)
-    w = linalg.eigenvalues(stack)
-    pw, pv = linalg.positive_definite_eig(positive)
-    assert w.shape == pw.shape == (3, n) and pv.shape == (3, n, n)
-    for i in range(3):
-        np.testing.assert_array_equal(w[i], linalg.eigenvalues(stack[i]))
-        w2, v2 = linalg.positive_definite_eig(positive[i])
-        np.testing.assert_array_equal(pw[i], w2)
-        np.testing.assert_array_equal(pv[i], v2)
-
-
-@pytest.mark.parametrize("routine, lapack", [
-    (linalg.eigenvalues, "eigvalsh"), (linalg.positive_definite_eig, "svd"),
+@pytest.mark.parametrize("routine", [
+    linalg.eigenvalues, linalg.hermitian_eig, linalg.positive_definite_eig,
 ])
-def test_stack_failure_is_wrapped_with_the_size(monkeypatch, routine, lapack):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, lapack, fail)
-    with pytest.raises(EigendecompositionError, match=r"5x5 matrix in a stack of shape \(3,\)"):
+def test_spectral_routines_reject_a_stack(routine):
+    with pytest.raises(DimensionError, match="square matrix"):
         routine(np.stack([np.eye(5)] * 3))
 
 

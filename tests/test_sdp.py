@@ -204,6 +204,13 @@ class TestBlockProblems:
         with pytest.raises(DimensionError):
             sdp.assemble_block_sdp(blocks, [1.4, -0.4])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
+    @pytest.mark.parametrize("combine", [sdp.assemble_block_sdp, sdp.solve_block_diagonal])
+    def test_nan_weights_are_rejected(self, combine, weights):
+        blocks = [_wiesner_sdp(), _wiesner_sdp()]
+        with pytest.raises(DimensionError, match="weights"):
+            combine(blocks, weights)
+
 
 def _wiesner_sdp():
     return _qubit_problem(schemes.cloning_objective(schemes.wiesner_ensemble()))
@@ -296,7 +303,7 @@ class TestStall:
         assert partial.iterations == 0 and partial.trace == ()
 
 
-def _qubit_stack():
+def _qubit_blocks():
     """Wiesner, six-state, SIC, 2.5 x Wiesner (6 iterations, not 7) and a zero objective."""
     q = schemes.cloning_objective(schemes.wiesner_ensemble())
     objectives = [
@@ -323,33 +330,52 @@ def _assert_same_solution(got, alone):
             assert abs(getattr(mine, field) - getattr(theirs, field)) <= 1e-12, field
 
 
-def _recording_stacks(monkeypatch):
-    """Record the stack size of each stacked iteration that runs."""
-    sizes = []
-    solve_stack = sdp._solve_stack
+def _counting_iterations(monkeypatch):
+    """Record each problem that reaches the interior-point iteration."""
+    reached = []
+    interior_point = sdp._interior_point
 
-    def recording(entries, *args):
-        sizes.append(len(entries))
-        return solve_stack(entries, *args)
+    def counting(problem, *args):
+        reached.append(problem)
+        return interior_point(problem, *args)
 
-    monkeypatch.setattr(sdp, "_solve_stack", recording)
-    return sizes
+    monkeypatch.setattr(sdp, "_interior_point", counting)
+    return reached
 
 
-class TestStacks:
+def _cholesky_failing_from_block(monkeypatch, first_failing):
+    """Make every Cholesky factorization fail once block ``first_failing`` of a
+    :func:`sdp.solve_block_diagonal` call starts."""
+    cholesky, solve = np.linalg.cholesky, sdp.solve
+    started = []
+
+    def counting_solve(*args, **kwargs):
+        started.append(args[0])
+        return solve(*args, **kwargs)
+
+    def failing(a):
+        if len(started) > first_failing:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(sdp, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+
+
+class TestBlocks:
     @pytest.mark.usefixtures("interior_point")
-    def test_a_stack_equals_separate_solves(self, monkeypatch):
-        problems = _qubit_stack()
+    def test_each_block_equals_its_separate_solve(self, monkeypatch):
+        problems = _qubit_blocks()
         alone = [sdp.solve(p) for p in problems]
         assert len({s.iterations for s in alone}) == 3  # 7, 6 and 0 iterations
-        sizes = _recording_stacks(monkeypatch)
+        reached = _counting_iterations(monkeypatch)
         sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
         # The zero objective is answered at once, without iterating.
-        assert sizes == [4]
+        assert [id(p) for p in reached] == [id(p) for p in problems[:4]]
         for got, ref in zip(sol.block_solutions, alone):
             _assert_same_solution(got, ref)
 
-    def test_blocks_of_different_reduced_shapes_run_in_separate_stacks(self, monkeypatch):
+    def test_blocks_of_different_reduced_shapes_equal_separate_solves(self):
         ranks = [2, 1, 3, 2, 1]
         problems = [
             _rank_deficient_problem(np.random.default_rng([7, i]), 6, 3, r)
@@ -357,49 +383,50 @@ class TestStacks:
         ]
         assert [sdp._reduce(p)[0].shape[0] for p in problems] == [3 * (r + 1) for r in ranks]
         alone = [sdp.solve(p) for p in problems]
-        sizes = _recording_stacks(monkeypatch)
         sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
-        assert sorted(sizes) == [1, 2, 2]
         for got, ref in zip(sol.block_solutions, alone):
             _assert_same_solution(got, ref)
         assert abs(sol.primal_value - sum(0.2 * s.primal_value for s in alone)) < 1e-12
 
     @pytest.mark.usefixtures("interior_point")
-    def test_a_block_at_the_cap_raises_with_its_own_best_iterate(self):
+    def test_a_block_at_the_cap_raises_with_its_own_best_iterate(self, monkeypatch):
         notes = (schemes.wiesner_ensemble(), schemes.six_state_ensemble(),
                  schemes.sic_qubit_ensemble())
         blocks = [composition.repeated_sdp([_qubit_problem(schemes.cloning_objective(e))] * 2)
                   for e in notes]
         assert {sdp._reduce(b)[0].shape for b in blocks} == {(40, 40)}
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverError, match="^block 0: no convergence") as excinfo:
-            sdp._solve_all(blocks, sdp.DEFAULT_TOL, 2)
+            sdp.solve_block_diagonal(blocks, [1 / 3] * 3)
         with pytest.raises(SolverError) as alone:
-            sdp.solve(blocks[0], max_iterations=2)
+            sdp.solve(blocks[0], max_iterations=sdp.MAX_ITERATIONS)
         partial = excinfo.value.solution
         assert partial.primal_x.shape == (64, 64)
         assert partial.iterations == 2 and len(partial.trace) == 2
         _assert_same_solution(partial, alone.value.solution)
 
     @pytest.mark.usefixtures("interior_point")
-    def test_a_block_that_loses_positive_definiteness_stops_the_stack(self, monkeypatch):
-        cholesky = np.linalg.cholesky
-        calls = []
-
-        def fail_after_the_first_block(a):
-            # The stacked call fails, block 0 then factors alone, block 1 never does.
-            calls.append(np.ndim(a))
-            if np.ndim(a) > 2 or calls.count(2) > 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a)
-
-        problems = _qubit_stack()[:3]  # built first: the objective check factors too
-        monkeypatch.setattr(np.linalg, "cholesky", fail_after_the_first_block)
+    def test_a_block_that_loses_positive_definiteness_is_named(self, monkeypatch):
+        problems = _qubit_blocks()[:3]  # built first: the objective check factors too
+        _cholesky_failing_from_block(monkeypatch, 1)
         with pytest.raises(SolverError, match="^block 1: .*smallest diagonal") as excinfo:
             sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
         partial = excinfo.value.solution
         assert partial.iterations == 0 and partial.trace == ()
         assert partial.primal_x.shape == (8, 8)
         assert abs(partial.primal_value - float(np.trace(problems[1].objective).real) / 4) < 1e-12
+
+    @pytest.mark.usefixtures("interior_point")
+    def test_the_lowest_failing_block_is_named(self, monkeypatch):
+        # Block 1 reaches the cap at iteration 2; block 2, which would fail at its
+        # first factorization, is never reached.
+        problems = [_qubit_problem(np.zeros((8, 8)))] + _qubit_blocks()[1:3]
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        _cholesky_failing_from_block(monkeypatch, 2)
+        with pytest.raises(SolverError, match="^block 1: no convergence") as excinfo:
+            sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
+        partial = excinfo.value.solution
+        assert partial.iterations == 2 and len(partial.trace) == 2
 
 
 def _support_rank(problem):
@@ -624,8 +651,8 @@ class TestSpectralPair:
 
     def test_three_wiesner_notes_never_reach_the_iteration(self, monkeypatch):
         problem = composition.repeated_sdp([_wiesner_sdp()] * 3)
-        sizes = _recording_stacks(monkeypatch)
+        reached = _counting_iterations(monkeypatch)
         sol = sdp.solve(problem)
-        assert sizes == []
+        assert reached == []
         assert sol.iterations == 0 and abs(sol.primal_value - 27 / 64) <= 1e-12
         assert sol.primal_x.shape == (512, 512)

@@ -452,6 +452,12 @@ class TestSampling:
         for shape in shapes[::-1] + shapes[1::2] + shapes[::2]:
             assert run(*shape) == fresh[shape]
 
+    @pytest.mark.parametrize("prob", [[[math.nan, 1.0]], [[0.5, 0.5], [1.0, math.nan]],
+                                      [[math.nan, math.nan]]])
+    def test_cdf_rows_rejects_nan_probabilities(self, prob):
+        with pytest.raises(ValueError, match="NaN"):
+            simulator._cdf_rows(np.array(prob))
+
     def test_sample_rows_matches_a_per_row_bisection(self):
         rng = np.random.default_rng(4)
         prob = rng.random((4, 6))
