@@ -50,7 +50,6 @@ from .exceptions import DimensionError, EigendecompositionError, HermiticityErro
 ROUNDOFF_TOL = 1e-12
 PSD_TOL = 1e-9
 VALUE_TOL = 1e-9
-BLOCK_SPLIT_MIN_DIM = 64  # below it one LAPACK call costs less than finding blocks
 
 
 def as_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -193,39 +192,6 @@ def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
     return big.reshape(d_out * k * d_in, d_out * k * d_in)
 
 
-def _direct_sum_blocks(m: np.ndarray) -> list[np.ndarray] | None:
-    """The diagonal blocks of a Hermitian matrix that is a permuted direct sum, the
-    components of its nonzero pattern, copied out as one stack per block size; None
-    when the matrix is too small to be worth splitting or index 0 links to every index."""
-    n = m.shape[-1]
-    if n < BLOCK_SPLIT_MIN_DIM or np.all(m[0]):
-        return None
-    linked = (m != 0) | (m != 0).T
-    labels = np.arange(n)
-    while True:  # smallest label among self and neighbours, then the label's own label
-        spread = np.minimum(labels, np.where(linked, labels, n).min(axis=1))
-        spread = spread[spread]
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    sizes = np.bincount(labels)[labels]
-    stacks = []
-    for size in np.unique(sizes):  # blocks of one size share one stacked LAPACK call
-        idx = np.flatnonzero(sizes == size)
-        idx = idx[np.argsort(labels[idx], kind="stable")].reshape(-1, size)
-        stacks.append(m[idx[:, :, None], idx[:, None, :]])
-    return stacks
-
-
-def _blockwise_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, block by block when it is a
-    permuted direct sum."""
-    blocks = _direct_sum_blocks(m)
-    if blocks is None:
-        return np.linalg.eigvalsh(m)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in blocks]))
-
-
 def _spectral(decompose, m: np.ndarray, what: str):
     """Run a LAPACK Hermitian eigensolver on a square matrix, mapping failure to
     EigendecompositionError."""
@@ -273,9 +239,8 @@ def positive_definite_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors; a
-    direct sum of k blocks costs k small factorizations instead of one large."""
-    return _spectral(_blockwise_eigvalsh, m, "eigenvalue computation")
+    """Eigenvalues of a Hermitian matrix, ascending, without eigenvectors."""
+    return _spectral(np.linalg.eigvalsh, m, "eigenvalue computation")
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -288,31 +253,26 @@ def bounded_below(m: np.ndarray, bound: float) -> bool:
 
     ``m`` must be exactly Hermitian (as :func:`as_hermitian` returns it).  The
     factorization is of m - (bound + delta) I, where
-    delta = 4 (n + 1) u tr(m - bound I) and u = 2**-53 bounds the backward error
-    of a complex Cholesky factorization (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  So True is a proof;
-    False means the bound fails or lies within delta of lambda_min.  A direct
-    sum is factored block by block, each block with its own n and delta, so
-    small blocks stay off the BLAS thread pool.  numpy's Cholesky, not scipy's:
-    scipy links a second OpenBLAS whose thread pool slows the solver's own
-    factorizations.
+    delta = 4 (n + 1) u max(0, tr(m - bound I)) and u = 2**-53 bounds the
+    backward error of a complex Cholesky factorization (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  So True is a proof;
+    False means the bound fails or lies within delta of lambda_min.  numpy's
+    Cholesky, not scipy's: scipy links a second OpenBLAS whose thread pool slows
+    the solver's own factorizations.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.array(m, dtype=np.complex128)  # a copy, shifted in place
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    for stack in _direct_sum_blocks(m) or [np.array(m)[None]]:  # copies, shifted in place
-        n = stack.shape[-1]
-        diagonal = np.einsum("kii->ki", stack)  # a writeable view
-        # A negative trace leaves a negative diagonal entry, on which Cholesky fails exactly.
-        delta = 4 * (n + 1) * 2.0**-53 * np.maximum(diagonal.real.sum(axis=1) - n * bound, 0)
-        diagonal -= (bound + delta)[:, None]
-        try:
-            factor = np.linalg.cholesky(stack)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.isfinite(factor).all():  # OpenBLAS factors NaN entries without failing
-            return False
-    return True
+    n = m.shape[0]
+    diagonal = np.einsum("ii->i", m)  # a writeable view
+    # A negative trace leaves a negative diagonal entry, on which Cholesky fails exactly.
+    delta = 4 * (n + 1) * 2.0**-53 * max(0.0, diagonal.real.sum() - n * bound)
+    diagonal -= bound + delta
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())  # OpenBLAS factors NaN entries without failing
 
 
 def positive_semidefinite(m: np.ndarray) -> bool:

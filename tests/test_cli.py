@@ -1,5 +1,6 @@
 """CLI tests: subcommand output, exit codes, file round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -83,18 +84,71 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", "--scheme", "nonsense"], capsys)
         assert code == 2
 
-    def test_output_embeds_a_recertifiable_certificate(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scheme, n, value",
+        [("wiesner", 3, 0.75**3), ("ticket:3", 1, 0.75 + 0.25 / 3**0.5)],
+        ids=["wiesner", "ticket:3"],
+    )
+    def test_output_embeds_a_recertifiable_certificate(self, tmp_path, capsys, scheme, n, value):
         out = tmp_path / "record.json"
         code, _ = run_cli(
-            ["analyze", "--scheme", "wiesner", "--n", "3", "--output", str(out)], capsys
+            ["analyze", "--scheme", scheme, "--n", str(n), "--output", str(out)], capsys
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["scheme"] == "wiesner"
-        assert abs(payload["repeated_value"] - 0.75**3) < 1e-6
+        assert payload["scheme"] == scheme
+        assert abs(payload["repeated_value"] - value) < 1e-6
         code, rec = run_cli(["certify", str(out)], capsys)
         assert code == 0
         assert rec["certified"] == "true"
+
+
+class TestTicketBlocks:
+    """A ticket scheme is certified challenge block by challenge block."""
+
+    def test_one_infeasible_block_fails_the_scheme(self, monkeypatch, capsys):
+        solve_block_diagonal = sdp.solve_block_diagonal
+
+        def shrink_one_dual(blocks, weights, tol):
+            solution = solve_block_diagonal(blocks, weights, tol=tol)
+            parts = list(solution.block_solutions)
+            parts[1] = dataclasses.replace(parts[1], dual_y=0.9 * parts[1].dual_y)
+            return dataclasses.replace(solution, block_solutions=tuple(parts))
+
+        monkeypatch.setattr(sdp, "solve_block_diagonal", shrink_one_dual)
+        code, rec = run_cli(["analyze", "--scheme", "ticket:2"], capsys)
+        assert code == 1
+        assert rec["certified"] == "false"
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gap_is_the_weighted_sum_of_block_gaps(self, capsys, d):
+        code, rec = run_cli(["analyze", "--scheme", f"ticket:{d}"], capsys)
+        assert code == 0 and rec["certified"] == "true"
+        blocks, weights = cli._challenge_problems(schemes.fourier_ticket_scheme(d))
+        solution = sdp.solve_block_diagonal(blocks, weights)
+        tol = 10 * sdp.DEFAULT_TOL
+        gaps = [
+            certificates.certify(s.primal_x, s.dual_y, block, tol=tol).gap
+            for s, block in zip(solution.block_solutions, blocks)
+        ]
+        assert rec["gap"] == cli._fmt(sum(w * g for w, g in zip(weights, gaps)))
+        # The per-block verdict is at least as strict as the dense one.
+        dense = sdp.assemble_block_sdp(blocks, weights)
+        assert certificates.certify(solution.primal_x, solution.dual_y, dense, tol=tol).certified
+
+    def test_no_factorization_sees_more_than_one_block(self, monkeypatch, capsys):
+        rows = []
+        for name in ("cholesky", "eigh", "eigvalsh", "svd"):
+            routine = getattr(np.linalg, name)
+
+            def recording(a, *args, routine=routine, **kwargs):
+                rows.append(np.shape(a)[-1])
+                return routine(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        code, rec = run_cli(["analyze", "--scheme", "ticket:3"], capsys)
+        assert code == 0 and rec["certified"] == "true"
+        assert rows and max(rows) == 27  # 3 x 3 clones (x) 3 inputs; the sum has 108 rows
 
 
 class TestCertify:
@@ -304,7 +358,12 @@ class TestBuildsOnlyWhatIsUsed:
         assert code == 0
         assert rec["certified"] == "true"
 
-    def test_ticket_analyze_assembles_the_combined_problem_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "output, assembled", [(False, 0), (True, 1)], ids=["no-output", "output"]
+    )
+    def test_ticket_analyze_assembles_the_combined_problem_only_for_output(
+        self, monkeypatch, capsys, tmp_path, output, assembled
+    ):
         built = []
         post_init = sdp.CloningSdp.__post_init__
 
@@ -313,9 +372,13 @@ class TestBuildsOnlyWhatIsUsed:
             built.append(problem.dim)
 
         monkeypatch.setattr(sdp.CloningSdp, "__post_init__", counting)
-        code, rec = run_cli(["analyze", "--scheme", "ticket:3"], capsys)
+        argv = ["analyze", "--scheme", "ticket:3"]
+        if output:
+            argv += ["--output", str(tmp_path / "record.json")]
+        code, rec = run_cli(argv, capsys)
         assert code == 0 and rec["certified"] == "true"
-        assert built.count(108) == 1  # 3 x 3 clones (x) 4 challenge pairs (x) 3 inputs
+        # 3 x 3 clones (x) 4 challenge pairs (x) 3 inputs
+        assert built.count(108) == assembled
 
     @pytest.mark.parametrize("scheme", ["wiesner", "symmetric:3"])
     def test_simulate_builds_no_cloning_objective(self, monkeypatch, capsys, scheme):
@@ -417,6 +480,7 @@ class TestExitCodes:
             (HermiticityError("not hermitian"), 2),
             (ValueError("bad value"), 2),
             (EigendecompositionError("no convergence"), 1),
+            (MemoryError("Unable to allocate 61.0 GiB for an array"), 1),
         ],
     )
     def test_error_kind_sets_the_exit_code(self, monkeypatch, capsys, error, code):
