@@ -120,11 +120,6 @@ def apply_channel(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
     return np.einsum("aibj,ij->ab", j, rho)
 
 
-def identity_choi(d: int) -> ChoiOperator:
-    """Choi operator of the identity channel on C^d."""
-    return choi_from_kraus([np.eye(d)])
-
-
 def pair_with_conjugate(choi: ChoiOperator, target: np.ndarray, state: np.ndarray) -> float:
     """Overlap of the channel output on |state> with the pure |target>.
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,6 +167,19 @@ def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
     return np.ascontiguousarray(tensor.reshape(total, total))
 
 
+def zero_operator(n: int) -> np.ndarray:
+    """An n x n complex zero matrix, or MemoryError past physical memory, where an
+    overcommitting host would grant it lazily and kill the process filling it."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: no check
+        have = math.inf
+    if 16 * n * n > have:
+        raise MemoryError(f"a dense {n} x {n} complex operator needs {16 * n * n / 2**30:.1f} GiB, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory")
+    return np.zeros((n, n), dtype=np.complex128)
+
+
 def symmetric_projector(d: int, k: int) -> np.ndarray:
     """Orthogonal projector onto the symmetric subspace of k copies of C^d.
 
@@ -175,8 +189,7 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     if d < 1 or k < 1:
         raise DimensionError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
     dims = (d,) * k
-    total = d**k
-    acc = np.zeros((total, total), dtype=np.complex128)
+    acc = zero_operator(d**k)
     for perm in itertools.permutations(range(k)):
         acc += permutation_operator(dims, perm)
     return as_hermitian(acc / math.factorial(k))

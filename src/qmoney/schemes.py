@@ -119,8 +119,7 @@ def cloning_objective(ensemble: Ensemble) -> np.ndarray:
     this operator with a Choi operator of matching shape gives the attack's
     average success probability.
     """
-    d = ensemble.dim
-    acc = np.zeros((d**3, d**3), dtype=np.complex128)
+    acc = linalg.zero_operator(ensemble.dim**3)
     for w, psi in ensemble.items:
         v = np.kron(np.kron(psi, psi), psi.conj())
         acc += w * np.outer(v, v.conj())
@@ -222,15 +221,9 @@ def fourier_ticket_scheme(d: int) -> TicketScheme:
     if d < 2:
         raise DimensionError(f"need dimension at least 2, got {d}")
     omega = np.exp(2j * np.pi / d)
-    fourier = np.array([[omega ** (i * j) for j in range(d)] for i in range(d)]) / math.sqrt(d)
+    # Powers past d - 1 would compound omega's roundoff: orthonormality fails from d = 200.
+    fourier = np.array([[omega ** (i * j % d) for j in range(d)] for i in range(d)]) / math.sqrt(d)
     return TicketScheme(BasisPair(d, np.eye(d, dtype=np.complex128), fourier))
-
-
-def overlap_block(scheme: TicketScheme, s: int, t: int) -> np.ndarray:
-    """The rank-two block |e_s^0><e_s^0| + |e_t^1><e_t^1| of the mixed-challenge objective."""
-    u = scheme.pair.vector(s, 0)
-    v = scheme.pair.vector(t, 1)
-    return linalg.as_hermitian(np.outer(u, u.conj()) + np.outer(v, v.conj()))
 
 
 def classical_objective_blocks(

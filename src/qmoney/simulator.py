@@ -11,8 +11,9 @@ Within a batch, a trial is decided from its draws in a fixed order, and
 only what decides it is drawn.  The quantum, ticket and honest attacks hand
 the kernel :func:`_note_attack` only their outcome table: per note it draws
 a row of that table itself, uniformly or by the table's row weights, then a
-uniform that decides acceptance against the thresholds of that row's CDF, in
-buffers each worker thread reuses across the batches of one call.  The Bell
+uniform that passes the note below the row's accepted mass (inversion sampling
+of the row's outcomes enumerated accepted-first), in buffers each worker
+thread reuses across the batches of one call.  The Bell
 attack's first verification stops at a trial's first failing qubit, so a
 batch draws qubit j only for the trials still alive; keys and the second
 verification are drawn only for the trials that passed.
@@ -161,17 +162,22 @@ def _sum_batches(
     return counts, run
 
 
-def _cdf_rows(prob: np.ndarray) -> np.ndarray:
-    """Row-wise CDFs for categorical sampling, validated and exactly capped."""
+def _probability_rows(prob: np.ndarray) -> np.ndarray:
+    """Row-wise outcome probabilities, validated to sum to one and clipped at 0."""
     prob = np.asarray(prob, dtype=np.float64)
     # Written so that NaN fails both tests.
     if not prob.min() >= -linalg.VALUE_TOL:
         raise ValueError(f"negative or NaN outcome probability {prob.min():.3e}")
     prob = np.clip(prob, 0.0, None)
-    sums = prob.sum(axis=1)
-    if not np.abs(sums - 1.0).max() <= linalg.VALUE_TOL:
+    if not np.abs(prob.sum(axis=1) - 1.0).max() <= linalg.VALUE_TOL:
         raise ValueError("outcome probabilities do not sum to one")
-    cdf = np.cumsum(prob / sums[:, None], axis=1)
+    return prob
+
+
+def _cdf_rows(prob: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs for categorical sampling, validated and exactly capped."""
+    prob = _probability_rows(prob)
+    cdf = np.cumsum(prob / prob.sum(axis=1)[:, None], axis=1)
     cdf[:, -1] = 1.0
     return cdf
 
@@ -207,30 +213,26 @@ def _all_columns(passed: np.ndarray) -> np.ndarray:
 
 
 def _note_attack(
-    trials: int, seed: int, repetitions: int, cdf: np.ndarray, accept: np.ndarray,
+    trials: int, seed: int, repetitions: int, prob: np.ndarray, accept: np.ndarray,
     analytic: float, row_weights: np.ndarray | None = None,
 ) -> TrialReport:
     """Count the trials whose ``repetitions`` notes all pass: per note, a row
-    of ``cdf`` is drawn (one uniform integer, or one uniform against the CDF of
-    ``row_weights``), a uniform draw picks the outcome from that row, and
-    ``accept[row, outcome]`` decides the note.
+    of the outcome table ``prob`` is drawn (one uniform integer, or one uniform
+    against the CDF of ``row_weights``), then a uniform that passes the note
+    below the row's accepted mass a/(a + r), from the row's sums a over the
+    outcomes ``accept`` (one row for all, or one per row) passes and r over the rest.
 
-    The outcome itself is never formed.  Every note starts from the
-    acceptance of row 0's first outcome, and its acceptance flips at each
-    threshold of its row's CDF at or below its uniform where ``accept``
-    changes along the row; a row whose first outcome differs from row 0's
-    flips at threshold 0, which every uniform reaches.  That is the same
-    function of (row, uniform) as ``accept[row, outcome]``, and a table that
-    passes on outcome 0 alone costs one gather and one compare per note.
-    Each worker thread reuses its own m-sized buffers across the batches of
-    this call.
+    That is inversion sampling of the row's outcomes enumerated accepted-first,
+    exact for any enumeration (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. III), with no outcome formed: a row with no rejected mass passes
+    every draw and one with no accepted mass none.  A batch costs one gather and
+    one compare per note, however wide the table; each worker thread reuses its
+    own m-sized buffers across the batches of this call.
     """
-    accept = accept.reshape(cdf.shape)
-    start = accept[0, 0]
-    flips = np.diff(accept, axis=1, prepend=np.full((len(accept), 1), start))
-    thresholds = np.hstack((np.zeros((len(cdf), 1)), cdf[:, :-1]))
-    # A threshold that no row flips at decides nothing; inf is never reached.
-    bounds = np.where(flips, thresholds, np.inf)[:, flips.any(axis=0)].T.copy()
+    prob = _probability_rows(prob.reshape(-1, prob.shape[-1]))
+    accept = accept.reshape(-1, prob.shape[1])
+    accepted = np.where(accept, prob, 0.0).sum(axis=1)
+    mass = accepted / (accepted + np.where(accept, 0.0, prob).sum(axis=1))
     row_cdf = None if row_weights is None else _cdf_rows(np.asarray(row_weights)[None, :])[0]
     size = min(trials, BATCH_SIZE) * repetitions
     local = threading.local()
@@ -238,19 +240,16 @@ def _note_attack(
     def batch(rng: np.random.Generator, count: int) -> tuple[int]:
         if not hasattr(local, "buffers"):
             local.buffers = (np.empty(size), np.empty(size), np.empty(size, np.intp),
-                             np.empty(size, bool), np.empty(size, bool))
+                             np.empty(size, bool))
         m = count * repetitions
-        u, gathered, row, passed, flag = (b[:m] for b in local.buffers)
+        u, gathered, row, passed = (b[:m] for b in local.buffers)
         if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
-            np.copyto(row, _uniform_rows(rng, m, len(cdf)))
+            np.copyto(row, _uniform_rows(rng, m, len(mass)))
         else:
             np.copyto(row, _sample_rows(row_cdf, rng.random(out=u)))
-        rng.random(out=u)
-        passed.fill(start)
-        for column in bounds:
-            # Rows come from the table, so "clip" never clips; "raise" would copy.
-            np.take(column, row, out=gathered, mode="clip")
-            passed ^= np.less_equal(gathered, u, out=flag)
+        # Rows come from the table, so "clip" never clips; "raise" would copy.
+        np.take(mass, row, out=gathered, mode="clip")
+        np.less(rng.random(out=u), gathered, out=passed)
         ok = _all_columns(passed.reshape(count, repetitions))
         return (int(np.count_nonzero(ok)),)
 
@@ -277,9 +276,10 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     # Key k's row is [pass, fail], passing at <psi psi| Phi(|psi><psi|) |psi psi>.
     rates = np.array([channels.pair_with_conjugate(strategy, np.kron(psi, psi), psi)
                       for _, psi in ensemble.items])
+    # Equal weights make every key a uniform row, drawn with one integer.
     return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions, _cdf_rows(np.column_stack((rates, 1.0 - rates))),
-        np.tile([True, False], (len(rates), 1)), analytic, weights,
+        cfg.trials, cfg.seed, cfg.repetitions, np.column_stack((rates, 1.0 - rates)),
+        np.array([True, False]), analytic, None if np.all(weights == weights[0]) else weights,
     )
 
 
@@ -303,8 +303,8 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     # Row (2*c1 + c2)*2d + key is [challenge pair, key]; a uniform row is a
     # uniform key and two uniform challenges.
     return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions, _cdf_rows(prob.reshape(-1, prob.shape[-1])),
-        accept, cloners.outcome_value(prob, accept) ** cfg.repetitions,
+        cfg.trials, cfg.seed, cfg.repetitions, prob, accept,
+        cloners.outcome_value(prob, accept) ** cfg.repetitions,
     )
 
 
@@ -325,8 +325,7 @@ def simulate_honest_verification(
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
     accept = scheme.accept_table().transpose(2, 0, 1)
     return _note_attack(
-        trials, seed, 1, _cdf_rows(prob.reshape(-1, scheme.dim)), accept,
-        cloners.outcome_value(prob, accept),
+        trials, seed, 1, prob, accept, cloners.outcome_value(prob, accept),
     )
 
 

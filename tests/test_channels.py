@@ -28,7 +28,7 @@ def random_state(rng, d):
 
 def test_identity_choi():
     """The identity channel's Choi operator is the unnormalized maximally entangled projector."""
-    choi = channels.identity_choi(2)
+    choi = channels.choi_from_kraus([np.eye(2)])
     expected = np.zeros((4, 4), dtype=np.complex128)
     for i in range(2):
         for j in range(2):
@@ -137,11 +137,11 @@ def test_choi_rejects_non_trace_preserving():
 
 
 def test_choi_accepts_roundoff_sized_defects():
-    mat = channels.identity_choi(2).matrix + np.diag([1e-10, 0, 0, -1e-10])
+    mat = channels.choi_from_kraus([np.eye(2)]).matrix + np.diag([1e-10, 0, 0, -1e-10])
     channels.ChoiOperator(matrix=mat, in_dim=2, out_dim=2)
 
 
 def test_apply_channel_dimension_check():
-    choi = channels.identity_choi(2)
+    choi = channels.choi_from_kraus([np.eye(2)])
     with pytest.raises(DimensionError):
         channels.apply_channel(choi, np.eye(3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_an_objective_past_physical_memory_is_refused_unallocated(
+        self, from_file, tmp_path, capsys
+    ):
+        """symmetric:200 and a 200-dimensional scheme file each need a dense
+        8,000,000-row objective, about 931 TiB: exit 1 with its shape named,
+        before numpy is asked for it."""
+        scheme = "symmetric:200"
+        if from_file:
+            path = tmp_path / "dim200.json"
+            states = [
+                {"weight": 0.5, "amplitudes": [[float(i == j), 0.0] for j in range(200)]}
+                for i in range(2)
+            ]
+            path.write_text(json.dumps({"dimension": 200, "states": states}))
+            scheme = str(path)
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", "--scheme", scheme])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "8000000 x 8000000" in capsys.readouterr().err
+        assert peak < 64 * 2**20
 
 
 def test_the_parser_is_built_once_and_dispatches_to_the_current_command(monkeypatch, capsys):

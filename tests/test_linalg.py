@@ -187,6 +187,25 @@ def test_symmetric_projector_rank(d, k):
     np.testing.assert_allclose(np.trace(proj).real, rank, atol=1e-10)
 
 
+def test_zero_operator_checks_physical_memory(monkeypatch):
+    """Refused past the memory that ``os.sysconf`` reports; unchecked where it
+    cannot report it."""
+    sizes = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}  # 16 KiB: 32 x 32 fits, 33 x 33 not
+    monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+    assert linalg.zero_operator(32).shape == (32, 32)
+    with pytest.raises(MemoryError, match="33 x 33"):
+        linalg.symmetric_projector(33, 1)
+
+    def unknown_name(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(linalg.os, "sysconf", unknown_name)
+    assert not linalg.zero_operator(33).any()
+    monkeypatch.delattr(linalg.os, "sysconf")
+    z = linalg.zero_operator(33)
+    assert z.shape == (33, 33) and z.dtype == np.complex128 and not z.any()
+
+
 def test_symmetric_projector_fixes_symmetric_vectors():
     rng = np.random.default_rng(10)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)

@@ -54,7 +54,7 @@ class TestChannelValidation:
             channels.ChoiOperator(m, 2, 2)
 
     def test_trace_deficient_matrix_rejected(self):
-        half = 0.5 * channels.identity_choi(2).matrix
+        half = 0.5 * channels.choi_from_kraus([np.eye(2)]).matrix
         with pytest.raises(ChannelValidationError):
             channels.ChoiOperator(half, 2, 2)
 
@@ -155,7 +155,7 @@ class TestOutputOverlapIdentity:
 
     def test_identity_channel_gives_squared_overlap(self):
         rng = np.random.default_rng(7400)
-        choi = channels.identity_choi(3)
+        choi = channels.choi_from_kraus([np.eye(3)])
         for _ in range(10):
             psi = _random_state(rng, 3)
             phi = _random_state(rng, 3)

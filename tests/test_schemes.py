@@ -106,13 +106,20 @@ def test_ticket_ensemble_average_state():
     np.testing.assert_allclose(scheme.ensemble().average_state(), np.eye(3) / 3, atol=1e-13)
 
 
+def overlap_block(scheme, s, t):
+    """The rank-two block |e_s^0><e_s^0| + |e_t^1><e_t^1| of the mixed-challenge objective."""
+    u = scheme.pair.vector(s, 0)
+    v = scheme.pair.vector(t, 1)
+    return linalg.as_hermitian(np.outer(u, u.conj()) + np.outer(v, v.conj()))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_overlap_block_eigenvalues(d):
     """Each mixed-challenge block has eigenvalues 1 +- |<e_s^0|e_t^1>|."""
     scheme = schemes.fourier_ticket_scheme(d)
     for s in range(d):
         for t in range(d):
-            block = schemes.overlap_block(scheme, s, t)
+            block = overlap_block(scheme, s, t)
             overlap = abs(np.vdot(scheme.pair.vector(s, 0), scheme.pair.vector(t, 1)))
             w = linalg.eigenvalues(block)
             assert w[-1] == pytest.approx(1.0 + overlap, abs=1e-12)
@@ -128,7 +135,7 @@ def test_classical_blocks_mixed_challenges_match_overlap_blocks():
     for s in range(d):
         for t in range(d):
             np.testing.assert_allclose(
-                blocks[(0, 1, s, t)], schemes.overlap_block(scheme, s, t) / (2 * d), atol=1e-13
+                blocks[(0, 1, s, t)], overlap_block(scheme, s, t) / (2 * d), atol=1e-13
             )
     assert weights[(0, 1)] == pytest.approx(0.25)
     assert sum(weights.values()) == pytest.approx(1.0)

@@ -322,6 +322,22 @@ def _strict_ticket_scheme(d):
     )
 
 
+def _weighted_six_state():
+    """The six-state keys with unequal weights, so keys are drawn by their CDF;
+    the identity-first channel passes them at rates 1, 0 and 1/2."""
+    weights = (0.3, 0.05, 0.2, 0.15, 0.1, 0.2)
+    items = schemes.six_state_ensemble().items
+    return schemes.Ensemble(2, tuple((w, psi) for w, (_, psi) in zip(weights, items)))
+
+
+def _six_state_pass_fail_table():
+    """The Buzek-Hillery cloner's [pass, fail] rows over the six-state keys."""
+    strategy = cloners.buzek_hillery_cloner()
+    rates = np.array([channels.pair_with_conjugate(strategy, np.kron(psi, psi), psi)
+                      for _, psi in schemes.six_state_ensemble().items])
+    return np.column_stack((rates, 1.0 - rates)), np.array([True, False])
+
+
 GOLDEN = {
     "six-state x3": (
         lambda: simulator.simulate_quantum_attack(
@@ -330,7 +346,7 @@ GOLDEN = {
                 300_001, seed=1, repetitions=3,
             )
         ),
-        88923, None,
+        89205, None,
     ),
     "ticket:3 x2": (
         lambda: simulator.simulate_ticket_attack(
@@ -339,7 +355,7 @@ GOLDEN = {
                 300_001, seed=1, repetitions=2,
             )
         ),
-        239979, None,
+        240353, None,
     ),
     "identity-first x2": (
         lambda: simulator.simulate_quantum_attack(
@@ -348,7 +364,7 @@ GOLDEN = {
                 repetitions=2,
             )
         ),
-        74847, None,
+        75635, None,
     ),
     "werner:3": (
         lambda: simulator.simulate_quantum_attack(
@@ -357,13 +373,30 @@ GOLDEN = {
                 200_000, seed=1,
             )
         ),
-        100078, None,
+        100516, None,
     ),
     "honest strict:3": (
         lambda: simulator.simulate_honest_verification(
             _strict_ticket_scheme(3), 300_001, seed=1
         ),
-        199885, None,
+        200571, None,
+    ),
+    "weighted six-state identity-first x2": (
+        lambda: simulator.simulate_quantum_attack(
+            simulator.TrialConfig(
+                _weighted_six_state(), _identity_first_clone(), 300_001, seed=1, repetitions=2
+            )
+        ),
+        116766, None,
+    ),
+    # The parent of the accepted-mass kernel gave 88923 for "six-state x3",
+    # whose keys it drew by their CDF: a [pass, fail] table keeps its count.
+    "six-state x3, keys by CDF": (
+        lambda: simulator._note_attack(
+            300_001, 1, 3, *_six_state_pass_fail_table(), 0.3,
+            np.full(6, 1.0 / 6.0),
+        ),
+        88923, None,
     ),
     "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37580, 1.0),
     "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 2019, 1.0),
@@ -374,8 +407,9 @@ class TestGoldenCounts:
     """Success counts pinned to exact values: the sampling kernels may get
     faster, but a trial is decided from the same draws in the same order.
     Trial counts of 300,001 leave a remainder batch; the identity-first
-    channel passes each Wiesner key with a different probability, so its
-    count also pins which key each draw picks."""
+    channel passes each key with a different probability, so its counts also
+    pin which key each draw picks: uniformly for Wiesner, by the weights' CDF
+    for the weighted six-state ensemble."""
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -410,10 +444,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("repetitions", [1, 2])
     def test_note_attack_decides_as_the_sampled_outcome(self, repetitions):
-        """The kernel's flip thresholds give the same count as drawing the
-        outcome and looking it up, on tables with zero bins, constant rows
-        and rows whose first outcome is accepted or not.  The 300-row table's
-        rows are drawn as uint16, and each must pick its own thresholds."""
+        """The kernel's accepted mass gives the same count as drawing the
+        outcome from each row enumerated accepted-first and looking it up, on
+        tables with zero bins, constant rows and rows whose first outcome is
+        accepted or not.  The 300-row table's rows are drawn as uint16, and
+        each must pick its own mass."""
         gen = np.random.default_rng(5)
         trials = simulator.BATCH_SIZE + 999
         for n_rows in (7, 300):
@@ -421,20 +456,50 @@ class TestSampling:
             prob[1, 2:4] = 0.0
             prob[2, :2] = 0.0
             prob[3, 3:] = 0.0
-            cdf = simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))
+            prob /= prob.sum(axis=1, keepdims=True)
             accept = gen.random((n_rows, 5)) < 0.5
             accept[4], accept[5] = True, False
+            order = np.argsort(~accept, axis=1, kind="stable")
+            cdf = simulator._cdf_rows(np.take_along_axis(prob, order, axis=1))
+            accept_first = np.take_along_axis(accept, order, axis=1)
 
             def reference(rng, count):
                 m = count * repetitions
                 row = simulator._uniform_rows(rng, m, len(cdf))
                 outcome = np.count_nonzero(cdf[row, :-1] <= rng.random(m)[:, None], axis=1)
-                passed = accept[row, outcome].reshape(count, repetitions)
+                passed = accept_first[row, outcome].reshape(count, repetitions)
                 return (int(np.count_nonzero(passed.all(axis=1))),)
 
             (expected,), _ = simulator._sum_batches(trials, 8, reference)
-            report = simulator._note_attack(trials, 8, repetitions, cdf, accept, 0.5)
+            report = simulator._note_attack(trials, 8, repetitions, prob, accept, 0.5)
             assert report.successes == expected, n_rows
+
+    def test_rows_without_rejected_or_accepted_mass_are_decided_by_the_row(self):
+        """A row whose rejected outcomes have probability 0 passes every draw,
+        and one whose accepted outcomes have probability 0 passes none."""
+        prob = np.array([[0.1, 0.2, 0.7, 0.0, 0.0], [0.0, 0.0, 0.1, 0.2, 0.7]])
+        accept = np.array([[True, True, True, False, False], [True, True, False, False, False]])
+        trials = simulator.BATCH_SIZE + 3
+        for row, expected in ((0, trials), (1, 0)):
+            report = simulator._note_attack(trials, 2, 1, prob[row:row + 1], accept[row], 0.5)
+            assert report.successes == expected
+
+    def test_one_gather_per_batch_whatever_the_table_width(self, monkeypatch):
+        """One batch of the 9-outcome ticket:3 table calls np.take once."""
+        scheme, strategy = schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3)
+        assert cloners.outcome_tables(strategy, scheme)[0].shape[-1] == 9
+        take, calls = np.take, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        report = simulator.simulate_ticket_attack(
+            simulator.TrialConfig(scheme, strategy, simulator.BATCH_SIZE, seed=4)
+        )
+        assert report.batches == 1
+        assert len(calls) == 1
 
     def test_batch_buffers_serve_one_call_only(self, monkeypatch):
         """Calls that differ in repetitions and trial count, remainder batches
