@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (certified, conditions hold), 1 on numeric failure
 (solver breakdown, certification or conditions failure) or out of memory, 2 on
-usage or parse errors.  Floating-point values print with 10 significant digits;
-files written through ``--output`` keep full binary64 precision.
+usage, parse or output-file errors.  Floating-point values print with 10
+significant digits; files written through ``--output`` keep full binary64 precision.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ def _emit(record: dict) -> None:
 def _write_output(path: Optional[str], payload: dict) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 @dataclass(frozen=True)
@@ -142,16 +145,15 @@ def cmd_analyze(args) -> int:
     entry = resolve_scheme(args.scheme)
     if args.n < 1:
         raise ValueError(f"repetition count must be at least 1, got {args.n}")
-    tol = _check_tol(args.tol)
-    cert_tol = min(1.0, 10.0 * tol)
+    cert_tol = min(1.0, 10.0 * args.tol)  # sdp.solve checks the solver tolerance's range
     ticket = isinstance(entry.scheme, schemes.TicketScheme)
     if ticket:
         blocks, weights = _challenge_problems(entry.scheme)
-        solution = sdp.solve_block_diagonal(blocks, weights, tol=tol)
+        solution = sdp.solve_block_diagonal(blocks, weights, tol=args.tol)
         solutions = solution.block_solutions
     else:
         blocks, weights = [entry.cloning_problem()], [1.0]
-        solution = sdp.solve(blocks[0], tol=tol)
+        solution = sdp.solve(blocks[0], tol=args.tol)
         solutions = [solution]
     # A ticket problem is the direct sum of its weighted blocks, and a pair certified in
     # every block is certified in the sum, so each block is checked on its own space.
@@ -320,8 +322,7 @@ def cmd_threshold(args) -> int:
         raise ValueError(f"repetition count must be at least 1, got {args.n}")
     if not 1 <= args.t <= args.n:
         raise ValueError(f"threshold must lie in [1, {args.n}], got {args.t}")
-    tol = _check_tol(args.tol)
-    solution = sdp.solve(entry.cloning_problem(), tol=tol)
+    solution = sdp.solve(entry.cloning_problem(), tol=args.tol)
     # The binomial tail is certified only for an ensemble that realises the problem.
     conditions = entry.haar_objective is None and composition.threshold_conditions_hold(
         entry.ensemble(), solution
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_tol = f"solver tolerance, in [{sdp.MIN_TOL:g}, {sdp.MAX_TOL:g}]"
 
     analyze = sub.add_parser(
         "analyze", help="solve a scheme's counterfeiting problem and certify it"
@@ -364,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"built-in name ({', '.join(BUILTIN_SCHEMES)}) or scheme file path",
     )
     analyze.add_argument("--n", type=int, default=1, help="independent notes per trial")
-    analyze.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help="solver tolerance")
+    analyze.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help=solver_tol)
     analyze.add_argument("--output", help="write the record with an embedded certificate")
 
     certify = sub.add_parser("certify", help="verify a stored certificate file")
     certify.add_argument("certificate", help="certificate file path")
     certify.add_argument(
-        "--tol", type=float, default=None, help="override the stored tolerance"
+        "--tol", type=float, default=None, help="override the stored tolerance, in (0, 1]"
     )
     certify.add_argument("--output", help="write the verification report")
 
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     threshold.add_argument("--scheme", required=True, help="scheme name or file path")
     threshold.add_argument("--n", type=int, required=True, help="number of verifications")
     threshold.add_argument("--t", type=int, required=True, help="acceptance threshold")
-    threshold.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help="solver tolerance")
+    threshold.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL, help=solver_tol)
     threshold.add_argument("--output", help="write the threshold record")
     return parser
 

@@ -131,13 +131,7 @@ def tensor_certificates(
                 f"component {i} dual point is infeasible: slack eigenvalue "
                 f"{dual.min_eigenvalue:.3e}"
             )
-    if len(problems) == 1:
-        return np.asarray(x_list[0], dtype=np.complex128), np.asarray(
-            y_list[0], dtype=np.complex128
-        )
-    x = _grouped_product([np.asarray(m, dtype=np.complex128) for m in x_list], problems)
-    y = _tensor([np.asarray(m, dtype=np.complex128) for m in y_list])
-    return linalg.as_hermitian(x), linalg.as_hermitian(y)
+    return _grouped_product(x_list, problems), _tensor(y_list)
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ def build_threshold_operators(ensemble: schemes.Ensemble) -> ThresholdOperators:
     d = ensemble.dim
     success = schemes.cloning_objective(ensemble)
     failure = np.kron(np.eye(d * d), ensemble.average_state().conj()) - success
-    return ThresholdOperators(success=success, failure=linalg.as_hermitian(failure))
+    return ThresholdOperators(success=success, failure=failure)
 
 
 def threshold_conditions_hold(ensemble: schemes.Ensemble, solution: SdpSolution) -> bool:
@@ -230,5 +224,4 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     ops = build_threshold_operators(ensemble)
     r = _threshold_operator(ops, n, t)
     perm = _grouping_permutation([(3, 2)] * n)
-    objective = linalg.as_hermitian(_regroup(r, [d] * (3 * n), perm))
-    return CloningSdp(objective, tuple([d] * (3 * n)), n_out=2 * n)
+    return CloningSdp(_regroup(r, [d] * (3 * n), perm), tuple([d] * (3 * n)), n_out=2 * n)

@@ -8,8 +8,10 @@ Conventions used across the package:
 - A tensor-product space is described by its factored dimensions, a tuple of
   positive integers whose product is the total dimension.  Composite indices
   are row-major: factor 0 is the most significant.
-- Hermitian operators are symmetrized at the boundary by :func:`as_hermitian`,
-  which repairs roundoff-sized defects and rejects anything larger.
+- A Hermitian operator is symmetrized only where it enters a problem, a channel or a
+  certificate (by :func:`as_hermitian`) and where it comes out of a matrix product.
+  Round-to-nearest is symmetric under negation, so sums, real multiples, Kronecker
+  products, factor permutations and direct sums of exactly Hermitian operators stay so.
 - Every check in the package decides with one of three tolerances, each
   multiplied by max(1, scale) for the scale of what it judges:
 
@@ -192,7 +194,8 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     acc = zero_operator(d**k)
     for perm in itertools.permutations(range(k)):
         acc += permutation_operator(dims, perm)
-    return as_hermitian(acc / math.factorial(k))
+    acc /= math.factorial(k)  # real symmetric: the permutations are closed under inverses
+    return acc
 
 
 def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:

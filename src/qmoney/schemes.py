@@ -16,7 +16,8 @@ the key basis or when a = t.  The counterfeiter holds the state and two
 independent challenges and must answer both.  Because the accept predicate is
 diagonal in the answers and challenges, the objective splits into blocks
 indexed by the challenge pair and the answer pair, each a d-dimensional
-operator; those blocks are built here.
+operator; those blocks are built here.  Builders return what they compute,
+Hermitian to roundoff for complex states; ``CloningSdp`` symmetrizes on entry.
 
 Scheme description files are JSON with the fields ``dimension`` plus either
 ``states`` (a list of objects with ``weight`` and ``amplitudes``, amplitudes
@@ -69,11 +70,11 @@ class Ensemble:
         object.__setattr__(self, "items", tuple(cleaned))
 
     def average_state(self) -> np.ndarray:
-        """Probability-weighted mixture of the ensemble projectors."""
+        """Probability-weighted mixture of the ensemble projectors, Hermitian to roundoff."""
         acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for w, v in self.items:
             acc += w * np.outer(v, v.conj())
-        return linalg.as_hermitian(acc)
+        return acc
 
 
 def wiesner_ensemble() -> Ensemble:
@@ -117,13 +118,13 @@ def cloning_objective(ensemble: Ensemble) -> np.ndarray:
     The weighted sum of projectors onto (psi, psi, conj(psi)) product vectors,
     acting on clone1 (x) clone2 (x) input with the input factor last.  Pairing
     this operator with a Choi operator of matching shape gives the attack's
-    average success probability.
+    average success probability.  Hermitian to roundoff: ``CloningSdp`` symmetrizes it.
     """
     acc = linalg.zero_operator(ensemble.dim**3)
     for w, psi in ensemble.items:
         v = np.kron(np.kron(psi, psi), psi.conj())
         acc += w * np.outer(v, v.conj())
-    return linalg.as_hermitian(acc)
+    return acc
 
 
 def symmetric_cloning_objective(d: int) -> np.ndarray:
@@ -131,11 +132,11 @@ def symmetric_cloning_objective(d: int) -> np.ndarray:
 
     Equals the three-fold symmetric projector, partially transposed on the
     input factor and normalized by the projector's rank.  Built directly, with
-    no finite ensemble involved.
+    no finite ensemble involved; real symmetric, so exactly Hermitian.
     """
     proj = linalg.symmetric_projector(d, 3)
     rank = math.comb(d + 2, 3)
-    return linalg.as_hermitian(linalg.partial_transpose(proj, (d, d, d), [2]) / rank)
+    return linalg.partial_transpose(proj, (d, d, d), [2]) / rank
 
 
 @dataclass(frozen=True)
@@ -234,14 +235,14 @@ def classical_objective_blocks(
     blocks[(c1, c2, a1, a2)] sums, over all keys accepting both answers, the
     key probability times the key-state projector.  weights[(c1, c2)] is the
     probability 1/4 of that challenge pair.  The attack value is the weighted
-    sum over challenge pairs of the block SDP values.
+    sum over challenge pairs of the block SDP values.  Blocks are views of one array.
     """
     accept = scheme.accept_table()
     states = scheme.key_states()
     # [c1, c2, a1, a2, i, j]: the projectors of the keys accepting both answers, summed.
     stack = np.einsum("xak,ybk,ki,kj->xyabij", accept, accept, states, states.conj())
     stack /= 2 * scheme.dim
-    blocks = {i: linalg.as_hermitian(stack[i]) for i in np.ndindex(stack.shape[:4])}
+    blocks = {i: stack[i] for i in np.ndindex(stack.shape[:4])}
     return blocks, {pair: 0.25 for pair in np.ndindex(2, 2)}
 
 
@@ -254,7 +255,7 @@ def assemble_challenge_block(
     the answer factors: the direct sum over the answer pair, with no output factor.
     """
     stack = [blocks[(c1, c2) + pair] for pair in np.ndindex(d, d)]
-    return linalg.as_hermitian(linalg.direct_sum(stack, 1, d))
+    return linalg.direct_sum(stack, 1, d)
 
 
 def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.ndarray]:
@@ -267,7 +268,7 @@ def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.n
     complementary couple; the two blocks sum to half the identity, so the
     point is trace preserving and achieves (1 + sqrt(c))/2 with c the
     effective overlap.  The complementation step is what restricts this
-    construction to dimension 2.
+    construction to dimension 2.  Hermitian to roundoff: the certifier symmetrizes.
     """
     d = scheme.dim
     if d != 2:
@@ -295,7 +296,7 @@ def classical_primal_witness(scheme: TicketScheme) -> dict[tuple[int, int], np.n
                 x[comp[0], comp[1], :, comp[0], comp[1], :] = np.outer(
                     vecs[:, 0], vecs[:, 0].conj()
                 )
-            witnesses[(c1, c2)] = linalg.as_hermitian(x.reshape(d**3, d**3))
+            witnesses[(c1, c2)] = x.reshape(d**3, d**3)
     return witnesses
 
 

@@ -402,7 +402,7 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
             dy = solve_schur((trace_out(r_center) + rhs_dual).reshape(-1))
             dy = _hermitian(dy.reshape(d_in, d_in))
-            ds = _hermitian(lift_dual(dy) - r_dual)
+            ds = lift_dual(dy) - r_dual
             dx = _hermitian(r_center - w @ ds @ w)
             return dx, dy, ds, h_h @ ds @ h
 
@@ -430,9 +430,9 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
         alpha_p = _step_length(linalg.min_eigenvalue(t_dx))
         alpha_d = _step_length(linalg.min_eigenvalue(t_ds))
 
-        x = _hermitian(x + alpha_p * dx)
-        y = _hermitian(y + alpha_d * dy)
-        s = _hermitian(s + alpha_d * ds)
+        x = x + alpha_p * dx
+        y = y + alpha_d * dy
+        s = s + alpha_d * ds
         del dx, ds, t_dx, t_ds, r_center, h, h_h, h_omega, w, spread  # freed before the next SVD
 
         gap, pval, dval = _pair(x, s), _pair(obj, x), float(np.trace(y).real)

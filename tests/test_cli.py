@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmoney import certificates, cli, schemes, sdp
+from qmoney import certificates, cli, linalg, schemes, sdp
 from qmoney.exceptions import (
     CertificationError,
     DimensionError,
@@ -381,6 +381,23 @@ class TestBuildsOnlyWhatIsUsed:
         # 3 x 3 clones (x) 4 challenge pairs (x) 3 inputs
         assert built.count(108) == assembled
 
+    def test_ticket_analyze_symmetrizes_only_problems_and_certified_points(
+        self, monkeypatch, capsys
+    ):
+        shapes = []
+        as_hermitian = linalg.as_hermitian
+
+        def counting(m):
+            shapes.append(np.shape(m))
+            return as_hermitian(m)
+
+        monkeypatch.setattr(linalg, "as_hermitian", counting)
+        code, rec = run_cli(["analyze", "--scheme", "ticket:3"], capsys)
+        assert code == 0 and rec["certified"] == "true"
+        # Four challenge problems, each symmetrized on entry and its primal and dual
+        # point in the certifier; none of the 36 answer blocks on its own.
+        assert sorted(shapes) == [(3, 3)] * 4 + [(27, 27)] * 8
+
     @pytest.mark.parametrize("scheme", ["wiesner", "symmetric:3"])
     def test_simulate_builds_no_cloning_objective(self, monkeypatch, capsys, scheme):
         forbid(monkeypatch, schemes, "cloning_objective")
@@ -519,6 +536,52 @@ class TestExitCodes:
         assert code == 1
         assert "8000000 x 8000000" in capsys.readouterr().err
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "threshold"])
+    def test_an_unwritable_output_path_is_a_usage_error(self, command, where, tmp_path, capsys):
+        certificate = tmp_path / "cert.json"
+        assert cli.main(["analyze", "--scheme", "wiesner", "--output", str(certificate)]) == 0
+        capsys.readouterr()
+        argv = {
+            "analyze": ["analyze", "--scheme", "wiesner"],
+            "certify": ["certify", str(certificate)],
+            "simulate": ["simulate", "--attack", "bell", "--n", "2", "--trials", "10"],
+            "threshold": ["threshold", "--scheme", "wiesner", "--n", "2", "--t", "1"],
+        }[command]
+        target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+        assert cli.main(argv + ["--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot write output file {target}: ")
+
+    @pytest.mark.parametrize("tol", ["0.05", "0", "-1", "2"])
+    @pytest.mark.parametrize("command", ["analyze", "threshold"])
+    def test_the_solver_alone_checks_the_solver_tolerance(self, command, tol, monkeypatch, capsys):
+        forbid(monkeypatch, cli, "_check_tol")
+        argv = [command, "--scheme", "wiesner", "--tol", tol]
+        if command == "threshold":
+            argv += ["--n", "2", "--t", "1"]
+        assert cli.main(argv) == 2
+        expected = f"tol must lie in [{sdp.MIN_TOL}, {sdp.MAX_TOL}], got {float(tol)}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "threshold"])
+    def test_the_solver_tolerance_help_gives_its_range(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"solver tolerance, in [{sdp.MIN_TOL:g}, {sdp.MAX_TOL:g}]" in help_text
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "2"])
+    def test_a_certifier_tolerance_outside_zero_to_one_is_a_usage_error(
+        self, tol, tmp_path, capsys
+    ):
+        certificate = tmp_path / "cert.json"
+        assert cli.main(["analyze", "--scheme", "wiesner", "--output", str(certificate)]) == 0
+        capsys.readouterr()
+        assert cli.main(["certify", str(certificate), "--tol", tol]) == 2
+        assert capsys.readouterr().err == f"error: tolerance must lie in (0, 1], got {float(tol)}\n"
 
 
 def test_the_parser_is_built_once_and_dispatches_to_the_current_command(monkeypatch, capsys):

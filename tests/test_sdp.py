@@ -303,6 +303,59 @@ class TestStall:
         assert partial.iterations == 0 and partial.trace == ()
 
 
+def _random_non_flat_problem(seed, d, count):
+    rng = np.random.default_rng([d, count, seed])
+    states = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    ensemble = schemes.Ensemble(d, tuple(zip(rng.dirichlet(np.ones(count)), states)))
+    return sdp.CloningSdp(schemes.cloning_objective(ensemble), dims=(d, d, d))
+
+
+EXACTLY_HERMITIAN = {
+    "wiesner^2": lambda: composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()]),
+    "random d=3": lambda: _random_non_flat_problem(0, 3, 5),
+}
+
+
+def _exactly_hermitian(m):
+    return np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.usefixtures("interior_point")
+class TestExactHermiticity:
+    """The iteration symmetrizes only what comes out of a matrix product.  Every update
+    adds an exactly Hermitian step to an exactly Hermitian iterate, so each primal
+    iterate and the dual point stay exactly Hermitian, with no symmetrization."""
+
+    @pytest.fixture()
+    def primal_iterates(self, monkeypatch):
+        seen = []
+        shifted_cholesky = sdp._shifted_cholesky
+
+        def recording(x):
+            seen.append(_exactly_hermitian(x))
+            return shifted_cholesky(x)
+
+        monkeypatch.setattr(sdp, "_shifted_cholesky", recording)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(EXACTLY_HERMITIAN))
+    def test_every_iterate_and_the_converged_dual(self, name, primal_iterates):
+        problem = EXACTLY_HERMITIAN[name]()
+        assert sdp._reduce(problem)[2] is not None  # the reduced iteration runs
+        sol = sdp.solve(problem)
+        assert sol.iterations > 0 and len(primal_iterates) == sol.iterations
+        assert all(primal_iterates)
+        assert _exactly_hermitian(sol.dual_y)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(EXACTLY_HERMITIAN))
+    def test_the_best_iterate_at_the_cap(self, name, cap):
+        with pytest.raises(SolverError, match="no convergence") as excinfo:
+            sdp.solve(EXACTLY_HERMITIAN[name](), max_iterations=cap)
+        assert _exactly_hermitian(excinfo.value.solution.dual_y)
+
+
 def _qubit_blocks():
     """Wiesner, six-state, SIC, 2.5 x Wiesner (6 iterations, not 7) and a zero objective."""
     q = schemes.cloning_objective(schemes.wiesner_ensemble())
