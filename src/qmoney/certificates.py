@@ -192,7 +192,8 @@ def save_certificate(
 ) -> None:
     """Write a certificate as JSON with matrices in nested [re, im] form."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(certificate_payload(problem, x, y, tolerance, value), handle, indent=1)
+        # json.dump and indent bypass the C encoder.
+        handle.write(json.dumps(certificate_payload(problem, x, y, tolerance, value)))
 
 
 def load_certificate(path: str) -> CertificateFile:

@@ -51,7 +51,7 @@ def _write_output(path: Optional[str], payload: dict) -> None:
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
+            handle.write(json.dumps(payload))  # json.dump and indent bypass the C encoder
     except OSError as exc:
         raise FileFormatError(f"cannot write output file {path}: {exc.strerror}") from exc
 

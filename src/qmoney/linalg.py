@@ -272,9 +272,7 @@ def bounded_below(m: np.ndarray, bound: float) -> bool:
     delta = 4 (n + 1) u max(0, tr(m - bound I)) and u = 2**-53 bounds the
     backward error of a complex Cholesky factorization (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  So True is a proof;
-    False means the bound fails or lies within delta of lambda_min.  numpy's
-    Cholesky, not scipy's: scipy links a second OpenBLAS whose thread pool slows
-    the solver's own factorizations.
+    False means the bound fails or lies within delta of lambda_min.
     """
     m = np.array(m, dtype=np.complex128)  # a copy, shifted in place
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

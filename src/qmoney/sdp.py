@@ -19,7 +19,8 @@ directly on the complex Hermitian cone:
 - Newton directions obtained by eliminating dX and dS, leaving the map
   N(dY) = Tr_out(W (I (x) dY) W) on the input space: its matrix on vec(dY) is
   Hermitian positive definite (<Z, N(Z)> = ||W^1/2 (I (x) Z) W^1/2||^2) and
-  commutes with Z -> Z^H, so one complex Cholesky solve gives a Hermitian dY;
+  commutes with Z -> Z^H, so one LU solve (numpy's LAPACK) gives a dY that is
+  Hermitian up to roundoff, and is symmetrized;
 - a Mehrotra-style adaptive centering weight from an affine predictor step,
   and fraction-to-boundary step lengths in the NT-scaled space, each from a
   smallest eigenvalue.
@@ -71,7 +72,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .exceptions import DimensionError, SolverError
@@ -218,17 +218,15 @@ def _schur_complement(w: np.ndarray, rows: int, d_in: int) -> np.ndarray:
     return m.transpose(2, 1, 3, 0).reshape(d_in**2, d_in**2)
 
 
-def _schur_solver(m: np.ndarray):
-    """A solver for the Schur complement: its Cholesky factor, or, where roundoff has
-    left the complement indefinite, LU after a relative jitter."""
+def _schur_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """m^-1 rhs for the Schur complement m, by LU (numpy has no triangular solve to
+    reuse a Cholesky factor); where roundoff has left m singular, after a relative
+    jitter of its diagonal."""
     try:
-        # Not scipy's: its complex potrf wakes a second BLAS thread pool (3 notes: 2x slower).
-        factor = np.linalg.cholesky(m)
+        return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
         jitter = 1e-13 * max(1.0, np.trace(m).real / m.shape[0])
-        m_reg = m + jitter * np.eye(m.shape[0])
-        return lambda rhs: np.linalg.solve(m_reg, rhs)
-    return lambda rhs: scipy.linalg.lapack.zpotrs(factor, rhs, lower=1)[0]
+        return np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
 
 
 def _output_support(problem: CloningSdp) -> np.ndarray:
@@ -395,12 +393,12 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
         h_h = h.conj().T
         w = _hermitian((h * lam**0.5) @ h_h)
 
-        solve_schur = _schur_solver(_schur_complement(w, rows, d_in))
+        schur = _schur_complement(w, rows, d_in)
         rhs_dual = trace_out(w @ r_dual @ w) - r_primal
 
         def newton_direction(r_center):
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
-            dy = solve_schur((trace_out(r_center) + rhs_dual).reshape(-1))
+            dy = _schur_solve(schur, (trace_out(r_center) + rhs_dual).reshape(-1))
             dy = _hermitian(dy.reshape(d_in, d_in))
             ds = lift_dual(dy) - r_dual
             dx = _hermitian(r_center - w @ ds @ w)

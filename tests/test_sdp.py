@@ -303,6 +303,35 @@ class TestStall:
         assert partial.iterations == 0 and partial.trace == ()
 
 
+class TestSchurSolve:
+    def test_a_positive_definite_complement_is_solved_to_roundoff(self):
+        rng = np.random.default_rng(7)
+        rows, d_in = 3, 4
+        g = rng.normal(size=(rows * d_in,) * 2) + 1j * rng.normal(size=(rows * d_in,) * 2)
+        w = g @ g.conj().T / (rows * d_in) + np.eye(rows * d_in)
+        m = sdp._schur_complement(w, rows, d_in)
+        assert np.linalg.eigvalsh(m)[0] > 0.0
+        rhs = rng.normal(size=d_in**2) + 1j * rng.normal(size=d_in**2)
+        x = sdp._schur_solve(m, rhs)
+        assert np.linalg.norm(m @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_a_singular_complement_takes_the_jitter(self):
+        # W = A (x) diag(1, 1, 0): every dY entry in the last row or column maps to
+        # exactly zero, so LU meets an exactly zero pivot.
+        rng = np.random.default_rng(8)
+        rows, d_in = 2, 3
+        a = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
+        w = np.kron(a @ a.conj().T + np.eye(rows), np.diag([1.0, 1.0, 0.0]))
+        m = sdp._schur_complement(w, rows, d_in)
+        assert np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max()
+        rhs = m @ (rng.normal(size=d_in**2) + 1j * rng.normal(size=d_in**2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(m, rhs)
+        x = sdp._schur_solve(m, rhs)
+        assert np.isfinite(x).all()
+        assert np.linalg.norm(m @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def _random_non_flat_problem(seed, d, count):
     rng = np.random.default_rng([d, count, seed])
     states = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
