@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -36,11 +37,19 @@ def pairs_to_vector(data, where: str = "vector") -> np.ndarray:
 
 
 def pairs_to_matrix(data, where: str = "matrix") -> np.ndarray:
-    """Decode nested [re, im] pairs into a complex matrix."""
+    """Decode nested [re, im] pairs into a complex matrix, in one conversion when
+    well formed; else row by row, which names the first entry that is wrong."""
     if not isinstance(data, (list, tuple)) or not data:
         raise FileFormatError(f"{where}: expected a non-empty list of rows")
+    try:
+        if set(map(type, itertools.chain.from_iterable(itertools.chain(*data)))) <= {int, float}:
+            pairs = np.array(data, dtype=np.float64)  # bool is neither int nor float
+            # Strict: an int that rounds down to the largest float goes row by row.
+            if pairs.ndim == 3 and pairs.shape[2] == 2 and np.abs(pairs).max() < sys.float_info.max:
+                return pairs.view(np.complex128)[..., 0]
+    except (TypeError, ValueError, OverflowError):
+        pass
     rows = [pairs_to_vector(row, where) for row in data]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
+    if len({r.size for r in rows}) > 1:
         raise FileFormatError(f"{where}: ragged rows")
     return np.vstack(rows)

@@ -55,20 +55,35 @@ PSD_TOL = 1e-9
 VALUE_TOL = 1e-9
 
 
+def _square(m, copy: bool = False) -> np.ndarray:
+    """``m`` as a complex matrix, a fresh copy if ``copy``; DimensionError unless square."""
+    m = (np.array if copy else np.asarray)(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def as_hermitian(mat: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m†)/2 of a nearly Hermitian matrix.
 
     Entrywise defects up to ``ROUNDOFF_TOL`` times max(1, largest entry) are
     treated as roundoff and silently repaired.  A larger defect is a logic error
-    somewhere upstream, so it raises instead of being averaged away.
+    somewhere upstream, so it raises instead of being averaged away.  The sum is
+    formed in tiles against their mirrors, with no full-size temporary, and the
+    defect is computed only for a tile unequal to its mirror's conjugate transpose.
     """
-    m = np.asarray(mat, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(mat)
     if not np.all(np.isfinite(m)):
         raise HermiticityError("matrix has non-finite entries")
-    m_h = m.conj().T
-    defect = np.abs(m - m_h).max() if m.size else 0.0
+    out, defect, t = np.empty_like(m), 0.0, 128  # t: tile rows
+    for i in range(0, len(m), t):
+        for j in range(i, len(m), t):
+            upper, mirror = m[i:i + t, j:j + t], m[j:j + t, i:i + t].conj().T
+            if not (upper == mirror).all():
+                defect = max(defect, np.abs(upper - mirror).max())
+            np.add(upper, mirror, out=out[i:i + t, j:j + t])
+            if j > i:
+                np.add(m[j:j + t, i:i + t], upper.conj().T, out=out[j:j + t, i:i + t])
     if defect > ROUNDOFF_TOL:  # within it the verdict holds at any scale: entries go unread
         scale = np.abs(m).max()
         if defect > ROUNDOFF_TOL * scale:
@@ -76,7 +91,7 @@ def as_hermitian(mat: np.ndarray) -> np.ndarray:
                 f"matrix is not Hermitian: defect {defect:.3e} exceeds "
                 f"{ROUNDOFF_TOL:.1e} * {scale:.3e}"
             )
-    return (m + m_h) / 2
+    return np.divide(out, 2, out=out)
 
 
 def check_factored_dims(dims: Sequence[int], total: int | None = None) -> tuple[int, ...]:
@@ -109,9 +124,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
         Operator on the retained factors, shape (K, K) with
         K = prod(dims[i] for i in keep).
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     dims = check_factored_dims(dims, m.shape[0])
     k = len(dims)
     kept = sorted(set(int(i) for i in keep))
@@ -133,9 +146,7 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], which: Iterable[int]) 
     factor, matching the convention used when pairing channel outputs with
     conjugated input states.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     dims = check_factored_dims(dims, m.shape[0])
     k = len(dims)
     chosen = sorted(set(int(i) for i in which))
@@ -211,9 +222,7 @@ def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
 def _spectral(decompose, m: np.ndarray, what: str):
     """Run a LAPACK Hermitian eigensolver on a square matrix, mapping failure to
     EigendecompositionError."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     try:
         return decompose(m)
     except np.linalg.LinAlgError as exc:
@@ -274,9 +283,7 @@ def bounded_below(m: np.ndarray, bound: float) -> bool:
     Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  So True is a proof;
     False means the bound fails or lies within delta of lambda_min.
     """
-    m = np.array(m, dtype=np.complex128)  # a copy, shifted in place
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m, copy=True)  # shifted in place
     n = m.shape[0]
     diagonal = np.einsum("ii->i", m)  # a writeable view
     # A negative trace leaves a negative diagonal entry, on which Cholesky fails exactly.

@@ -7,16 +7,15 @@ the analytic route uses.  Trials are split into fixed-size batches, each
 drawing from its own SFC64 stream spawned from the master seed, so a report
 is bit-identical for a given seed no matter how many worker threads run.
 
-Within a batch, a trial is decided from its draws in a fixed order, and
-only what decides it is drawn.  The quantum, ticket and honest attacks hand
-the kernel :func:`_note_attack` only their outcome table: per note it draws
-a row of that table itself, uniformly or by the table's row weights, then a
-uniform that passes the note below the row's accepted mass (inversion sampling
-of the row's outcomes enumerated accepted-first), in buffers each worker
-thread reuses across the batches of one call.  The Bell
-attack's first verification stops at a trial's first failing qubit, so a
-batch draws qubit j only for the trials still alive; keys and the second
-verification are drawn only for the trials that passed.
+Within a batch, only what decides its count is drawn.  Trials are
+exchangeable, so a batch keeps just the count of trials still alive and
+draws note j for them only (:func:`_survivors`): a row of the note's outcome
+table, uniformly or by its row weights, then a uniform that passes the note
+below the row's accepted mass (inversion sampling of the row's outcomes
+enumerated accepted-first).  The quantum, ticket and honest attacks hand
+:func:`_note_attack` only that table.  The Bell attack's first verification
+passes every key at one rate, so each qubit's survivor count is one binomial
+draw; its keyed second verification runs through the same survivor loop.
 """
 
 from __future__ import annotations
@@ -49,14 +48,10 @@ def worker_count() -> int:
     count never changes simulation output, only wall-clock time.
     """
     base = min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS)
-    raw = os.environ.get("QMONEY_THREADS")
-    if raw is None:
-        return base
     try:
-        cap = int(raw)
-    except ValueError:
+        return max(1, min(base, int(os.environ["QMONEY_THREADS"])))
+    except (KeyError, ValueError):
         return base
-    return max(1, min(base, cap))
 
 
 @dataclass(frozen=True)
@@ -138,26 +133,26 @@ def _sum_batches(
 
     Each batch draws from an SFC64 stream spawned from the master seed, and
     batch boundaries depend only on the trial count, so the reduction is an
-    order-independent integer sum: worker scheduling cannot affect it.
+    order-independent integer sum: worker scheduling cannot affect it.  Each
+    worker runs one pool task, calling ``batch_fn`` on every workers-th batch.
     Returns the counters and the batches, workers and seconds they took.
     """
     start = time.perf_counter()
-    sizes = [BATCH_SIZE] * (trials // BATCH_SIZE)
-    if trials % BATCH_SIZE:
-        sizes.append(trials % BATCH_SIZE)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    sizes = [min(BATCH_SIZE, trials - first) for first in range(0, trials, BATCH_SIZE)]
+    jobs = list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
 
-    def run(args):
-        child, count = args
-        return batch_fn(np.random.Generator(np.random.SFC64(child)), count)
+    def run(chunk):
+        return [batch_fn(np.random.Generator(np.random.SFC64(child)), count)
+                for child, count in chunk]
 
-    workers = min(worker_count(), len(sizes))
+    workers = min(worker_count(), len(jobs))
     if workers == 1:
-        results = [run(args) for args in zip(children, sizes)]
+        results = run(jobs)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, zip(children, sizes)))
-    counts = tuple(int(sum(r[i] for r in results)) for i in range(len(results[0])))
+            chunks = pool.map(run, [jobs[i::workers] for i in range(workers)])
+            results = [r for chunk in chunks for r in chunk]
+    counts = tuple(int(sum(column)) for column in zip(*results))
     run = dict(batches=len(sizes), workers=workers, seconds=time.perf_counter() - start)
     return counts, run
 
@@ -200,60 +195,56 @@ def _uniform_rows(rng: np.random.Generator, count: int, rows: int) -> np.ndarray
     return rng.integers(0, rows, size=count, dtype=np.min_scalar_type(rows - 1))
 
 
-def _all_columns(passed: np.ndarray) -> np.ndarray:
-    """Row-wise ``all`` of a 2-D bool array, one column at a time.
+def _survivors(mass: np.ndarray, repetitions: int,
+               row_cdf: np.ndarray | None = None) -> Callable[[np.random.Generator, int], int]:
+    """A kernel ``survive(rng, alive)``: how many of ``alive`` trials pass ``repetitions`` notes.
 
-    Same result as ``passed.all(axis=1)``, which reduces each short row
-    separately and is several times slower on tall arrays.
+    Note j draws, for the trials alive after notes 0..j-1 only, a row of
+    ``mass`` (one uniform integer, or one uniform against ``row_cdf``), then a
+    uniform that passes the note below the row's mass, and keeps just the
+    count that passed: trials are exchangeable, so it has the law of "every note
+    passes".  A table whose rows all have mass 1 is not drawn, as no draw fails it.
+    Each worker thread reuses its own buffers across the batches of one call.
     """
-    ok = passed[:, 0].copy()
-    for column in passed.T[1:]:
-        ok &= column
-    return ok
+    local = threading.local()
+    notes = 0 if mass.min() >= 1.0 else repetitions
+
+    def survive(rng: np.random.Generator, alive: int) -> int:
+        if not hasattr(local, "buffers"):
+            local.buffers = tuple(np.empty(BATCH_SIZE, t) for t in (float, float, np.intp, bool))
+        for _ in range(notes):
+            u, gathered, row, passed = (b[:alive] for b in local.buffers)
+            if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
+                np.copyto(row, _uniform_rows(rng, alive, len(mass)))
+            else:
+                np.copyto(row, _sample_rows(row_cdf, rng.random(out=u)))
+            # Rows come from the table, so "clip" never clips; "raise" would copy.
+            np.take(mass, row, out=gathered, mode="clip")
+            alive = int(np.count_nonzero(np.less(rng.random(out=u), gathered, out=passed)))
+        return alive
+
+    return survive
 
 
 def _note_attack(
     trials: int, seed: int, repetitions: int, prob: np.ndarray, accept: np.ndarray,
     analytic: float, row_weights: np.ndarray | None = None,
 ) -> TrialReport:
-    """Count the trials whose ``repetitions`` notes all pass: per note, a row
-    of the outcome table ``prob`` is drawn (one uniform integer, or one uniform
-    against the CDF of ``row_weights``), then a uniform that passes the note
-    below the row's accepted mass a/(a + r), from the row's sums a over the
-    outcomes ``accept`` (one row for all, or one per row) passes and r over the rest.
-
-    That is inversion sampling of the row's outcomes enumerated accepted-first,
-    exact for any enumeration (Devroye, *Non-Uniform Random Variate Generation*,
-    1986, ch. III), with no outcome formed: a row with no rejected mass passes
-    every draw and one with no accepted mass none.  A batch costs one gather and
-    one compare per note, however wide the table; each worker thread reuses its
-    own m-sized buffers across the batches of this call.
+    """Count the trials whose ``repetitions`` notes all pass, by the survivor loop
+    of :func:`_survivors` on the accepted mass a/(a + r) of each row of the outcome
+    table ``prob``, from its sums a over the outcomes ``accept`` (one row for all,
+    or one per row) passes and r over the rest; rows are drawn uniformly, or by
+    the CDF of ``row_weights``.  That is inversion sampling of the row's outcomes
+    enumerated accepted-first, exact for any enumeration (Devroye, *Non-Uniform
+    Random Variate Generation*, 1986, ch. III), with no outcome formed.
     """
     prob = _probability_rows(prob.reshape(-1, prob.shape[-1]))
     accept = accept.reshape(-1, prob.shape[1])
     accepted = np.where(accept, prob, 0.0).sum(axis=1)
     mass = accepted / (accepted + np.where(accept, 0.0, prob).sum(axis=1))
     row_cdf = None if row_weights is None else _cdf_rows(np.asarray(row_weights)[None, :])[0]
-    size = min(trials, BATCH_SIZE) * repetitions
-    local = threading.local()
-
-    def batch(rng: np.random.Generator, count: int) -> tuple[int]:
-        if not hasattr(local, "buffers"):
-            local.buffers = (np.empty(size), np.empty(size), np.empty(size, np.intp),
-                             np.empty(size, bool))
-        m = count * repetitions
-        u, gathered, row, passed = (b[:m] for b in local.buffers)
-        if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
-            np.copyto(row, _uniform_rows(rng, m, len(mass)))
-        else:
-            np.copyto(row, _sample_rows(row_cdf, rng.random(out=u)))
-        # Rows come from the table, so "clip" never clips; "raise" would copy.
-        np.take(mass, row, out=gathered, mode="clip")
-        np.less(rng.random(out=u), gathered, out=passed)
-        ok = _all_columns(passed.reshape(count, repetitions))
-        return (int(np.count_nonzero(ok)),)
-
-    (successes,), run = _sum_batches(trials, seed, batch)
+    survive = _survivors(mass, repetitions, row_cdf)
+    (successes,), run = _sum_batches(trials, seed, lambda rng, count: (survive(rng, count),))
     return TrialReport(successes, trials, analytic, **run)
 
 
@@ -370,23 +361,22 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
     original.  The report's rate covers the first note; ``conditional_rate``
     is the second-note rate among accepting trials.
 
-    The bank checks the qubits in order and stops at a trial's first failing
-    one.  Trials are exchangeable, so a batch draws qubit j only for the
-    trials that passed qubits 0..j-1 and keeps just their count.  Keys and
-    the second verification are drawn last, only for the trials that passed.
+    The bank stops at a trial's first failing qubit.  Trials are exchangeable
+    and every key passes at one rate, so a batch draws qubit j's survivor count
+    as one binomial variate, its exact law (Kachitvichyanukul & Schmeiser, CACM
+    31, 1988).  The keyed second verification runs the survivor loop of
+    :func:`_survivors` on the trials that passed; at rate exactly 1 it draws nothing.
     """
     if not 1 <= n <= MAX_BELL_QUBITS:
         raise ValueError(f"note length must lie in [1, {MAX_BELL_QUBITS}], got {n}")
     check_sampling(trials, seed)
     p_pass, p_second = _bell_probabilities()
+    second = _survivors(p_second, n)
 
-    def batch(rng: np.random.Generator, count: int) -> tuple[int, int]:
-        alive = count
+    def batch(rng: np.random.Generator, alive: int) -> tuple[int, int]:
         for _ in range(n):
-            alive = int(np.count_nonzero(rng.random(alive) < p_pass))
-        k = rng.integers(0, len(p_second), size=(alive, n))
-        second = _all_columns(rng.random(k.shape) < p_second[k])
-        return alive, int(np.count_nonzero(second))
+            alive = int(rng.binomial(alive, p_pass))
+        return alive, second(rng, alive)
 
     (first_total, second_total), run = _sum_batches(trials, seed, batch)
     conditional = second_total / first_total if first_total else None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ class TestCertificateFiles:
         np.testing.assert_array_equal(_codec.pairs_to_vector(encoded), m[0])
         with pytest.raises(FileFormatError):
             _codec.complex_to_pairs(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda rows: rows[1][2].__setitem__(0, True), "number pair"),
+        (lambda rows: rows[1][2].__setitem__(1, "0.5"), "number pair"),
+        (lambda rows: rows[2][0].__setitem__(0, None), "number pair"),
+        (lambda rows: rows[0][1].append(0.0), "number pair"),
+        (lambda rows: rows[2].pop(), "ragged rows"),
+        (lambda rows: rows[1][0].__setitem__(1, 10**400), "number pair"),
+        (lambda rows: rows[1][0].__setitem__(1, int(sys.float_info.max) + 1), "number pair"),
+        (lambda rows: rows[0][0].__setitem__(0, json.loads("-1e400")), "number pair"),
+    ], ids=["bool", "string", "null", "three-element pair", "ragged row",
+            "int beyond float range", "int just above the largest float", "overflowing float"])
+    def test_malformed_matrix_entries_are_rejected(self, corrupt, message):
+        rows = _codec.complex_to_pairs(np.arange(9.0).reshape(3, 3) * (1.0 - 0.5j))
+        corrupt(rows)
+        with pytest.raises(FileFormatError, match=message):
+            _codec.pairs_to_matrix(rows, "q")
+
+    def test_integer_pairs_decode_as_their_floats(self):
+        rows = [[[1, 0], [0, -2]], [[0, 2], [3, 0.5]]]
+        np.testing.assert_array_equal(
+            _codec.pairs_to_matrix(rows), np.array([[1, -2j], [2j, 3 + 0.5j]])
+        )
 
     def test_round_trip(self, tmp_path):
         problem = _wiesner_problem()

@@ -375,6 +375,56 @@ def test_as_hermitian_rejects_large_defect():
         linalg.as_hermitian(m)
 
 
+def _signed_zero_hermitian(n, seed):
+    """An exactly Hermitian n x n matrix whose zero parts carry random signs,
+    on and off the diagonal, so a sum that drops a zero's sign shows in the bits."""
+    rng = np.random.default_rng(seed)
+    pick = np.array([0.0, -0.0, 1.0, -0.5, 3.25])
+    m = np.empty((n, n), dtype=np.complex128)
+    m.real, m.imag = rng.choice(pick, size=(n, n)), rng.choice(pick, size=(n, n))
+    lower = np.tril_indices(n, -1)
+    m[lower] = m.T[lower].conj()
+    for part in (m.real, m.imag):
+        zero = part == 0.0
+        part[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    m.imag[np.diag_indices(n)] = rng.choice([0.0, -0.0], size=n)
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_as_hermitian_output_is_bit_identical_to_the_formula(n):
+    """Exactly Hermitian (up to signed zeros) and roundoff-repaired inputs,
+    across tile boundaries, give the bits of (m + m^H) / 2."""
+    exact = _signed_zero_hermitian(n, n)
+    repaired = exact.copy()
+    repaired[0, -1] += 1e-14
+    repaired[-1, n // 2] -= 3e-15j
+    for m in (exact, repaired):
+        out = linalg.as_hermitian(m)
+        assert out is not m
+        np.testing.assert_array_equal(out.view(np.int64), ((m + m.conj().T) / 2).view(np.int64))
+        np.testing.assert_array_equal(out, out.conj().T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_as_hermitian_rejects_non_finite_entries(bad, symmetric):
+    """Also a non-finite entry mirrored by its conjugate, which an equality test would pass."""
+    m = _signed_zero_hermitian(200, 3)
+    m[150, 7] = bad
+    if symmetric:
+        m[7, 150] = np.conj(bad)
+    with pytest.raises(HermiticityError, match="non-finite"):
+        linalg.as_hermitian(m)
+
+
+def test_as_hermitian_rejects_a_large_defect_in_a_far_tile():
+    m = _signed_zero_hermitian(300, 4)
+    m[290, 10] += 1e-6
+    with pytest.raises(HermiticityError, match="not Hermitian"):
+        linalg.as_hermitian(m)
+
+
 def test_as_hermitian_rejects_nonsquare():
     with pytest.raises(DimensionError):
         linalg.as_hermitian(np.zeros((2, 3)))
