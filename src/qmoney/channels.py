@@ -138,14 +138,15 @@ def pair_with_conjugate(choi: ChoiOperator, target: np.ndarray, state: np.ndarra
     return float(np.real(vec.conj() @ choi.matrix @ vec))
 
 
-def success_probability(choi: ChoiOperator, ensemble) -> float:
-    """Probability that both clones pass verification, averaged over the ensemble.
+def clone_rates(choi: ChoiOperator, ensemble) -> np.ndarray:
+    """Per ensemble state, the probability that both clones pass verification.
 
-    For each ensemble state the counterfeiter feeds it to the channel and the
-    issuer projects both output registers onto the state.  The value is
-    computed along two independent routes, by applying the channel and taking
-    the expectation directly, and through the Choi quadratic form with the
-    conjugated input, and the two must agree to ``linalg.ROUNDOFF_TOL``.
+    The counterfeiter feeds the state to the channel and the issuer projects
+    both output registers onto it.  Each rate is computed along two independent
+    routes, by applying the channel and taking the expectation directly, and
+    through the Choi quadratic form with the conjugated input; the two must
+    agree to ``linalg.ROUNDOFF_TOL``, and the second, clipped to [0, 1], is
+    returned once it lies there within ``linalg.VALUE_TOL``.
     """
     d = ensemble.dim
     if choi.in_dim != d or choi.out_dim != d * d:
@@ -153,17 +154,20 @@ def success_probability(choi: ChoiOperator, ensemble) -> float:
             f"channel dims ({choi.out_dim}, {choi.in_dim}) do not match a "
             f"two-clone attack on dimension {d}"
         )
-    direct = 0.0
-    quad = 0.0
-    for weight, psi in ensemble.items:
+    rates = np.empty(len(ensemble.items))
+    for i, (_, psi) in enumerate(ensemble.items):
         target = np.kron(psi, psi)
         out = apply_channel(choi, np.outer(psi, psi.conj()))
-        direct += weight * float(np.real(target.conj() @ out @ target))
-        quad += weight * pair_with_conjugate(choi, target, psi)
-    if abs(direct - quad) > linalg.ROUNDOFF_TOL:
-        raise ChannelValidationError(
-            f"success probability routes disagree: {direct!r} vs {quad!r}"
-        )
-    if not -linalg.VALUE_TOL <= direct <= 1 + linalg.VALUE_TOL:
-        raise ChannelValidationError(f"success probability {direct!r} outside [0, 1]")
-    return min(1.0, max(0.0, direct))
+        direct = float(np.real(target.conj() @ out @ target))
+        rates[i] = pair_with_conjugate(choi, target, psi)
+        if abs(direct - rates[i]) > linalg.ROUNDOFF_TOL:
+            raise ChannelValidationError(f"clone rate routes disagree: {direct!r} vs {rates[i]!r}")
+    if not np.all(np.abs(rates - 0.5) <= 0.5 + linalg.VALUE_TOL):  # NaN fails too
+        raise ChannelValidationError(f"clone rates {rates!r} outside [0, 1]")
+    return np.clip(rates, 0.0, 1.0)
+
+
+def success_probability(choi: ChoiOperator, ensemble) -> float:
+    """Probability that both clones pass verification, averaged over the
+    ensemble: the weighted sum of the :func:`clone_rates`."""
+    return float(np.array([w for w, _ in ensemble.items]) @ clone_rates(choi, ensemble))

@@ -228,12 +228,29 @@ def outcome_tables(
     return prob, accept
 
 
-def outcome_value(prob: np.ndarray, accept: np.ndarray) -> float:
-    """Success probability from tables like :func:`outcome_tables`'s: each row's
-    accepted share of its Born mass, clipped at 0 as the simulator samples it,
-    averaged over the equiprobable rows (challenge pairs and keys)."""
+def accepted_mass(prob: np.ndarray, accept: np.ndarray) -> np.ndarray:
+    """Each row's pass probability a/(a + r) in tables like :func:`outcome_tables`'s,
+    flattened to one row per leading index: a sums the row's Born probabilities
+    over the outcomes ``accept`` (one row for all, or one per row) passes, r over
+    the rest.  Entries below -``VALUE_TOL`` or NaN, and rows not summing to one
+    within it, are rejected; roundoff-sized negatives count as 0."""
+    prob = np.asarray(prob, dtype=np.float64).reshape(-1, np.shape(prob)[-1])
+    # Written so that NaN fails both tests.
+    if not prob.min() >= -linalg.VALUE_TOL:
+        raise ValueError(f"negative or NaN outcome probability {prob.min():.3e}")
     prob = np.clip(prob, 0.0, None)
-    return float(((prob * accept).sum(axis=-1) / prob.sum(axis=-1)).mean())
+    if not np.abs(prob.sum(axis=1) - 1.0).max() <= linalg.VALUE_TOL:
+        raise ValueError("outcome probabilities do not sum to one")
+    accept = accept.reshape(-1, prob.shape[1])
+    accepted = np.where(accept, prob, 0.0).sum(axis=1)
+    return accepted / (accepted + np.where(accept, 0.0, prob).sum(axis=1))
+
+
+def outcome_value(prob: np.ndarray, accept: np.ndarray) -> float:
+    """Success probability from tables like :func:`outcome_tables`'s: the
+    :func:`accepted_mass` of each row, averaged over the equiprobable rows
+    (challenge pairs and keys)."""
+    return float(accepted_mass(prob, accept).mean())
 
 
 def evaluate_ticket_strategy(

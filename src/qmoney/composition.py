@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +41,25 @@ def threshold_value(alpha: float, n: int, t: int) -> float:
     """Optimal counterfeiting value when t of n verifications must pass.
 
     The binomial tail is summed at 40 significant digits and rounded once, so
-    coefficients past float range (n above about 1030) cannot overflow and
-    tails such as 27/32 come out exact.
+    terms past float range cannot overflow or underflow and tails such as
+    27/32 come out exact.  Term j + 1 is term j times the ratio
+    (n - j)/(j + 1) * alpha/(1 - alpha), so the cost is linear in n.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"base value must lie in [0, 1], got {alpha}")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     if alpha == 1.0:
-        return 1.0  # decimal rejects the last term's 0 ** 0
+        return 1.0  # decimal rejects the ratio's division by 0
     context = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     with decimal.localcontext(context):
         a = decimal.Decimal(alpha)
-        return float(sum(math.comb(n, j) * a**j * (1 - a) ** (n - j) for j in range(t, n + 1)))
+        ratio, term, total = a / (1 - a), (1 - a) ** n, 0
+        for j in range(n + 1):
+            if j >= t:
+                total += term
+            term = term * (n - j) * ratio / (j + 1)
+        return float(total)
 
 
 def _grouping_permutation(splits: list[tuple[int, int]]) -> list[int]:
@@ -170,42 +175,40 @@ def threshold_conditions_hold(ensemble: schemes.Ensemble, solution: SdpSolution)
     return solution.iterations == 0 and np.abs(average - np.eye(d) / d).max() <= linalg.VALUE_TOL
 
 
-def _check_dense_guard(d: int, n: int) -> None:
+def _threshold_operator(ensemble: schemes.Ensemble, n: int,
+                        t: int) -> tuple[ThresholdOperators, np.ndarray]:
+    """The per-round operators and R: over outcome patterns with at least t
+    successes, the sum of the tensor products of per-round success/failure
+    operators.  Dense assembly is guarded by the d^(3n) size cap."""
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    d = ensemble.dim
     if d ** (3 * n) > DENSE_GUARD:
         raise DimensionError(
             f"dense threshold assembly needs dimension^(3n) <= {DENSE_GUARD}, "
             f"got {d ** (3 * n)}"
         )
-
-
-def _threshold_operator(ops: ThresholdOperators, n: int, t: int) -> np.ndarray:
-    """R: over outcome patterns with at least t successes, the sum of the
-    tensor products of per-round success/failure operators."""
+    ops = build_threshold_operators(ensemble)
     size = ops.success.shape[0] ** n
     r = np.zeros((size, size), dtype=np.complex128)
     for pattern in range(2**n):
         bits = [(pattern >> i) & 1 for i in range(n)]
         if sum(bits) >= t:
             r += _tensor([ops.success if b else ops.failure for b in bits])
-    return r
+    return ops, r
 
 
 def verify_r_norm(ensemble: schemes.Ensemble, n: int, t: int) -> tuple[float, float]:
     """Norm of the assembled threshold operator next to its closed form.
 
-    Assembles R, the sum over outcome patterns with at least t successes of
-    the tensor products of per-round success/failure operators, and returns
-    its operator norm together with the binomial-tail formula evaluated at
-    the base value implied by the objective norm.  Dense assembly is guarded
-    by the d^(3n) size cap.
+    Assembles R by :func:`_threshold_operator` and returns its operator norm
+    together with the binomial-tail formula evaluated at the base value
+    implied by the objective norm.
     """
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    ops, r = _threshold_operator(ensemble, n, t)
     d = ensemble.dim
-    _check_dense_guard(d, n)
-    ops = build_threshold_operators(ensemble)
     alpha = d * linalg.operator_norm(ops.success)
-    lhs = linalg.operator_norm(_threshold_operator(ops, n, t))
+    lhs = linalg.operator_norm(r)
     rhs = threshold_value(min(1.0, alpha), n, t) / d**n
     return lhs, rhs
 
@@ -213,15 +216,10 @@ def verify_r_norm(ensemble: schemes.Ensemble, n: int, t: int) -> tuple[float, fl
 def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     """The composed problem for at-least-t-of-n verification, ready to solve.
 
-    The objective is the assembled R operator regrouped so clone factors
-    precede input factors, matching the layout of :func:`repeated_sdp`.
-    Dense assembly is guarded by the d^(3n) size cap.
+    The objective is R of :func:`_threshold_operator` regrouped so clone
+    factors precede input factors, matching the layout of :func:`repeated_sdp`.
     """
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    _, r = _threshold_operator(ensemble, n, t)
     d = ensemble.dim
-    _check_dense_guard(d, n)
-    ops = build_threshold_operators(ensemble)
-    r = _threshold_operator(ops, n, t)
     perm = _grouping_permutation([(3, 2)] * n)
     return CloningSdp(_regroup(r, [d] * (3 * n), perm), tuple([d] * (3 * n)), n_out=2 * n)

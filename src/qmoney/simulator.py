@@ -9,13 +9,16 @@ is bit-identical for a given seed no matter how many worker threads run.
 
 Within a batch, only what decides its count is drawn.  Trials are
 exchangeable, so a batch keeps just the count of trials still alive and
-draws note j for them only (:func:`_survivors`): a row of the note's outcome
-table, uniformly or by its row weights, then a uniform that passes the note
-below the row's accepted mass (inversion sampling of the row's outcomes
-enumerated accepted-first).  The quantum, ticket and honest attacks hand
-:func:`_note_attack` only that table.  The Bell attack's first verification
-passes every key at one rate, so each qubit's survivor count is one binomial
-draw; its keyed second verification runs through the same survivor loop.
+draws note j for them only (:func:`_survivors`): a row of the note's table,
+uniformly or by its row weights, then a uniform that passes the note below
+the row's pass probability; once no trial is alive, it draws nothing more.
+The quantum, ticket and honest attacks hand :func:`_note_attack` only those
+pass probabilities, computed once by the module that defines the attack
+(:func:`cloners.accepted_mass`, :func:`channels.clone_rates`), and the
+analytic rate is the exact rate of the rows sampled.  The Bell attack's
+first verification passes every key at one rate, so each qubit's survivor
+count is one binomial draw; its keyed second verification runs through the
+same survivor loop.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ class TrialConfig:
 class TrialReport:
     """Outcome counts of a simulation plus the analytic comparison.
 
-    The empirical rate and the z-score, its gap to the analytic rate in units
+    ``analytic`` is the exact success rate of the sampled process: the mean
+    pass probability of the rows sampled, raised to the number of notes.  The
+    empirical rate and the z-score, its gap to the analytic rate in units
     of the binomial standard error, derive from the counts; ``conditional_rate``
     is only set by attacks that verify a second note conditioned on the first.
     ``batches`` is the number of sampling batches run, ``workers`` the threads
@@ -157,26 +162,6 @@ def _sum_batches(
     return counts, run
 
 
-def _probability_rows(prob: np.ndarray) -> np.ndarray:
-    """Row-wise outcome probabilities, validated to sum to one and clipped at 0."""
-    prob = np.asarray(prob, dtype=np.float64)
-    # Written so that NaN fails both tests.
-    if not prob.min() >= -linalg.VALUE_TOL:
-        raise ValueError(f"negative or NaN outcome probability {prob.min():.3e}")
-    prob = np.clip(prob, 0.0, None)
-    if not np.abs(prob.sum(axis=1) - 1.0).max() <= linalg.VALUE_TOL:
-        raise ValueError("outcome probabilities do not sum to one")
-    return prob
-
-
-def _cdf_rows(prob: np.ndarray) -> np.ndarray:
-    """Row-wise CDFs for categorical sampling, validated and exactly capped."""
-    prob = _probability_rows(prob)
-    cdf = np.cumsum(prob / prob.sum(axis=1)[:, None], axis=1)
-    cdf[:, -1] = 1.0
-    return cdf
-
-
 def _sample_rows(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Categorical index of each draw: the thresholds of ``cdf_row`` at or below ``u[i]``.
 
@@ -203,8 +188,10 @@ def _survivors(mass: np.ndarray, repetitions: int,
     ``mass`` (one uniform integer, or one uniform against ``row_cdf``), then a
     uniform that passes the note below the row's mass, and keeps just the
     count that passed: trials are exchangeable, so it has the law of "every note
-    passes".  A table whose rows all have mass 1 is not drawn, as no draw fails it.
-    Each worker thread reuses its own buffers across the batches of one call.
+    passes".  A table whose rows all have mass 1 is not drawn, as no draw fails
+    it, and the loop stops once no trial is alive, as an empty draw takes
+    nothing from the stream.  Each worker thread reuses its own buffers across
+    the batches of one call.
     """
     local = threading.local()
     notes = 0 if mass.min() >= 1.0 else repetitions
@@ -213,6 +200,8 @@ def _survivors(mass: np.ndarray, repetitions: int,
         if not hasattr(local, "buffers"):
             local.buffers = tuple(np.empty(BATCH_SIZE, t) for t in (float, float, np.intp, bool))
         for _ in range(notes):
+            if not alive:
+                break
             u, gathered, row, passed = (b[:alive] for b in local.buffers)
             if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
                 np.copyto(row, _uniform_rows(rng, alive, len(mass)))
@@ -226,51 +215,47 @@ def _survivors(mass: np.ndarray, repetitions: int,
     return survive
 
 
-def _note_attack(
-    trials: int, seed: int, repetitions: int, prob: np.ndarray, accept: np.ndarray,
-    analytic: float, row_weights: np.ndarray | None = None,
-) -> TrialReport:
+def _note_attack(trials: int, seed: int, repetitions: int, mass: np.ndarray,
+                 row_weights: np.ndarray | None = None) -> TrialReport:
     """Count the trials whose ``repetitions`` notes all pass, by the survivor loop
-    of :func:`_survivors` on the accepted mass a/(a + r) of each row of the outcome
-    table ``prob``, from its sums a over the outcomes ``accept`` (one row for all,
-    or one per row) passes and r over the rest; rows are drawn uniformly, or by
-    the CDF of ``row_weights``.  That is inversion sampling of the row's outcomes
-    enumerated accepted-first, exact for any enumeration (Devroye, *Non-Uniform
-    Random Variate Generation*, 1986, ch. III), with no outcome formed.
+    of :func:`_survivors` on ``mass``, each row's pass probability from the module
+    defining the attack (:func:`cloners.accepted_mass`, :func:`channels.clone_rates`),
+    rows drawn uniformly or by the CDF of ``row_weights``; a uniform below a row's
+    mass is inversion sampling of its outcomes enumerated accepted-first (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. III).  The analytic rate is
+    exact for that draw: the (``row_weights``-weighted) mean of ``mass`` raised to ``repetitions``.
     """
-    prob = _probability_rows(prob.reshape(-1, prob.shape[-1]))
-    accept = accept.reshape(-1, prob.shape[1])
-    accepted = np.where(accept, prob, 0.0).sum(axis=1)
-    mass = accepted / (accepted + np.where(accept, 0.0, prob).sum(axis=1))
-    row_cdf = None if row_weights is None else _cdf_rows(np.asarray(row_weights)[None, :])[0]
+    if row_weights is None:
+        row_cdf, rate = None, mass.mean()
+    else:
+        weights = np.clip(row_weights, 0.0, None)
+        row_cdf = np.cumsum(weights / weights.sum())
+        row_cdf[-1] = 1.0
+        rate = np.average(mass, weights=weights)
     survive = _survivors(mass, repetitions, row_cdf)
     (successes,), run = _sum_batches(trials, seed, lambda rng, count: (survive(rng, count),))
-    return TrialReport(successes, trials, analytic, **run)
+    return TrialReport(successes, trials, float(rate) ** repetitions, **run)
 
 
 def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     """Run a cloning attack: sample a key, clone, verify both clones.
 
-    Per note, the key state is drawn with its ensemble weight and passes with
-    the probability that both output factors of the cloner's channel pass
-    their test against the key-state projector.  The analytic rate is the
-    exact channel success probability raised to the number of repetitions.
+    Per note, the key state is drawn with its ensemble weight and passes at
+    its :func:`channels.clone_rates` entry: the probability that both output
+    factors of the cloner's channel pass their test against the key-state
+    projector.  The analytic rate is their weighted mean (the channel's
+    success probability) raised to the number of repetitions.
     """
     ensemble, strategy = cfg.scheme, cfg.strategy
     if not isinstance(ensemble, schemes.Ensemble):
         raise TypeError("quantum attack needs an Ensemble scheme")
     if not isinstance(strategy, channels.ChoiOperator):
         raise TypeError("quantum attack needs a ChoiOperator strategy")
-    # Checks the channel's dimensions, and finds the rate by applying it.
-    analytic = channels.success_probability(strategy, ensemble) ** cfg.repetitions
     weights = np.array([w for w, _ in ensemble.items])
-    # Key k's row is [pass, fail], passing at <psi psi| Phi(|psi><psi|) |psi psi>.
-    rates = np.array([channels.pair_with_conjugate(strategy, np.kron(psi, psi), psi)
-                      for _, psi in ensemble.items])
     # Equal weights make every key a uniform row, drawn with one integer.
     return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions, np.column_stack((rates, 1.0 - rates)),
-        np.array([True, False]), analytic, None if np.all(weights == weights[0]) else weights,
+        cfg.trials, cfg.seed, cfg.repetitions, channels.clone_rates(strategy, ensemble),
+        None if np.all(weights == weights[0]) else weights,
     )
 
 
@@ -281,22 +266,19 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     draw of their table row), measure the key state once with the POVM the
     strategy assigns to that challenge pair, and accept when both reported
     answers satisfy the scheme's predicate.  Outcomes are sampled from the
-    tables of :func:`cloners.outcome_tables`, built once per call, and the
-    analytic rate is their :func:`cloners.outcome_value` (the exact strategy
-    value) raised to the number of repetitions.
+    tables of :func:`cloners.outcome_tables`, built once per call, by each
+    row's :func:`cloners.accepted_mass`; the analytic rate is their mean (the
+    exact strategy value) raised to the number of repetitions.
     """
     scheme, strategy = cfg.scheme, cfg.strategy
     if not isinstance(scheme, schemes.TicketScheme):
         raise TypeError("ticket attack needs a TicketScheme")
     if not isinstance(strategy, cloners.TicketStrategy):
         raise TypeError("ticket attack needs a TicketStrategy")
-    prob, accept = cloners.outcome_tables(strategy, scheme)
     # Row (2*c1 + c2)*2d + key is [challenge pair, key]; a uniform row is a
     # uniform key and two uniform challenges.
-    return _note_attack(
-        cfg.trials, cfg.seed, cfg.repetitions, prob, accept,
-        cloners.outcome_value(prob, accept) ** cfg.repetitions,
-    )
+    mass = cloners.accepted_mass(*cloners.outcome_tables(strategy, scheme))
+    return _note_attack(cfg.trials, cfg.seed, cfg.repetitions, mass)
 
 
 def simulate_honest_verification(
@@ -306,8 +288,8 @@ def simulate_honest_verification(
 
     The holder measures the key state in whichever basis the single
     challenge names and reports the observed index.  The analytic rate is the
-    :func:`cloners.outcome_value` of the sampled tables: 1 unless the scheme's
-    predicate rejects some honest answers.
+    mean :func:`cloners.accepted_mass` of the sampled tables: 1 unless the
+    scheme's predicate rejects some honest answers.
     """
     check_sampling(trials, seed)
     bases = np.stack((scheme.pair.basis0, scheme.pair.basis1))
@@ -315,9 +297,7 @@ def simulate_honest_verification(
     # acceptance; row 2*key + c of the flat tables is [key, challenge], drawn uniformly.
     prob = np.abs(np.einsum("cit,ki->kct", bases.conj(), scheme.key_states())) ** 2
     accept = scheme.accept_table().transpose(2, 0, 1)
-    return _note_attack(
-        trials, seed, 1, prob, accept, cloners.outcome_value(prob, accept),
-    )
+    return _note_attack(trials, seed, 1, cloners.accepted_mass(prob, accept))
 
 
 def _bell_probabilities() -> tuple[float, np.ndarray]:

@@ -114,6 +114,36 @@ def test_success_probability_equals_objective_pairing():
     assert channels.success_probability(choi, ensemble) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ensemble", [schemes.wiesner_ensemble(), schemes.six_state_ensemble(),
+                 schemes.Ensemble(2, ((0.3, np.array([1.0, 0.0])), (0.7, np.array([0.6, 0.8j]))))],
+)
+def test_weights_times_clone_rates_are_the_success_probability(ensemble):
+    choi = channels.choi_from_kraus(random_tp_kraus(np.random.default_rng(23), 2, 4, 2))
+    rates = channels.clone_rates(choi, ensemble)
+    weights = np.array([w for w, _ in ensemble.items])
+    assert rates.shape == (len(ensemble.items),)
+    assert np.all((0.0 <= rates) & (rates <= 1.0))
+    assert weights @ rates == channels.success_probability(choi, ensemble)
+
+
+def test_clone_rates_are_the_per_state_output_overlaps():
+    """Each rate is <psi psi| Phi(|psi><psi|) |psi psi>, by applying the channel."""
+    rng = np.random.default_rng(24)
+    choi = channels.choi_from_kraus(random_tp_kraus(rng, 2, 4, 3))
+    ensemble = schemes.six_state_ensemble()
+    for rate, (_, psi) in zip(channels.clone_rates(choi, ensemble), ensemble.items):
+        target = np.kron(psi, psi)
+        out = channels.apply_channel(choi, np.outer(psi, psi.conj()))
+        assert rate == pytest.approx(float(np.real(target.conj() @ out @ target)), abs=1e-12)
+
+
+def test_clone_rates_dimension_check():
+    choi = channels.choi_from_kraus([np.eye(2, dtype=np.complex128)])
+    with pytest.raises(DimensionError):
+        channels.clone_rates(choi, schemes.wiesner_ensemble())
+
+
 def test_kraus_completeness_rejected():
     with pytest.raises(ChannelValidationError):
         channels.choi_from_kraus([np.eye(2) * 0.5])

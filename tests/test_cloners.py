@@ -183,6 +183,30 @@ class TestStrategyEvaluation:
             )
 
 
+class TestAcceptedMass:
+    @pytest.mark.parametrize("prob", [[[math.nan, 1.0]], [[0.5, 0.5], [1.0, math.nan]],
+                                      [[math.nan, math.nan]]])
+    def test_rejects_nan_probabilities(self, prob):
+        prob = np.array(prob)
+        with pytest.raises(ValueError, match="NaN"):
+            cloners.accepted_mass(prob, np.ones(prob.shape, dtype=bool))
+
+    def test_rejects_negative_and_unnormalized_rows(self):
+        accept = np.array([True, False])
+        with pytest.raises(ValueError, match="negative"):
+            cloners.accepted_mass(np.array([[1.1, -0.1]]), accept)
+        with pytest.raises(ValueError, match="sum to one"):
+            cloners.accepted_mass(np.array([[0.5, 0.4]]), accept)
+
+    def test_each_row_is_its_accepted_share(self):
+        """Rows of a [challenge pair, key, outcome] table flatten in order, one
+        accept row serves them all, and roundoff-sized negatives count as 0."""
+        prob = np.array([[[0.25, 0.75], [1.0, -1e-12]], [[0.0, 1.0], [0.5, 0.5]]])
+        mass = cloners.accepted_mass(prob, np.array([True, False]))
+        np.testing.assert_array_equal(mass, [0.25, 1.0, 0.0, 0.5])
+        assert cloners.outcome_value(prob, np.array([True, False])) == float(mass.mean())
+
+
 class TestStrategyValidation:
     def test_missing_challenge_pair_rejected(self):
         scheme = schemes.fourier_ticket_scheme(2)

@@ -154,6 +154,26 @@ class TestThresholdValue:
         value = composition.threshold_value(alpha, n, t)
         assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
+    def test_tails_within_two_ulp_of_exact_fractions(self):
+        """Every (n, t) with n <= 60, at fixed and sampled base values, against
+        the exact rational tail rounded once to a float."""
+        alphas = [0.5, 0.75, 2.0 / 3.0, 0.1, 0.999]
+        alphas += np.random.default_rng(9).random(3).tolist()
+        for alpha in alphas:
+            a = fractions.Fraction(alpha)
+            for n in range(1, 61):
+                exact = fractions.Fraction(0)
+                for t in range(n, 0, -1):
+                    exact += math.comb(n, t) * a**t * (1 - a) ** (n - t)
+                    value = composition.threshold_value(alpha, n, t)
+                    assert abs(value - float(exact)) <= 2 * math.ulp(float(exact)), (alpha, n, t)
+
+    def test_large_n(self):
+        """n = 100,000, where a binomial coefficient has about 30,000 digits;
+        the tail at the mean of a fair coin falls just short of 1/2."""
+        assert composition.threshold_value(0.75, 100_000, 50_000) == 1.0
+        assert composition.threshold_value(0.5, 100_000, 50_001) < 0.5
+
     def test_monotone_in_threshold_and_base(self):
         for n in (2, 3, 5):
             values = [composition.threshold_value(0.6, n, t) for t in range(1, n + 1)]

@@ -375,12 +375,9 @@ def _weighted_six_state():
     return schemes.Ensemble(2, tuple((w, psi) for w, (_, psi) in zip(weights, items)))
 
 
-def _six_state_pass_fail_table():
-    """The Buzek-Hillery cloner's [pass, fail] rows over the six-state keys."""
-    strategy = cloners.buzek_hillery_cloner()
-    rates = np.array([channels.pair_with_conjugate(strategy, np.kron(psi, psi), psi)
-                      for _, psi in schemes.six_state_ensemble().items])
-    return np.column_stack((rates, 1.0 - rates)), np.array([True, False])
+def _six_state_clone_rates():
+    """The Buzek-Hillery cloner's pass rates over the six-state keys."""
+    return channels.clone_rates(cloners.buzek_hillery_cloner(), schemes.six_state_ensemble())
 
 
 GOLDEN = {
@@ -438,8 +435,7 @@ GOLDEN = {
     # uniform per row, instead of one uniform integer.
     "six-state x3, keys by CDF": (
         lambda: simulator._note_attack(
-            300_001, 1, 3, *_six_state_pass_fail_table(), 0.3,
-            np.full(6, 1.0 / 6.0),
+            300_001, 1, 3, _six_state_clone_rates(), np.full(6, 1.0 / 6.0),
         ),
         88779, None,
     ),
@@ -505,7 +501,9 @@ class TestSampling:
             accept = gen.random((n_rows, 5)) < 0.5
             accept[4], accept[5] = True, False
             order = np.argsort(~accept, axis=1, kind="stable")
-            cdf = simulator._cdf_rows(np.take_along_axis(prob, order, axis=1))
+            ordered = np.take_along_axis(prob, order, axis=1)
+            cdf = np.cumsum(ordered / ordered.sum(axis=1, keepdims=True), axis=1)
+            cdf[:, -1] = 1.0
             accept_first = np.take_along_axis(accept, order, axis=1)
 
             def reference(rng, count):
@@ -518,7 +516,8 @@ class TestSampling:
                 return (alive,)
 
             (expected,), _ = simulator._sum_batches(trials, 8, reference)
-            report = simulator._note_attack(trials, 8, repetitions, prob, accept, 0.5)
+            mass = cloners.accepted_mass(prob, accept)
+            report = simulator._note_attack(trials, 8, repetitions, mass)
             assert report.successes == expected, n_rows
 
     def test_survivors_draw_nothing_that_cannot_fail(self):
@@ -529,6 +528,26 @@ class TestSampling:
         assert simulator._survivors(np.array([0.5, 1.0]), 3)(rng, 0) == 0
         assert rng.random() == fresh.random()
 
+    def test_survivors_stop_drawing_once_no_trial_is_alive(self):
+        """A million notes at pass rate 1/2 fail 1,000 trials within a few dozen
+        notes; the kernel then stops, instead of drawing empty notes to the end."""
+
+        class CountingRng:
+            def __init__(self):
+                self.rng, self.calls = np.random.Generator(np.random.SFC64(5)), 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.random(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        rng = CountingRng()
+        assert simulator._survivors(np.array([0.5]), 10**6)(rng, 1000) == 0
+        assert 0 < rng.calls <= 200
+
     def test_rows_without_rejected_or_accepted_mass_are_decided_by_the_row(self):
         """A row whose rejected outcomes have probability 0 passes every draw,
         and one whose accepted outcomes have probability 0 passes none."""
@@ -536,7 +555,8 @@ class TestSampling:
         accept = np.array([[True, True, True, False, False], [True, True, False, False, False]])
         trials = simulator.BATCH_SIZE + 3
         for row, expected in ((0, trials), (1, 0)):
-            report = simulator._note_attack(trials, 2, 1, prob[row:row + 1], accept[row], 0.5)
+            mass = cloners.accepted_mass(prob[row:row + 1], accept[row])
+            report = simulator._note_attack(trials, 2, 1, mass)
             assert report.successes == expected
 
     def test_one_gather_per_batch_whatever_the_table_width(self, monkeypatch):
@@ -572,19 +592,15 @@ class TestSampling:
         for shape in shapes[::-1] + shapes[1::2] + shapes[::2]:
             assert run(*shape) == fresh[shape]
 
-    @pytest.mark.parametrize("prob", [[[math.nan, 1.0]], [[0.5, 0.5], [1.0, math.nan]],
-                                      [[math.nan, math.nan]]])
-    def test_cdf_rows_rejects_nan_probabilities(self, prob):
-        with pytest.raises(ValueError, match="NaN"):
-            simulator._cdf_rows(np.array(prob))
-
     def test_sample_rows_matches_a_per_row_bisection(self):
         rng = np.random.default_rng(4)
         prob = rng.random((4, 6))
         prob[1, 2:4] = 0.0  # zero-probability bins inside a row
         prob[2, :2] = 0.0  # leading zero bins
         prob[3, 4:] = 0.0  # trailing zero bins
-        for p, cdf_row in zip(prob, simulator._cdf_rows(prob / prob.sum(axis=1, keepdims=True))):
+        cdf = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+        cdf[:, -1] = 1.0
+        for p, cdf_row in zip(prob, cdf):
             u = rng.random(1000)
             # Draws lying exactly on a threshold, including a zero bin's; a
             # threshold of 1 is never drawn, since draws lie in [0, 1).
@@ -594,6 +610,57 @@ class TestSampling:
             got = simulator._sample_rows(cdf_row, u)
             np.testing.assert_array_equal(got, np.searchsorted(cdf_row[:-1], u, side="right"))
             assert np.all(p[got] > 0.0)
+
+
+def _spy_on_masses(monkeypatch):
+    """Record the pass probabilities each survivor kernel is built on."""
+    seen, survivors = [], simulator._survivors
+
+    def spy(mass, repetitions, row_cdf=None):
+        seen.append(mass)
+        return survivors(mass, repetitions, row_cdf)
+
+    monkeypatch.setattr(simulator, "_survivors", spy)
+    return seen
+
+
+class TestAnalyticRate:
+    """The analytic rate is the exact rate of the table sampled: the mean (or
+    weighted mean) of the rows' pass probabilities, raised to the number of
+    notes, and those probabilities come from the module defining the attack."""
+
+    @pytest.mark.parametrize("ensemble, weighted", [
+        (schemes.wiesner_ensemble(), False), (_weighted_six_state(), True),
+    ])
+    def test_quantum_attack(self, ensemble, weighted, monkeypatch):
+        seen = _spy_on_masses(monkeypatch)
+        strategy = _identity_first_clone()
+        report = simulator.simulate_quantum_attack(
+            simulator.TrialConfig(ensemble, strategy, 1000, seed=2, repetitions=3)
+        )
+        (mass,) = seen
+        np.testing.assert_array_equal(mass, channels.clone_rates(strategy, ensemble))
+        weights = np.array([w for w, _ in ensemble.items]) if weighted else None
+        assert report.analytic == float(np.average(mass, weights=weights)) ** 3
+
+    def test_ticket_attack(self, monkeypatch):
+        seen = _spy_on_masses(monkeypatch)
+        scheme, strategy = schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3)
+        report = simulator.simulate_ticket_attack(
+            simulator.TrialConfig(scheme, strategy, 1000, seed=2, repetitions=2)
+        )
+        (mass,) = seen
+        tables = cloners.outcome_tables(strategy, scheme)
+        np.testing.assert_array_equal(mass, cloners.accepted_mass(*tables))
+        assert report.analytic == float(mass.mean()) ** 2
+        assert report.analytic == cloners.outcome_value(*tables) ** 2
+
+    @pytest.mark.parametrize("scheme", [schemes.fourier_ticket_scheme(3), _strict_ticket_scheme(3)])
+    def test_honest_verification(self, scheme, monkeypatch):
+        seen = _spy_on_masses(monkeypatch)
+        report = simulator.simulate_honest_verification(scheme, 1000, seed=2)
+        (mass,) = seen
+        assert report.analytic == float(mass.mean())
 
 
 class TestTicketTables:
