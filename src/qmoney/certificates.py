@@ -222,6 +222,8 @@ def load_certificate(path: str) -> CertificateFile:
         raise FileFormatError(f"tolerance must be a number in (0, 1], got {tolerance!r}")
     if not _codec.is_number(value):
         raise FileFormatError(f"value must be a finite number, got {value!r}")
+    if y.shape[0] != y.shape[1]:
+        raise FileFormatError(f"dual_y must be a square matrix, got shape {y.shape}")
     in_dim = y.shape[0]
     if q.shape[0] % in_dim != 0:
         raise FileFormatError(

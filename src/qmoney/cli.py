@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import certificates, channels, cloners, composition, schemes, sdp, simulator
+from . import certificates, channels, cloners, composition, linalg, schemes, sdp, simulator
 from .exceptions import CertificationError, FileFormatError, QuantumMoneyError, SolverError
 
 BUILTIN_SCHEMES = ("wiesner", "six-state", "sic", "symmetric:d", "ticket:d")
@@ -149,12 +149,10 @@ def cmd_analyze(args) -> int:
     ticket = isinstance(entry.scheme, schemes.TicketScheme)
     if ticket:
         blocks, weights = _challenge_problems(entry.scheme)
-        solution = sdp.solve_block_diagonal(blocks, weights, tol=args.tol)
-        solutions = solution.block_solutions
+        solutions = sdp.solve_block_diagonal(blocks, weights, tol=args.tol)
     else:
         blocks, weights = [entry.cloning_problem()], [1.0]
-        solution = sdp.solve(blocks[0], tol=args.tol)
-        solutions = [solution]
+        solutions = (sdp.solve(blocks[0], tol=args.tol),)
     # A ticket problem is the direct sum of its weighted blocks, and a pair certified in
     # every block is certified in the sum, so each block is checked on its own space.
     reports = [
@@ -163,28 +161,32 @@ def cmd_analyze(args) -> int:
     ]
     gap = sum(w * r.gap for w, r in zip(weights, reports))
     certified = all(r.certified for r in reports)
-    single = min(1.0, max(0.0, solution.primal_value))
+    single = min(1.0, max(0.0, sum(w * s.primal_value for s, w in zip(solutions, weights))))
     value = composition.repeated_value(single, args.n)
+    iterations = max(s.iterations for s in solutions)
     record = {
         "scheme": entry.ident,
         "n": args.n,
         "single_value": single,
         "value": value,
-        "iterations": solution.iterations,
+        "iterations": iterations,
         "gap": gap,
         "certified": certified,
     }
     _emit(record)
     if args.output is not None:
-        problem = sdp.assemble_block_sdp(blocks, weights) if ticket else blocks[0]
-        payload = certificates.certificate_payload(
-            problem, solution.primal_x, solution.dual_y, cert_tol, single
-        )
+        problem, x, y = blocks[0], solutions[0].primal_x, solutions[0].dual_y
+        if ticket:  # the pair on the combined space, laid out as its objective
+            problem = sdp.assemble_block_sdp(blocks, weights)
+            d_out, d_in = blocks[0].out_dim, blocks[0].in_dim
+            x = linalg.direct_sum([s.primal_x for s in solutions], d_out, d_in)
+            y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, d_in)
+        payload = certificates.certificate_payload(problem, x, y, cert_tol, single)
         payload.update(
             scheme=entry.ident,
             n=args.n,
             repeated_value=value,
-            iterations=solution.iterations,
+            iterations=iterations,
             certified=certified,
         )
         _write_output(args.output, payload)

@@ -155,10 +155,10 @@ class IterateStats:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: primal/dual pair, values, gap, and run diagnostics.
+    """One problem's solution: primal/dual pair, values, gap, and run diagnostics.
 
-    The pair is not checked for feasibility here; :func:`qmoney.certificates.certify`
-    does that.
+    The pair lives on that problem's space.  It is not checked for feasibility
+    here; :func:`qmoney.certificates.certify` does that.
     """
 
     primal_x: np.ndarray
@@ -168,7 +168,6 @@ class SdpSolution:
     gap: float
     iterations: int
     trace: tuple[IterateStats, ...] = ()
-    block_solutions: tuple["SdpSolution", ...] | None = None
 
     def __post_init__(self):
         scale = max(1.0, abs(self.primal_value), abs(self.dual_value))
@@ -521,30 +520,22 @@ def solve_block_diagonal(
     blocks: list[CloningSdp],
     weights: list[float],
     tol: float = DEFAULT_TOL,
-) -> SdpSolution:
-    """Solve weighted same-shape subproblems and assemble one solution.
+) -> tuple[SdpSolution, ...]:
+    """Solve weighted same-shape subproblems one by one; one solution per block.
 
-    Each block is solved by :func:`solve`, in input order.  The returned
-    primal/dual pair lives on the combined space of :func:`assemble_block_sdp`,
-    which is not built here, and its values are the weighted sums of the block
-    values.  Per-block solutions are kept on ``block_solutions``, in input order.
+    The weights are checked as :func:`assemble_block_sdp` checks them, and each
+    block is solved by :func:`solve`, in input order, on its own space.  The
+    weighted direct sum has the value sum_i w_i value_i and the pair made of
+    the direct sums of the X_i and of the w_i Y_i, which is not built here.
     A block that exhausts ``MAX_ITERATIONS`` or loses positive definiteness
     raises :class:`SolverError` naming it and carrying its own best iterate, on
     its own space; with several failing blocks, the error names the lowest.
     """
-    first = _check_blocks(blocks, weights)
+    _check_blocks(blocks, weights)
     solutions = []
     for i, block in enumerate(blocks):
         try:
             solutions.append(solve(block, tol, max_iterations=MAX_ITERATIONS))
         except SolverError as exc:
             raise SolverError(f"block {i}: {exc}", solution=exc.solution) from exc
-    x = linalg.direct_sum([s.primal_x for s in solutions], first.out_dim, first.in_dim)
-    y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, first.in_dim)
-    pval = sum(w * s.primal_value for s, w in zip(solutions, weights))
-    dval = sum(w * s.dual_value for s, w in zip(solutions, weights))
-    return SdpSolution(
-        x, y, pval, dval, dval - pval,
-        iterations=max(s.iterations for s in solutions),
-        block_solutions=tuple(solutions),
-    )
+    return tuple(solutions)

@@ -146,8 +146,9 @@ def test_criterion_08_classical_verification():
         q = schemes.assemble_challenge_block(blocks, 2, c1, c2)
         problems.append(sdp.CloningSdp(q, dims=(2, 2, 2)))
         wts.append(weights[(c1, c2)])
-    solution = sdp.solve_block_diagonal(problems, wts)
-    assert abs(solution.primal_value - (0.75 + math.sqrt(2.0) / 8.0)) <= 1e-6
+    solutions = sdp.solve_block_diagonal(problems, wts)
+    value = sum(w * s.primal_value for s, w in zip(solutions, wts))
+    assert abs(value - (0.75 + math.sqrt(2.0) / 8.0)) <= 1e-6
 
     for d in range(2, 6):
         scheme_d = schemes.fourier_ticket_scheme(d)

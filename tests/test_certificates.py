@@ -296,3 +296,18 @@ class TestCertificateFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(FileFormatError):
             certificates.load_certificate(str(path))
+
+    def test_non_square_dual_rejected(self, tmp_path):
+        """A 1 x 2 dual beside a 1 x 1 objective and primal is a file error that names
+        the field, before any shape is inferred from it."""
+        path = tmp_path / "cert.json"
+        payload = {
+            "q": [[[0.5, 0.0]]],
+            "primal_x": [[[1.0, 0.0]]],
+            "dual_y": [[[0.5, 0.0], [0.0, 0.0]]],
+            "tolerance": 1e-7,
+            "value": 0.5,
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="dual_y must be a square matrix"):
+            certificates.load_certificate(str(path))

@@ -111,10 +111,9 @@ class TestTicketBlocks:
         solve_block_diagonal = sdp.solve_block_diagonal
 
         def shrink_one_dual(blocks, weights, tol):
-            solution = solve_block_diagonal(blocks, weights, tol=tol)
-            parts = list(solution.block_solutions)
+            parts = list(solve_block_diagonal(blocks, weights, tol=tol))
             parts[1] = dataclasses.replace(parts[1], dual_y=0.9 * parts[1].dual_y)
-            return dataclasses.replace(solution, block_solutions=tuple(parts))
+            return tuple(parts)
 
         monkeypatch.setattr(sdp, "solve_block_diagonal", shrink_one_dual)
         code, rec = run_cli(["analyze", "--scheme", "ticket:2"], capsys)
@@ -126,16 +125,20 @@ class TestTicketBlocks:
         code, rec = run_cli(["analyze", "--scheme", f"ticket:{d}"], capsys)
         assert code == 0 and rec["certified"] == "true"
         blocks, weights = cli._challenge_problems(schemes.fourier_ticket_scheme(d))
-        solution = sdp.solve_block_diagonal(blocks, weights)
+        solutions = sdp.solve_block_diagonal(blocks, weights)
         tol = 10 * sdp.DEFAULT_TOL
         gaps = [
             certificates.certify(s.primal_x, s.dual_y, block, tol=tol).gap
-            for s, block in zip(solution.block_solutions, blocks)
+            for s, block in zip(solutions, blocks)
         ]
         assert rec["gap"] == cli._fmt(sum(w * g for w, g in zip(weights, gaps)))
-        # The per-block verdict is at least as strict as the dense one.
+        # The per-block verdict is at least as strict as the dense one, on the pair
+        # that analyze --output writes.
         dense = sdp.assemble_block_sdp(blocks, weights)
-        assert certificates.certify(solution.primal_x, solution.dual_y, dense, tol=tol).certified
+        d_out, d_in = blocks[0].out_dim, blocks[0].in_dim
+        x = linalg.direct_sum([s.primal_x for s in solutions], d_out, d_in)
+        y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, d_in)
+        assert certificates.certify(x, y, dense, tol=tol).certified
 
     def test_no_factorization_sees_more_than_one_block(self, monkeypatch, capsys):
         rows = []
@@ -381,6 +384,29 @@ class TestBuildsOnlyWhatIsUsed:
         # 3 x 3 clones (x) 4 challenge pairs (x) 3 inputs
         assert built.count(108) == assembled
 
+    @pytest.mark.parametrize("output", [False, True], ids=["no-output", "output"])
+    def test_ticket_analyze_builds_direct_sums_past_a_challenge_block_only_for_output(
+        self, monkeypatch, capsys, tmp_path, output
+    ):
+        rows = []
+        direct_sum = linalg.direct_sum
+
+        def recording(mats, d_out, d_in):
+            result = direct_sum(mats, d_out, d_in)
+            rows.append(result.shape[0])
+            return result
+
+        monkeypatch.setattr(linalg, "direct_sum", recording)
+        argv = ["analyze", "--scheme", "ticket:3"]
+        if output:
+            argv += ["--output", str(tmp_path / "record.json")]
+        code, rec = run_cli(argv, capsys)
+        assert code == 0 and rec["certified"] == "true"
+        # Four 27-row challenge blocks, each the sum of its nine answer blocks; with
+        # --output also the 108-row combined objective and primal and 12-row combined dual.
+        added = [12, 108, 108] if output else []
+        assert sorted(rows) == sorted([27] * 4 + added)
+
     def test_ticket_analyze_symmetrizes_only_problems_and_certified_points(
         self, monkeypatch, capsys
     ):
@@ -536,6 +562,25 @@ class TestExitCodes:
         assert code == 1
         assert "8000000 x 8000000" in capsys.readouterr().err
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("operators", [1.5, 4.5])
+    def test_memory_for_fewer_operators_than_a_solve_holds_is_refused_unallocated(
+        self, operators, monkeypatch, capsys
+    ):
+        """analyze --scheme symmetric:6 holds about five 216-row operators at its peak,
+        so physical memory for fewer is refused before the objective is built."""
+        one = 16 * 216**2
+        sizes = {"SC_PHYS_PAGES": int(operators * one) // 4096, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", "--scheme", "symmetric:6"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "216 x 216" in capsys.readouterr().err
+        assert peak < one
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "threshold"])

@@ -190,7 +190,8 @@ def test_symmetric_projector_rank(d, k):
 def test_zero_operator_checks_physical_memory(monkeypatch):
     """Refused past the memory that ``os.sysconf`` reports; unchecked where it
     cannot report it."""
-    sizes = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}  # 16 KiB: 32 x 32 fits, 33 x 33 not
+    # 112 KiB: seven 32 x 32 operators fit, seven 33 x 33 ones not
+    sizes = {"SC_PHYS_PAGES": 28, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
     assert linalg.zero_operator(32).shape == (32, 32)
     with pytest.raises(MemoryError, match="33 x 33"):

@@ -106,7 +106,7 @@ class TestScaleInvariance:
     @staticmethod
     def _solved(name, scale):
         """The scaled problem and its solution; for ticket:2, the problem combining the
-        challenge blocks and the solution of the blocks."""
+        challenge blocks and the blocks' solutions combined as ``analyze --output`` does."""
         if name == "ticket:2":
             blocks, weights = schemes.classical_objective_blocks(schemes.fourier_ticket_scheme(2))
             problems = [
@@ -114,9 +114,13 @@ class TestScaleInvariance:
                 for pair in cloners.CHALLENGE_PAIRS
             ]
             weights = [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
-            return (
-                sdp.assemble_block_sdp(problems, weights),
-                sdp.solve_block_diagonal(problems, weights),
+            solutions = sdp.solve_block_diagonal(problems, weights)
+            pval = sum(w * s.primal_value for s, w in zip(solutions, weights))
+            dval = sum(w * s.dual_value for s, w in zip(solutions, weights))
+            return sdp.assemble_block_sdp(problems, weights), sdp.SdpSolution(
+                linalg.direct_sum([s.primal_x for s in solutions], 4, 2),
+                linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, 2),
+                pval, dval, dval - pval, iterations=max(s.iterations for s in solutions),
             )
         ensemble = {"wiesner": schemes.wiesner_ensemble, "six-state": schemes.six_state_ensemble}
         problem = sdp.CloningSdp(scale * schemes.cloning_objective(ensemble[name]()), (2, 2, 2))

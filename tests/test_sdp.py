@@ -17,6 +17,20 @@ def _solved(q, dims, **kwargs):
     return sdp.solve(sdp.CloningSdp(q, dims=dims), **kwargs)
 
 
+def _weighted_value(solutions, weights):
+    """The value of a block problem: the weighted sum of its block values."""
+    return sum(w * s.primal_value for s, w in zip(solutions, weights))
+
+
+def _combined_pair(blocks, weights, solutions):
+    """The block solutions' pair on the combined space, built as ``analyze --output``
+    builds it."""
+    d_out, d_in = blocks[0].out_dim, blocks[0].in_dim
+    x = linalg.direct_sum([s.primal_x for s in solutions], d_out, d_in)
+    y = linalg.direct_sum([w * s.dual_y for s, w in zip(solutions, weights)], 1, d_in)
+    return x, y
+
+
 class TestKnownValues:
     def test_wiesner_optimal_value(self):
         problem = _qubit_problem(schemes.cloning_objective(schemes.wiesner_ensemble()))
@@ -148,22 +162,23 @@ class TestBlockProblems:
     def test_identical_blocks_reproduce_the_single_value(self):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
         blocks = [_qubit_problem(q), _qubit_problem(q)]
-        sol = sdp.solve_block_diagonal(blocks, [0.3, 0.7])
-        assert abs(sol.primal_value - 0.75) < 1e-6
-        assert sol.block_solutions is not None and len(sol.block_solutions) == 2
+        solutions = sdp.solve_block_diagonal(blocks, [0.3, 0.7])
+        assert abs(_weighted_value(solutions, [0.3, 0.7]) - 0.75) < 1e-6
+        assert solutions is not None and len(solutions) == 2
 
     def test_assembled_solution_is_feasible_for_the_assembled_problem(self):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
         blocks = [_qubit_problem(q), _qubit_problem(q)]
         weights = [0.5, 0.5]
         combined = sdp.assemble_block_sdp(blocks, weights)
-        sol = sdp.solve_block_diagonal(blocks, weights)
-        assert sol.primal_x.shape == (combined.dim, combined.dim)
-        defect = np.abs(combined.trace_out(sol.primal_x) - np.eye(combined.in_dim)).max()
+        solutions = sdp.solve_block_diagonal(blocks, weights)
+        primal_x, dual_y = _combined_pair(blocks, weights, solutions)
+        assert primal_x.shape == (combined.dim, combined.dim)
+        defect = np.abs(combined.trace_out(primal_x) - np.eye(combined.in_dim)).max()
         assert defect < 1e-7
-        paired = float(np.real(np.trace(combined.objective @ sol.primal_x)))
-        assert abs(paired - sol.primal_value) < 1e-7
-        slack = combined.lift_dual(sol.dual_y) - combined.objective
+        paired = float(np.real(np.trace(combined.objective @ primal_x)))
+        assert abs(paired - _weighted_value(solutions, weights)) < 1e-7
+        slack = combined.lift_dual(dual_y) - combined.objective
         assert np.linalg.eigvalsh(slack)[0] > -1e-7
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -178,10 +193,10 @@ class TestBlockProblems:
             )
             problems.append(problem)
             wts.append(wt)
-        sol = sdp.solve_block_diagonal(problems, wts)
+        solutions = sdp.solve_block_diagonal(problems, wts)
         target = 0.75 + math.sqrt(1.0 / d) / 4.0
-        assert abs(sol.primal_value - target) < 1e-6
-        for (c1, c2), block_sol in zip(sorted(weights), sol.block_solutions):
+        assert abs(_weighted_value(solutions, wts) - target) < 1e-6
+        for (c1, c2), block_sol in zip(sorted(weights), solutions):
             if c1 == c2:
                 assert abs(block_sol.primal_value - 1.0) < 1e-6
             else:
@@ -451,10 +466,10 @@ class TestBlocks:
         alone = [sdp.solve(p) for p in problems]
         assert len({s.iterations for s in alone}) == 3  # 7, 6 and 0 iterations
         reached = _counting_iterations(monkeypatch)
-        sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        solutions = sdp.solve_block_diagonal(problems, [0.2] * 5)
         # The zero objective is answered at once, without iterating.
         assert [id(p) for p in reached] == [id(p) for p in problems[:4]]
-        for got, ref in zip(sol.block_solutions, alone):
+        for got, ref in zip(solutions, alone):
             _assert_same_solution(got, ref)
 
     def test_blocks_of_different_reduced_shapes_equal_separate_solves(self):
@@ -465,10 +480,11 @@ class TestBlocks:
         ]
         assert [sdp._reduce(p)[0].shape[0] for p in problems] == [3 * (r + 1) for r in ranks]
         alone = [sdp.solve(p) for p in problems]
-        sol = sdp.solve_block_diagonal(problems, [0.2] * 5)
-        for got, ref in zip(sol.block_solutions, alone):
+        solutions = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        for got, ref in zip(solutions, alone):
             _assert_same_solution(got, ref)
-        assert abs(sol.primal_value - sum(0.2 * s.primal_value for s in alone)) < 1e-12
+        value = _weighted_value(solutions, [0.2] * 5)
+        assert abs(value - sum(0.2 * s.primal_value for s in alone)) < 1e-12
 
     @pytest.mark.usefixtures("interior_point")
     def test_a_block_at_the_cap_raises_with_its_own_best_iterate(self, monkeypatch):
@@ -685,15 +701,16 @@ class TestSpectralPair:
             sdp.CloningSdp(schemes.assemble_challenge_block(blocks, d, *pair), dims=(d, d, d))
             for pair in pairs
         ]
-        sol = sdp.solve_block_diagonal(problems, [weights[pair] for pair in pairs])
-        assert sol.iterations == 0
+        wts = [weights[pair] for pair in pairs]
+        solutions = sdp.solve_block_diagonal(problems, wts)
+        assert max(s.iterations for s in solutions) == 0
         mixed = (1 + 1 / math.sqrt(d)) / 2
-        for (c1, c2), problem, block in zip(pairs, problems, sol.block_solutions):
+        for (c1, c2), problem, block in zip(pairs, problems, solutions):
             assert block.iterations == 0
             assert abs(block.primal_value - (1.0 if c1 == c2 else mixed)) <= 1e-12
             report = certificates.certify(block.primal_x, block.dual_y, problem)
             assert report.certified and abs(report.gap) <= 1e-12
-        assert abs(sol.primal_value - (0.75 + 0.25 / math.sqrt(d))) <= 1e-12
+        assert abs(_weighted_value(solutions, wts) - (0.75 + 0.25 / math.sqrt(d))) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_four_state_ensembles_fall_back(self, seed, request):
