@@ -223,7 +223,7 @@ def direct_sum(mats: list[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
     """Block-diagonal operator on output (x) block index (x) input whose block i,
     an operator on output (x) input, is mats[i]."""
     k = len(mats)
-    big = np.zeros((d_out, k, d_in, d_out, k, d_in), dtype=np.complex128)
+    big = zero_operator(d_out * k * d_in).reshape(d_out, k, d_in, d_out, k, d_in)
     i = np.arange(k)
     big[:, i, :, :, i, :] = np.reshape(mats, (k, d_out, d_in, d_out, d_in))
     return big.reshape(d_out * k * d_in, d_out * k * d_in)

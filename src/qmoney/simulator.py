@@ -1,60 +1,44 @@
 """Monte Carlo execution of the money protocols and attacks against them.
 
-Attacks run as literal sampling processes: keys and challenges are drawn
-from their protocol distributions, measurement outcomes are drawn from
-exact Born probabilities, and acceptance is decided by the same predicates
-the analytic route uses.  Trials are split into fixed-size batches, each
-drawing from its own SFC64 stream spawned from the master seed, so a report
-is bit-identical for a given seed no matter how many worker threads run.
+Every attack here is a product over notes, and each note draws its own key
+and challenges.  A note therefore passes at p, the mean of its table's
+per-row pass probabilities (key-weighted for a weighted ensemble),
+independently of every other note and trial, so a trial of n notes succeeds
+at p^n and the success count is exactly Binomial(trials, p^n).  A report
+makes that one draw (Kachitvichyanukul & Schmeiser, CACM 31, 1988) from an
+SFC64 generator seeded with the report's seed: it is a pure function of
+(scheme, strategy, trials, seed), on one thread, at a cost that does not
+grow with the trial or note count.
 
-Within a batch, only what decides its count is drawn.  Trials are
-exchangeable, so a batch keeps just the count of trials still alive and
-draws note j for them only (:func:`_survivors`): a row of the note's table,
-uniformly or by its row weights, then a uniform that passes the note below
-the row's pass probability; once no trial is alive, it draws nothing more.
-The quantum, ticket and honest attacks hand :func:`_note_attack` only those
-pass probabilities, computed once by the module that defines the attack
-(:func:`cloners.accepted_mass`, :func:`channels.clone_rates`), and the
-analytic rate is the exact rate of the rows sampled.  The Bell attack's
-first verification passes every key at one rate, so each qubit's survivor
-count is one binomial draw; its keyed second verification runs through the
-same survivor loop.
+The pass probabilities are computed once, by the module that defines the
+attack (:func:`cloners.accepted_mass`, :func:`channels.clone_rates`), and
+``analytic`` is the p^n that is drawn, so it is the exact rate of the
+sample.  A rate of exactly 1 or 0 draws exactly every trial or none.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from . import channels, cloners, linalg, schemes
 
-BATCH_SIZE = 1 << 16
 MAX_BELL_QUBITS = 20
-DEFAULT_MAX_WORKERS = 8
 
 SchemeLike = Union[schemes.Ensemble, schemes.TicketScheme]
 StrategyLike = Union[channels.ChoiOperator, cloners.TicketStrategy]
 
 
 def worker_count() -> int:
-    """Number of simulation worker threads.
+    """Threads a simulation runs on: always 1, since a report is one draw.
 
-    Defaults to the CPU count (at most ``DEFAULT_MAX_WORKERS``); the
-    environment variable ``QMONEY_THREADS`` caps it further.  The thread
-    count never changes simulation output, only wall-clock time.
+    Kept for the benchmark, which records it with every run (``perfbench/run.py``).
     """
-    base = min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS)
-    try:
-        return max(1, min(base, int(os.environ["QMONEY_THREADS"])))
-    except (KeyError, ValueError):
-        return base
+    return 1
 
 
 @dataclass(frozen=True)
@@ -84,21 +68,21 @@ class TrialReport:
     """Outcome counts of a simulation plus the analytic comparison.
 
     ``analytic`` is the exact success rate of the sampled process: the mean
-    pass probability of the rows sampled, raised to the number of notes.  The
+    pass probability of the note's table, raised to the number of notes.  The
     empirical rate and the z-score, its gap to the analytic rate in units
     of the binomial standard error, derive from the counts; ``conditional_rate``
     is only set by attacks that verify a second note conditioned on the first.
-    ``batches`` is the number of sampling batches run, ``workers`` the threads
-    that ran them and ``seconds`` the wall time of the sampling; the last two
-    depend on the machine, so they take no part in comparing reports.
+    A report is one draw on one thread, so ``batches`` and ``workers`` are 1;
+    ``seconds`` is the wall time of the draw and depends on the machine, so it
+    and ``workers`` take no part in comparing reports.
     """
 
     successes: int
     trials: int
     analytic: float
     conditional_rate: float | None = None
-    batches: int = 0
-    workers: int = field(default=0, compare=False)
+    batches: int = 1
+    workers: int = field(default=1, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
@@ -124,117 +108,33 @@ class TrialReport:
 
 
 def check_sampling(trials: int, seed: int) -> None:
-    """Reject a trial count below 1 or a negative seed, before any work is done."""
+    """Reject a trial count outside [1, 2^63 - 1] or a negative seed, before any
+    work is done; numpy draws a binomial count as a 64-bit signed integer."""
     if trials < 1:
         raise ValueError(f"trial count must be at least 1, got {trials}")
+    if trials > np.iinfo(np.int64).max:
+        raise ValueError(f"trial count must be at most 2^63 - 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def _sum_batches(
-    trials: int, seed: int, batch_fn: Callable[[np.random.Generator, int], tuple]
-) -> tuple[tuple[int, ...], dict]:
-    """Split ``trials`` into fixed batches and sum the per-batch counters.
-
-    Each batch draws from an SFC64 stream spawned from the master seed, and
-    batch boundaries depend only on the trial count, so the reduction is an
-    order-independent integer sum: worker scheduling cannot affect it.  Each
-    worker runs one pool task, calling ``batch_fn`` on every workers-th batch.
-    Returns the counters and the batches, workers and seconds they took.
-    """
-    start = time.perf_counter()
-    sizes = [min(BATCH_SIZE, trials - first) for first in range(0, trials, BATCH_SIZE)]
-    jobs = list(zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes))
-
-    def run(chunk):
-        return [batch_fn(np.random.Generator(np.random.SFC64(child)), count)
-                for child, count in chunk]
-
-    workers = min(worker_count(), len(jobs))
-    if workers == 1:
-        results = run(jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(run, [jobs[i::workers] for i in range(workers)])
-            results = [r for chunk in chunks for r in chunk]
-    counts = tuple(int(sum(column)) for column in zip(*results))
-    run = dict(batches=len(sizes), workers=workers, seconds=time.perf_counter() - start)
-    return counts, run
-
-
-def _sample_rows(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical index of each draw: the thresholds of ``cdf_row`` at or below ``u[i]``.
-
-    Equivalent to a right-bisection search in the row; zero-probability
-    bins are skipped because their thresholds coincide with a neighbor.
-    """
-    index = np.zeros(len(u), dtype=np.min_scalar_type(len(cdf_row)))
-    for threshold in cdf_row[:-1]:
-        index += threshold <= u
-    return index
-
-
-def _uniform_rows(rng: np.random.Generator, count: int, rows: int) -> np.ndarray:
-    """``count`` table rows, each drawn uniformly from ``range(rows)`` with one draw,
-    in the narrowest unsigned dtype that holds ``rows - 1``."""
-    return rng.integers(0, rows, size=count, dtype=np.min_scalar_type(rows - 1))
-
-
-def _survivors(mass: np.ndarray, repetitions: int,
-               row_cdf: np.ndarray | None = None) -> Callable[[np.random.Generator, int], int]:
-    """A kernel ``survive(rng, alive)``: how many of ``alive`` trials pass ``repetitions`` notes.
-
-    Note j draws, for the trials alive after notes 0..j-1 only, a row of
-    ``mass`` (one uniform integer, or one uniform against ``row_cdf``), then a
-    uniform that passes the note below the row's mass, and keeps just the
-    count that passed: trials are exchangeable, so it has the law of "every note
-    passes".  A table whose rows all have mass 1 is not drawn, as no draw fails
-    it, and the loop stops once no trial is alive, as an empty draw takes
-    nothing from the stream.  Each worker thread reuses its own buffers across
-    the batches of one call.
-    """
-    local = threading.local()
-    notes = 0 if mass.min() >= 1.0 else repetitions
-
-    def survive(rng: np.random.Generator, alive: int) -> int:
-        if not hasattr(local, "buffers"):
-            local.buffers = tuple(np.empty(BATCH_SIZE, t) for t in (float, float, np.intp, bool))
-        for _ in range(notes):
-            if not alive:
-                break
-            u, gathered, row, passed = (b[:alive] for b in local.buffers)
-            if row_cdf is None:  # rows come as uint8 or uint16; copyto widens them
-                np.copyto(row, _uniform_rows(rng, alive, len(mass)))
-            else:
-                np.copyto(row, _sample_rows(row_cdf, rng.random(out=u)))
-            # Rows come from the table, so "clip" never clips; "raise" would copy.
-            np.take(mass, row, out=gathered, mode="clip")
-            alive = int(np.count_nonzero(np.less(rng.random(out=u), gathered, out=passed)))
-        return alive
-
-    return survive
-
-
 def _note_attack(trials: int, seed: int, repetitions: int, mass: np.ndarray,
                  row_weights: np.ndarray | None = None) -> TrialReport:
-    """Count the trials whose ``repetitions`` notes all pass, by the survivor loop
-    of :func:`_survivors` on ``mass``, each row's pass probability from the module
-    defining the attack (:func:`cloners.accepted_mass`, :func:`channels.clone_rates`),
-    rows drawn uniformly or by the CDF of ``row_weights``; a uniform below a row's
-    mass is inversion sampling of its outcomes enumerated accepted-first (Devroye,
-    *Non-Uniform Random Variate Generation*, 1986, ch. III).  The analytic rate is
-    exact for that draw: the (``row_weights``-weighted) mean of ``mass`` raised to ``repetitions``.
+    """Count the trials whose ``repetitions`` notes all pass, ``mass`` holding each
+    row's pass probability from the module defining the attack
+    (:func:`cloners.accepted_mass`, :func:`channels.clone_rates`) and rows drawn
+    uniformly or by ``row_weights``.  A note passes at the (weighted) mean of
+    ``mass``, so the count is one binomial draw at that mean raised to
+    ``repetitions``, which is also the analytic rate.
     """
+    start = time.perf_counter()
     if row_weights is None:
-        row_cdf, rate = None, mass.mean()
+        rate = mass.mean()
     else:
-        weights = np.clip(row_weights, 0.0, None)
-        row_cdf = np.cumsum(weights / weights.sum())
-        row_cdf[-1] = 1.0
-        rate = np.average(mass, weights=weights)
-    survive = _survivors(mass, repetitions, row_cdf)
-    (successes,), run = _sum_batches(trials, seed, lambda rng, count: (survive(rng, count),))
-    return TrialReport(successes, trials, float(rate) ** repetitions, **run)
+        rate = np.average(mass, weights=np.clip(row_weights, 0.0, None))
+    analytic = float(rate) ** repetitions
+    successes = int(np.random.Generator(np.random.SFC64(seed)).binomial(trials, analytic))
+    return TrialReport(successes, trials, analytic, seconds=time.perf_counter() - start)
 
 
 def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
@@ -252,7 +152,7 @@ def simulate_quantum_attack(cfg: TrialConfig) -> TrialReport:
     if not isinstance(strategy, channels.ChoiOperator):
         raise TypeError("quantum attack needs a ChoiOperator strategy")
     weights = np.array([w for w, _ in ensemble.items])
-    # Equal weights make every key a uniform row, drawn with one integer.
+    # Equal weights take the plain mean of the rates.
     return _note_attack(
         cfg.trials, cfg.seed, cfg.repetitions, channels.clone_rates(strategy, ensemble),
         None if np.all(weights == weights[0]) else weights,
@@ -265,10 +165,10 @@ def simulate_ticket_attack(cfg: TrialConfig) -> TrialReport:
     Per note: draw a key and two independent uniform challenges (one uniform
     draw of their table row), measure the key state once with the POVM the
     strategy assigns to that challenge pair, and accept when both reported
-    answers satisfy the scheme's predicate.  Outcomes are sampled from the
-    tables of :func:`cloners.outcome_tables`, built once per call, by each
-    row's :func:`cloners.accepted_mass`; the analytic rate is their mean (the
-    exact strategy value) raised to the number of repetitions.
+    answers satisfy the scheme's predicate.  Each row of the tables of
+    :func:`cloners.outcome_tables`, built once per call, passes at its
+    :func:`cloners.accepted_mass`; the analytic rate is their mean (the exact
+    strategy value) raised to the number of repetitions.
     """
     scheme, strategy = cfg.scheme, cfg.strategy
     if not isinstance(scheme, schemes.TicketScheme):
@@ -341,23 +241,20 @@ def simulate_bell_attack(n: int, trials: int, seed: int = 0) -> TrialReport:
     original.  The report's rate covers the first note; ``conditional_rate``
     is the second-note rate among accepting trials.
 
-    The bank stops at a trial's first failing qubit.  Trials are exchangeable
-    and every key passes at one rate, so a batch draws qubit j's survivor count
-    as one binomial variate, its exact law (Kachitvichyanukul & Schmeiser, CACM
-    31, 1988).  The keyed second verification runs the survivor loop of
-    :func:`_survivors` on the trials that passed; at rate exactly 1 it draws nothing.
+    Every key passes the first verification at one rate, so the note passes
+    at that rate to the n, and the accepted count is one binomial draw.  The
+    second verification is keyed: a retained note passes at the mean of the
+    per-key rates to the n, drawn for the accepted trials only from the same
+    generator.  That mean is exactly 1, which draws every accepted trial.
     """
     if not 1 <= n <= MAX_BELL_QUBITS:
         raise ValueError(f"note length must lie in [1, {MAX_BELL_QUBITS}], got {n}")
     check_sampling(trials, seed)
+    start = time.perf_counter()
     p_pass, p_second = _bell_probabilities()
-    second = _survivors(p_second, n)
-
-    def batch(rng: np.random.Generator, alive: int) -> tuple[int, int]:
-        for _ in range(n):
-            alive = int(rng.binomial(alive, p_pass))
-        return alive, second(rng, alive)
-
-    (first_total, second_total), run = _sum_batches(trials, seed, batch)
-    conditional = second_total / first_total if first_total else None
-    return TrialReport(first_total, trials, 0.5**n, conditional, **run)
+    rng = np.random.Generator(np.random.SFC64(seed))
+    rate = p_pass**n
+    first = int(rng.binomial(trials, rate))
+    second = int(rng.binomial(first, float(p_second.mean()) ** n))
+    conditional = second / first if first else None
+    return TrialReport(first, trials, rate, conditional, seconds=time.perf_counter() - start)

@@ -301,6 +301,18 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("target", [["--scheme", "wiesner"], ["--attack", "bell"]])
+    def test_trial_count_past_a_64_bit_integer_is_a_usage_error(self, capsys, target):
+        code = cli.main(["simulate", *target, "--trials", str(2**63)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: trial count must be at most 2^63 - 1, got {2**63}\n"
+        code, rec = run_cli(["simulate", *target, "--trials", str(2**63 - 1)], capsys)
+        assert code == 0
+        assert int(rec["trials"]) == 2**63 - 1
+        assert abs(float(rec["z"])) <= 5.0
+
     def test_output_file_keeps_report_fields(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         argv = [
@@ -319,8 +331,8 @@ class TestSimulate:
         code, rec = run_cli(argv, capsys)
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["batches"] == 2
-        assert 1 <= payload["workers"] <= 2
+        assert payload["batches"] == 1
+        assert payload["workers"] == 1
         assert payload["seconds"] > 0.0
         assert set(payload) == set(rec) | {"batches", "workers", "seconds"}
         assert not {"batches", "workers", "seconds"} & set(rec)
@@ -581,6 +593,19 @@ class TestExitCodes:
         assert code == 1
         assert "216 x 216" in capsys.readouterr().err
         assert peak < one
+
+    def test_memory_for_fewer_operators_than_a_challenge_block_holds_is_refused(
+        self, monkeypatch, capsys
+    ):
+        """analyze --scheme ticket:3 builds its 27-row challenge blocks by a direct sum,
+        which is refused like any other operator when memory holds fewer than seven."""
+        sizes = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        code = cli.main(["analyze", "--scheme", "ticket:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "27 x 27" in captured.err
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "threshold"])

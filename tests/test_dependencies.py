@@ -93,3 +93,16 @@ def test_the_interior_point_runs_without_scipy(tmp_path):
     assert report["code"] == 0
     assert report["iterations"] > 0
     assert report["scipy"] == []
+
+
+def test_the_simulator_starts_no_threads():
+    """A report is one draw on one thread; the simulator imports nothing that
+    would start more."""
+    source = (SOURCE / "simulator.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported and not imported & {"threading", "concurrent.futures", "multiprocessing"}

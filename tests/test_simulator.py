@@ -27,12 +27,34 @@ def _identity_first_clone():
     return channels.choi_from_kraus([kraus])
 
 
+# The three attacks that draw one count per report, as (trials, seed) -> report.
+NOTE_ATTACKS = {
+    "quantum six-state x3": lambda trials, seed: simulator.simulate_quantum_attack(
+        simulator.TrialConfig(
+            schemes.six_state_ensemble(), cloners.buzek_hillery_cloner(),
+            trials, seed=seed, repetitions=3,
+        )
+    ),
+    "ticket:3 x2": lambda trials, seed: simulator.simulate_ticket_attack(
+        simulator.TrialConfig(
+            schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3),
+            trials, seed=seed, repetitions=2,
+        )
+    ),
+    "honest strict:3": lambda trials, seed: simulator.simulate_honest_verification(
+        _strict_ticket_scheme(3), trials, seed=seed
+    ),
+}
+
+
 class TestConfigAndReport:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             _wiesner_config(trials=0)
         with pytest.raises(ValueError):
             _wiesner_config(repetitions=0)
+        with pytest.raises(ValueError, match="at most 2\\^63 - 1"):
+            _wiesner_config(trials=2**63)
         with pytest.raises(ValueError):
             simulator.TrialReport(5, 4, None)
 
@@ -47,41 +69,32 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match=message):
             simulator.simulate_bell_attack(2, 10, seed=-1)
 
-    def test_report_says_what_ran(self, monkeypatch):
-        cfg = _wiesner_config(trials=2 * simulator.BATCH_SIZE + 1, seed=3)
-        monkeypatch.setenv("QMONEY_THREADS", "1")
-        serial = simulator.simulate_quantum_attack(cfg)
-        monkeypatch.setenv("QMONEY_THREADS", "2")
-        threaded = simulator.simulate_quantum_attack(cfg)
-        assert serial.batches == threaded.batches == 3
-        assert serial.workers == 1
-        assert threaded.workers == simulator.worker_count()
-        assert serial.seconds > 0.0 and threaded.seconds > 0.0
-        assert serial == threaded
+    def test_report_says_what_ran(self):
+        cfg = _wiesner_config(trials=131_073, seed=3)
+        report = simulator.simulate_quantum_attack(cfg)
+        assert report.batches == report.workers == simulator.worker_count() == 1
+        assert report.seconds > 0.0
+        assert report == simulator.simulate_quantum_attack(cfg)
         bell = simulator.simulate_bell_attack(2, 10, seed=1)
         assert (bell.batches, bell.workers) == (1, 1)
 
-    def test_one_pool_task_per_worker(self, monkeypatch):
-        """The pool gets at most one task per worker; each task runs its share
-        of the batches, so the batch function still runs once per batch."""
-        monkeypatch.setenv("QMONEY_THREADS", "3")
-        tasks, sizes = [], []
+    def test_worker_count_ignores_the_environment(self, monkeypatch):
+        """The simulator reads no thread setting: a report is the same draw on
+        one thread whatever the environment asks for."""
+        cfg = _wiesner_config(trials=300_000, seed=12)
+        monkeypatch.delenv("QMONEY_THREADS", raising=False)
+        plain = simulator.simulate_quantum_attack(cfg)
+        monkeypatch.setenv("QMONEY_THREADS", "5")
+        assert simulator.worker_count() == 1
+        asked = simulator.simulate_quantum_attack(cfg)
+        assert asked == plain and asked.workers == 1
 
-        class Counted(simulator.ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                tasks.append(1)
-                return super().submit(*args, **kwargs)
-
-        def batch(rng, count):
-            sizes.append(count)
-            return (count, 1)
-
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counted)
-        trials = 7 * simulator.BATCH_SIZE + 5
-        counts, run = simulator._sum_batches(trials, 1, batch)
-        assert counts == (trials, 8) and run["batches"] == 8
-        assert sorted(sizes) == [5] + [simulator.BATCH_SIZE] * 7
-        assert len(tasks) <= simulator.worker_count()
+    @pytest.mark.parametrize("attack", sorted(NOTE_ATTACKS))
+    def test_a_note_attack_draws_once_at_its_analytic_rate(self, attack, monkeypatch):
+        draws = _spy_on_draws(monkeypatch)
+        report = NOTE_ATTACKS[attack](150_001, 4)
+        assert draws == [(150_001, report.analytic)]
+        assert abs(report.z_score) <= 5.0
 
     def test_standard_error_halves_when_trials_quadruple(self):
         a = simulator.TrialReport(300, 400, 0.75)
@@ -99,17 +112,6 @@ class TestConfigAndReport:
         assert simulator.TrialReport(4, 4, 1.0).z_score == 0.0
         assert simulator.TrialReport(0, 4, 0.0).z_score == 0.0
 
-    def test_worker_count_respects_cap(self, monkeypatch):
-        monkeypatch.delenv("QMONEY_THREADS", raising=False)
-        assert simulator.worker_count() >= 1
-        monkeypatch.setenv("QMONEY_THREADS", "2")
-        assert simulator.worker_count() <= 2
-        monkeypatch.setenv("QMONEY_THREADS", "0")
-        assert simulator.worker_count() == 1
-        monkeypatch.setenv("QMONEY_THREADS", "not-a-number")
-        assert simulator.worker_count() >= 1
-
-
 class TestQuantumAttack:
     def test_optimal_cloner_matches_the_optimum(self):
         report = simulator.simulate_quantum_attack(_wiesner_config())
@@ -120,27 +122,6 @@ class TestQuantumAttack:
         first = simulator.simulate_quantum_attack(_wiesner_config())
         second = simulator.simulate_quantum_attack(_wiesner_config())
         assert first == second
-
-    def test_report_is_independent_of_worker_count(self, monkeypatch):
-        cfg = _wiesner_config(trials=300_000, seed=12)
-        monkeypatch.setenv("QMONEY_THREADS", "1")
-        serial = simulator.simulate_quantum_attack(cfg)
-        monkeypatch.setenv("QMONEY_THREADS", "5")
-        threaded = simulator.simulate_quantum_attack(cfg)
-        assert serial == threaded
-
-    def test_multi_note_report_is_independent_of_worker_count(self, monkeypatch):
-        cfg = simulator.TrialConfig(
-            schemes.six_state_ensemble(), cloners.buzek_hillery_cloner(),
-            3 * simulator.BATCH_SIZE + 11, seed=5, repetitions=3,
-        )
-        reports = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("QMONEY_THREADS", threads)
-            reports.append(simulator.simulate_quantum_attack(cfg))
-        assert reports[0] == reports[1]
-        assert reports[0].batches == 4
-        assert abs(reports[0].z_score) <= 5.0
 
     def test_identity_first_clone_strategy(self):
         # Both clones pass iff the second verification projects |0><0| onto
@@ -171,19 +152,19 @@ class TestQuantumAttack:
         )
         assert report.analytic == pytest.approx(0.5625, abs=1e-9)
         assert abs(report.z_score) <= 4.0
+        six_state = simulator.simulate_quantum_attack(
+            simulator.TrialConfig(
+                schemes.six_state_ensemble(), cloners.buzek_hillery_cloner(),
+                196_619, seed=5, repetitions=3,
+            )
+        )
+        assert six_state.analytic == pytest.approx((2 / 3) ** 3, abs=1e-12)
+        assert abs(six_state.z_score) <= 5.0
 
-    def test_batch_remainder_path(self):
-        cfg = _wiesner_config(trials=simulator.BATCH_SIZE + 1, seed=9)
-        report = simulator.simulate_quantum_attack(cfg)
-        assert report.trials == simulator.BATCH_SIZE + 1
-        assert abs(report.z_score) <= 4.0
-
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_keys_are_drawn_by_their_weights(self, threads, monkeypatch):
-        """Unequal key weights and a key of weight 0: the count equals a
-        reference that draws each key by a right search of the weights' CDF
-        and passes it with the rate found by applying the channel."""
-        monkeypatch.setenv("QMONEY_THREADS", threads)
+    def test_keys_are_drawn_by_their_weights(self):
+        """Unequal key weights and a key of weight 0: the count equals one
+        binomial draw at the key-weighted mean of the rates found by applying
+        the channel to each key."""
         s = 1.0 / math.sqrt(2.0)
         ensemble = schemes.Ensemble(2, (
             (0.6, np.array([1.0, 0.0])), (0.0, np.array([s, -1j * s])),
@@ -191,20 +172,14 @@ class TestQuantumAttack:
         ))
         strategy = cloners.wiesner_optimal_cloner()
         weights = np.array([w for w, _ in ensemble.items])
-        key_cdf = np.cumsum(weights / weights.sum())
         rates = []
         for _, psi in ensemble.items:
             pair = np.kron(psi, psi)
             out = channels.apply_channel(strategy, np.outer(psi, psi.conj()))
             rates.append(np.real(pair.conj() @ out @ pair))
-        rates = np.array(rates)
-
-        def reference(rng, count):
-            key = np.searchsorted(key_cdf[:-1], rng.random(count), side="right")
-            return (int(np.count_nonzero(rng.random(count) < rates[key])),)
-
-        trials = 2 * simulator.BATCH_SIZE + 5
-        (expected,), _ = simulator._sum_batches(trials, 13, reference)
+        rate = float(np.average(rates, weights=weights))
+        trials = 131_077
+        expected = np.random.Generator(np.random.SFC64(13)).binomial(trials, rate)
         report = simulator.simulate_quantum_attack(
             simulator.TrialConfig(ensemble, strategy, trials, seed=13)
         )
@@ -299,9 +274,10 @@ class TestTicketAttack:
 
 
 class TestBellAttack:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, simulator.MAX_BELL_QUBITS])
     def test_first_note_rate_and_certain_second_note(self, n):
-        report = simulator.simulate_bell_attack(n, 100_000, seed=n)
+        # 2^40 trials leave about a million accepted notes even at 20 qubits.
+        report = simulator.simulate_bell_attack(n, 2**40, seed=n)
         assert report.analytic == 0.5**n
         assert abs(report.z_score) <= 5.0
         assert report.conditional_rate == 1.0
@@ -331,25 +307,30 @@ class TestBellAttack:
         assert len(p_second) == 4
         assert all(largest < rate for rate in p_second.tolist())
 
-    @pytest.mark.parametrize("n", [1, simulator.MAX_BELL_QUBITS])
-    def test_report_is_independent_of_worker_count(self, n, monkeypatch):
-        trials = 3 * simulator.BATCH_SIZE + 7
-        reports = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("QMONEY_THREADS", threads)
-            reports.append(simulator.simulate_bell_attack(n, trials, seed=11))
-        assert reports[0] == reports[1]
-        assert abs(reports[0].z_score) <= 5.0
-
     def test_second_verification_counts_failing_retained_halves(self, monkeypatch):
-        """With retained-half rates below 1, the second verification is drawn
-        qubit by qubit and its rate is the product of the mean rates."""
+        """With retained-half rates below 1, the second verification fails some
+        accepted trials, and its rate is the mean rate to the n."""
         monkeypatch.setattr(simulator, "_bell_probabilities",
                             lambda: (0.5, np.array([1.0, 0.5, 0.5, 1.0])))
         report = simulator.simulate_bell_attack(2, 400_000, seed=3)
         se = math.sqrt(0.5625 * 0.4375 / report.successes)
         assert abs(report.conditional_rate - 0.5625) <= 5.0 * se
         assert abs(report.z_score) <= 5.0
+
+    def test_second_verification_draws_from_the_accepted_trials(self, monkeypatch):
+        """The first draw is over every trial at 2^-n, the second over the
+        accepted ones only, at the mean retained-half rate to the n."""
+        draws = _spy_on_draws(monkeypatch)
+        report = simulator.simulate_bell_attack(3, 300_001, seed=6)
+        assert draws == [(300_001, 0.125), (report.successes, 1.0)]
+
+    def test_no_accepted_trial_leaves_no_conditional_rate(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_bell_probabilities",
+                            lambda: (0.0, np.array([1.0, 0.5, 0.5, 1.0])))
+        report = simulator.simulate_bell_attack(2, 400_000, seed=3)
+        assert report.successes == 0 and report.analytic == 0.0
+        assert report.conditional_rate is None
+        assert report.z_score == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -382,97 +363,93 @@ def _six_state_clone_rates():
 
 GOLDEN = {
     "six-state x3": (
-        lambda: simulator.simulate_quantum_attack(
+        lambda seed: simulator.simulate_quantum_attack(
             simulator.TrialConfig(
                 schemes.six_state_ensemble(), cloners.buzek_hillery_cloner(),
-                300_001, seed=1, repetitions=3,
+                300_001, seed=seed, repetitions=3,
             )
         ),
-        89097, None,
+        88782, None,
     ),
     "ticket:3 x2": (
-        lambda: simulator.simulate_ticket_attack(
+        lambda seed: simulator.simulate_ticket_attack(
             simulator.TrialConfig(
                 schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3),
-                300_001, seed=1, repetitions=2,
+                300_001, seed=seed, repetitions=2,
             )
         ),
-        240333, None,
+        240046, None,
     ),
     "identity-first x2": (
-        lambda: simulator.simulate_quantum_attack(
+        lambda seed: simulator.simulate_quantum_attack(
             simulator.TrialConfig(
-                schemes.wiesner_ensemble(), _identity_first_clone(), 300_001, seed=1,
+                schemes.wiesner_ensemble(), _identity_first_clone(), 300_001, seed=seed,
                 repetitions=2,
             )
         ),
-        75403, None,
+        74899, None,
     ),
     "werner:3": (
-        lambda: simulator.simulate_quantum_attack(
+        lambda seed: simulator.simulate_quantum_attack(
             simulator.TrialConfig(
                 schemes.fourier_ticket_scheme(3).ensemble(), cloners.werner_cloner(3),
-                200_000, seed=1,
+                200_000, seed=seed,
             )
         ),
-        100516, None,
+        100096, None,
     ),
     "honest strict:3": (
-        lambda: simulator.simulate_honest_verification(
-            _strict_ticket_scheme(3), 300_001, seed=1
+        lambda seed: simulator.simulate_honest_verification(
+            _strict_ticket_scheme(3), 300_001, seed=seed
         ),
-        200571, None,
+        200111, None,
     ),
     "weighted six-state identity-first x2": (
-        lambda: simulator.simulate_quantum_attack(
+        lambda seed: simulator.simulate_quantum_attack(
             simulator.TrialConfig(
-                _weighted_six_state(), _identity_first_clone(), 300_001, seed=1, repetitions=2
+                _weighted_six_state(), _identity_first_clone(), 300_001, seed=seed, repetitions=2
             )
         ),
-        117213, None,
+        117074, None,
     ),
-    # "six-state x3" with its equal key weights drawn by their CDF, one
-    # uniform per row, instead of one uniform integer.
-    "six-state x3, keys by CDF": (
-        lambda: simulator._note_attack(
-            300_001, 1, 3, _six_state_clone_rates(), np.full(6, 1.0 / 6.0),
+    # "six-state x3" with its equal key weights passed as row weights: their
+    # weighted mean is the plain mean, so the count is the same.
+    "six-state x3, equal row weights": (
+        lambda seed: simulator._note_attack(
+            300_001, seed, 3, _six_state_clone_rates(), np.full(6, 1.0 / 6.0),
         ),
-        88779, None,
+        88782, None,
     ),
-    "bell n=3": (lambda: simulator.simulate_bell_attack(3, 300_001, seed=1), 37530, 1.0),
-    "bell n=10": (lambda: simulator.simulate_bell_attack(10, 2_000_000, seed=1), 1980, 1.0),
+    "bell n=3": (lambda seed: simulator.simulate_bell_attack(3, 300_001, seed=seed), 37423, 1.0),
+    "bell n=10": (lambda seed: simulator.simulate_bell_attack(10, 2_000_000, seed=seed), 1936, 1.0),
 }
 
 
 class TestGoldenCounts:
-    """Success counts pinned to exact values: the sampling kernels may get
-    faster, but a trial is decided from the same draws in the same order.
-    Trial counts of 300,001 leave a remainder batch; the identity-first
-    channel passes each key with a different probability, so its counts also
-    pin which key each draw picks: uniformly for Wiesner, by the weights' CDF
-    for the weighted six-state ensemble."""
+    """Success counts pinned to exact values: a report is one binomial draw
+    from a generator seeded with its seed, at the analytic rate.  The
+    identity-first channel passes each key with a different probability, so
+    its counts also pin how the keys are weighted: uniformly for Wiesner, by
+    their weights for the weighted six-state ensemble."""
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_success_count(self, case, threads, monkeypatch):
-        monkeypatch.setenv("QMONEY_THREADS", threads)
+    def test_success_count(self, case):
         run, successes, conditional = GOLDEN[case]
-        report = run()
+        report = run(1)
         assert report.successes == successes
         assert report.conditional_rate == conditional
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_z_spreads_as_a_standard_normal_over_seeds(self, case):
+        """Over seeds 1-40, no |z| passes 4.5, the mean z is within four of its
+        standard error and the sample variance lies in [0.5, 2]."""
+        z = np.array([GOLDEN[case][0](seed).z_score for seed in range(1, 41)])
+        assert np.abs(z).max() <= 4.5
+        assert abs(z.mean()) * math.sqrt(len(z)) <= 4.0
+        assert 0.5 <= z.var(ddof=1) <= 2.0
+
 
 class TestSampling:
-    def test_uniform_rows_take_a_dtype_that_holds_the_last_row(self):
-        # ticket:33's attack table has 4 challenge pairs x 66 keys = 264 rows,
-        # more than uint8 holds.
-        rows = 4 * len(schemes.fourier_ticket_scheme(33).key_states())
-        assert rows == 264
-        drawn = simulator._uniform_rows(np.random.default_rng(3), 20_000, rows)
-        assert drawn.dtype == np.uint16
-        assert drawn.min() == 0 and drawn.max() == rows - 1
-        assert simulator._uniform_rows(np.random.default_rng(3), 10, 256).dtype == np.uint8
-
     def test_ticket_attack_past_256_rows(self):
         d = 33
         report = simulator.simulate_ticket_attack(
@@ -485,13 +462,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("repetitions", [1, 2])
     def test_note_attack_decides_as_the_sampled_outcome(self, repetitions):
-        """The kernel's accepted mass gives the same count as drawing the
-        outcome from each row enumerated accepted-first and looking it up, on
-        tables with zero bins, constant rows and rows whose first outcome is
-        accepted or not.  The 300-row table's rows are drawn as uint16, and
-        each must pick its own mass."""
+        """Drawing each note's row and then its outcome from that row, and
+        looking the outcome up in the acceptance table, passes a trial at the
+        note attack's analytic rate; on tables with zero bins, constant rows
+        and rows whose first outcome is accepted or not."""
         gen = np.random.default_rng(5)
-        trials = simulator.BATCH_SIZE + 999
+        trials = 200_003
         for n_rows in (7, 300):
             prob = gen.random((n_rows, 5))
             prob[1, 2:4] = 0.0
@@ -500,127 +476,72 @@ class TestSampling:
             prob /= prob.sum(axis=1, keepdims=True)
             accept = gen.random((n_rows, 5)) < 0.5
             accept[4], accept[5] = True, False
-            order = np.argsort(~accept, axis=1, kind="stable")
-            ordered = np.take_along_axis(prob, order, axis=1)
-            cdf = np.cumsum(ordered / ordered.sum(axis=1, keepdims=True), axis=1)
+            cdf = np.cumsum(prob, axis=1)
             cdf[:, -1] = 1.0
-            accept_first = np.take_along_axis(accept, order, axis=1)
+            row = gen.integers(0, n_rows, size=(trials, repetitions))
+            u = gen.random((trials, repetitions))[..., None]
+            outcome = np.count_nonzero(cdf[row, :-1] <= u, axis=-1)
+            passed = np.count_nonzero(accept[row, outcome].all(axis=1))
+            report = simulator._note_attack(trials, 8, repetitions, cloners.accepted_mass(prob, accept))
+            sampled = simulator.TrialReport(passed, trials, report.analytic)
+            assert abs(sampled.z_score) <= 5.0, n_rows
+            assert abs(report.z_score) <= 5.0, n_rows
 
-            def reference(rng, count):
-                alive = count  # note j is drawn for the trials that passed notes 0..j-1
-                for _ in range(repetitions):
-                    row = simulator._uniform_rows(rng, alive, len(cdf))
-                    u = rng.random(alive)[:, None]
-                    outcome = np.count_nonzero(cdf[row, :-1] <= u, axis=1)
-                    alive = int(np.count_nonzero(accept_first[row, outcome]))
-                return (alive,)
+    def test_certain_rates_draw_every_trial_or_none_at_the_largest_count(self):
+        trials = int(np.iinfo(np.int64).max)
+        for mass, expected in ((np.ones(4), trials), (np.zeros(4), 0)):
+            report = simulator._note_attack(trials, 3, 5, mass)
+            assert report.successes == expected
+            assert report.z_score == 0.0
 
-            (expected,), _ = simulator._sum_batches(trials, 8, reference)
-            mass = cloners.accepted_mass(prob, accept)
-            report = simulator._note_attack(trials, 8, repetitions, mass)
-            assert report.successes == expected, n_rows
-
-    def test_survivors_draw_nothing_that_cannot_fail(self):
-        """A table of mass 1 leaves the stream untouched, as does a batch
-        whose trials all failed an earlier note."""
-        rng, fresh = (np.random.Generator(np.random.SFC64(3)) for _ in range(2))
-        assert simulator._survivors(np.ones(4), 5)(rng, 1000) == 1000
-        assert simulator._survivors(np.array([0.5, 1.0]), 3)(rng, 0) == 0
-        assert rng.random() == fresh.random()
-
-    def test_survivors_stop_drawing_once_no_trial_is_alive(self):
-        """A million notes at pass rate 1/2 fail 1,000 trials within a few dozen
-        notes; the kernel then stops, instead of drawing empty notes to the end."""
-
-        class CountingRng:
-            def __init__(self):
-                self.rng, self.calls = np.random.Generator(np.random.SFC64(5)), 0
-
-            def random(self, *args, **kwargs):
-                self.calls += 1
-                return self.rng.random(*args, **kwargs)
-
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                return self.rng.integers(*args, **kwargs)
-
-        rng = CountingRng()
-        assert simulator._survivors(np.array([0.5]), 10**6)(rng, 1000) == 0
-        assert 0 < rng.calls <= 200
+    @pytest.mark.parametrize("attack", sorted(NOTE_ATTACKS) + ["bell n=20"])
+    def test_largest_trial_count_is_drawn(self, attack):
+        trials = int(np.iinfo(np.int64).max)
+        if attack == "bell n=20":
+            report = simulator.simulate_bell_attack(simulator.MAX_BELL_QUBITS, trials, seed=9)
+            assert report.conditional_rate == 1.0
+        else:
+            report = NOTE_ATTACKS[attack](trials, 9)
+        assert report.trials == trials
+        assert abs(report.z_score) <= 5.0
 
     def test_rows_without_rejected_or_accepted_mass_are_decided_by_the_row(self):
         """A row whose rejected outcomes have probability 0 passes every draw,
         and one whose accepted outcomes have probability 0 passes none."""
         prob = np.array([[0.1, 0.2, 0.7, 0.0, 0.0], [0.0, 0.0, 0.1, 0.2, 0.7]])
         accept = np.array([[True, True, True, False, False], [True, True, False, False, False]])
-        trials = simulator.BATCH_SIZE + 3
+        trials = 1_000_003
         for row, expected in ((0, trials), (1, 0)):
             mass = cloners.accepted_mass(prob[row:row + 1], accept[row])
             report = simulator._note_attack(trials, 2, 1, mass)
             assert report.successes == expected
 
-    def test_one_gather_per_batch_whatever_the_table_width(self, monkeypatch):
-        """One batch of the 9-outcome ticket:3 table calls np.take once."""
-        scheme, strategy = schemes.fourier_ticket_scheme(3), cloners.ticket_cloner(3)
-        assert cloners.outcome_tables(strategy, scheme)[0].shape[-1] == 9
-        take, calls = np.take, []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return take(*args, **kwargs)
+def _spy_on_draws(monkeypatch):
+    """Record the (count, probability) of each binomial draw a report makes."""
+    draws, generator = [], np.random.Generator
 
-        monkeypatch.setattr(np, "take", counted)
-        report = simulator.simulate_ticket_attack(
-            simulator.TrialConfig(scheme, strategy, simulator.BATCH_SIZE, seed=4)
-        )
-        assert report.batches == 1
-        assert len(calls) == 1
+    class Recorded:
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
 
-    def test_batch_buffers_serve_one_call_only(self, monkeypatch):
-        """Calls that differ in repetitions and trial count, remainder batches
-        included, interleaved in one thread: each report equals a fresh call's."""
-        monkeypatch.setenv("QMONEY_THREADS", "1")
-        shapes = [(123, 3), (simulator.BATCH_SIZE + 77, 3), (5_000, 1),
-                  (2 * simulator.BATCH_SIZE, 2), (simulator.BATCH_SIZE - 1, 1)]
+        def binomial(self, n, p):
+            draws.append((n, p))
+            return self._rng.binomial(n, p)
 
-        def run(trials, repetitions):
-            return simulator.simulate_quantum_attack(
-                _wiesner_config(trials=trials, seed=trials, repetitions=repetitions)
-            )
-
-        fresh = {shape: run(*shape) for shape in shapes}
-        for shape in shapes[::-1] + shapes[1::2] + shapes[::2]:
-            assert run(*shape) == fresh[shape]
-
-    def test_sample_rows_matches_a_per_row_bisection(self):
-        rng = np.random.default_rng(4)
-        prob = rng.random((4, 6))
-        prob[1, 2:4] = 0.0  # zero-probability bins inside a row
-        prob[2, :2] = 0.0  # leading zero bins
-        prob[3, 4:] = 0.0  # trailing zero bins
-        cdf = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
-        cdf[:, -1] = 1.0
-        for p, cdf_row in zip(prob, cdf):
-            u = rng.random(1000)
-            # Draws lying exactly on a threshold, including a zero bin's; a
-            # threshold of 1 is never drawn, since draws lie in [0, 1).
-            on = cdf_row[rng.integers(0, 5, size=40)]
-            u[:40] = np.where(on < 1.0, on, u[:40])
-            u[40:45] = 0.0
-            got = simulator._sample_rows(cdf_row, u)
-            np.testing.assert_array_equal(got, np.searchsorted(cdf_row[:-1], u, side="right"))
-            assert np.all(p[got] > 0.0)
+    monkeypatch.setattr(np.random, "Generator", Recorded)
+    return draws
 
 
 def _spy_on_masses(monkeypatch):
-    """Record the pass probabilities each survivor kernel is built on."""
-    seen, survivors = [], simulator._survivors
+    """Record the pass probabilities each note attack draws from."""
+    seen, note_attack = [], simulator._note_attack
 
-    def spy(mass, repetitions, row_cdf=None):
+    def spy(trials, seed, repetitions, mass, row_weights=None):
         seen.append(mass)
-        return survivors(mass, repetitions, row_cdf)
+        return note_attack(trials, seed, repetitions, mass, row_weights)
 
-    monkeypatch.setattr(simulator, "_survivors", spy)
+    monkeypatch.setattr(simulator, "_note_attack", spy)
     return seen
 
 
