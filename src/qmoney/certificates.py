@@ -12,15 +12,15 @@ values agree within tolerance certifies the optimal value, since any feasible
 dual point upper-bounds every feasible primal value.
 
 A serialization format is provided so certificates can be stored, shipped,
-and re-checked later: a JSON object carrying the objective, both matrices as
-nested [re, im] arrays, the tolerance, and the claimed value.
+and re-checked later: a JSON object with the five fields :func:`certify`
+reads: the objective ``q``, ``primal_x`` and ``dual_y`` as nested [re, im]
+arrays, the ``tolerance`` and the claimed ``value``.  Other keys are ignored.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +177,6 @@ def certificate_payload(
         "dual_y": _codec.complex_to_pairs(np.asarray(y, dtype=np.complex128)),
         "tolerance": float(tolerance),
         "value": float(value),
-        "dims": list(problem.dims),
-        "n_out": problem.n_out,
     }
 
 
@@ -199,9 +197,9 @@ def save_certificate(
 def load_certificate(path: str) -> CertificateFile:
     """Read a certificate file, rebuilding the problem from the stored objective.
 
-    The input dimension is recovered from the dual matrix; an optional
-    ``dims``/``n_out`` pair records finer factor structure and is validated
-    against the recovered split when present.
+    The five fields of :func:`certificate_payload` are required; other keys are
+    ignored.  The dual matrix gives the input dimension and the objective the
+    output one, so ``dims`` is ``(out_dim, in_dim)``, all that :func:`certify` reads.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -230,30 +228,8 @@ def load_certificate(path: str) -> CertificateFile:
             f"objective size {q.shape[0]} is not a multiple of the dual size {in_dim}"
         )
     out_dim = q.shape[0] // in_dim
-    dims: tuple[int, ...] = (out_dim, in_dim)
-    n_out = 1
-    if "dims" in payload:
-        raw = payload["dims"]
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or any(type(v) is not int or v < 1 for v in raw)  # type(True) is bool: booleans fail
-        ):
-            raise FileFormatError(f"dims must be a list of positive integers, got {raw!r}")
-        stored_n_out = payload.get("n_out", len(raw) - 1)
-        if type(stored_n_out) is not int or not 1 <= stored_n_out < len(raw):
-            raise FileFormatError(f"n_out must be a factor split index, got {stored_n_out!r}")
-        stored_out = math.prod(raw[:stored_n_out])
-        stored_in = math.prod(raw[stored_n_out:])
-        if (stored_out, stored_in) != (out_dim, in_dim):
-            raise FileFormatError(
-                f"stored dims {raw} split as {(stored_out, stored_in)} but the "
-                f"matrices imply {(out_dim, in_dim)}"
-            )
-        dims = tuple(raw)
-        n_out = stored_n_out
     try:
-        problem = CloningSdp(q, dims=dims, n_out=n_out)
+        problem = CloningSdp(q, dims=(out_dim, in_dim))
     except (DimensionError, ValueError) as exc:
         raise FileFormatError(f"stored objective is not a valid problem: {exc}") from exc
     if x.shape != q.shape:

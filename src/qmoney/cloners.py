@@ -76,49 +76,14 @@ def werner_cloner(d: int) -> ChoiOperator:
     return ChoiOperator(choi.reshape(d**3, d**3), d, d * d)
 
 
-@dataclass(frozen=True)
-class PauliOperators:
-    """Generalized Pauli operators on C^d.
-
-    ``shift`` permutes the computational basis cyclically, ``phase`` rotates
-    basis vector j by the j-th power of the primitive d-th root of unity, and
-    ``fourier`` is the unitary conjugating phase into shift.
-    """
-
-    dim: int
-    shift: np.ndarray
-    phase: np.ndarray
-    fourier: np.ndarray
-
-    def __post_init__(self):
-        eye = np.eye(self.dim)
-        for name in ("shift", "phase", "fourier"):
-            u = getattr(self, name)
-            if u.shape != (self.dim, self.dim):
-                raise DimensionError(f"{name} has shape {u.shape}, expected square of {self.dim}")
-            if np.abs(u.conj().T @ u - eye).max() > linalg.ROUNDOFF_TOL:
-                raise ChannelValidationError(f"{name} is not unitary")
-        defect = np.abs(
-            self.shift - self.fourier @ self.phase @ self.fourier.conj().T
-        ).max()
-        if defect > linalg.ROUNDOFF_TOL:
-            raise ChannelValidationError(
-                f"shift is not the Fourier conjugate of phase: defect {defect:.3e}"
-            )
-
-
-def pauli_operators(d: int) -> PauliOperators:
-    """Shift, phase, and Fourier unitaries on C^d with shift = F phase F*."""
+def pauli_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generalized Pauli unitaries (shift, phase) on C^d: shift permutes the basis
+    cyclically, phase multiplies basis vector j by omega^j, and shift = F phase F*."""
     if d < 2:
         raise DimensionError(f"need dimension at least 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-    phase = np.diag(omega ** np.arange(d))
-    fourier = np.array(
-        [[omega ** (-(i * j)) for j in range(d)] for i in range(d)],
-        dtype=np.complex128,
-    ) / math.sqrt(d)
-    return PauliOperators(d, shift, phase, fourier)
+    phase = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    return shift, phase
 
 
 @dataclass(frozen=True)
@@ -177,19 +142,21 @@ def ticket_cloner(d: int) -> TicketStrategy:
     and repeating the outcome.  Mixed pairs use the covariant POVM whose d^2
     effects are shifted and phased projections of one fixed state; outcome
     (s, t) answers s to the challenge-0 verifier and t to the challenge-1
-    verifier.  The attack succeeds with probability 3/4 + 1/(4 sqrt(d)).
+    verifier.  The attack succeeds with probability 3/4 + 1/(4 sqrt(d)).  Both mixed
+    plans view one table of the d^2 effects, asked of :func:`linalg.zero_operator` first.
     """
-    if d < 2:
-        raise DimensionError(f"need dimension at least 2, got {d}")
-    paulis = pauli_operators(d)
+    shift, phase = pauli_operators(d)
+    table = linalg.zero_operator(d * d).reshape(d * d, d, d)
     psi = _ticket_state(d)
     eye = np.eye(d, dtype=np.complex128)
-    shifts = list(itertools.accumulate([paulis.shift] * (d - 1), np.matmul, initial=eye))
-    phases = list(itertools.accumulate([paulis.phase] * (d - 1), np.matmul, initial=eye))
-    vecs = {(s, t): shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)}
+    shifts = list(itertools.accumulate([shift] * (d - 1), np.matmul, initial=eye))
+    phases = list(itertools.accumulate([phase] * (d - 1), np.matmul, initial=eye))
+    vecs = np.array([shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)])
+    np.multiply(vecs[:, :, None], vecs.conj()[:, None, :], out=table)
+    table /= d
     plans: dict[tuple[int, int], tuple] = {
-        (0, 1): tuple((np.outer(v, v.conj()) / d, (s, t)) for (s, t), v in vecs.items()),
-        (1, 0): tuple((np.outer(v, v.conj()) / d, (t, s)) for (s, t), v in vecs.items()),
+        (0, 1): tuple((e, (s, t)) for e, (s, t) in zip(table, np.ndindex(d, d))),
+        (1, 0): tuple((e, (t, s)) for e, (s, t) in zip(table, np.ndindex(d, d))),
     }
     bases = schemes.fourier_ticket_scheme(d).pair
     for c, basis in enumerate((bases.basis0, bases.basis1)):

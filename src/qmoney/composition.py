@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,16 @@ def repeated_value(alpha: float, n: int) -> float:
 
 
 def threshold_value(alpha: float, n: int, t: int) -> float:
-    """Optimal counterfeiting value when t of n verifications must pass.
+    """Optimal counterfeiting value when t of n verifications must pass, correctly rounded.
 
-    The binomial tail is summed at 40 significant digits and rounded once, so
-    terms past float range cannot overflow or underflow and tails such as
-    27/32 come out exact.  Term j + 1 is term j times the ratio
-    (n - j)/(j + 1) * alpha/(1 - alpha), so the cost is linear in n.
+    The binomial tail is summed at 40 digits, where no term overflows or underflows;
+    term j + 1 is term j times (n - j)/(j + 1) * alpha/(1 - alpha), so the cost is
+    linear in n.  With u = 5e-40, (1 - alpha)^n carries (n + 1)u and each step 3u plus
+    the rounded ratio's 2u, so term j carries (n + 1 + 5j)u; n additions of positive
+    terms add nu.  The relative error (7n + 1)u < 4(n + 1)e-39 leaves room for
+    second-order terms and for rounding the bracket's ends.  If both ends round to one
+    float, so does the tail (Ziv's test); otherwise the tail, an integer over den^n for
+    alpha = num/den in binary64, is summed exactly and int division rounds it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"base value must lie in [0, 1], got {alpha}")
@@ -59,7 +64,14 @@ def threshold_value(alpha: float, n: int, t: int) -> float:
             if j >= t:
                 total += term
             term = term * (n - j) * ratio / (j + 1)
-        return float(total)
+        bound = total * 4 * (n + 1) * decimal.Decimal("1e-39")
+        if float(total - bound) == float(total + bound):
+            return float(total)
+    num, den = alpha.as_integer_ratio()
+    term, exact = math.comb(n, t) * num**t * (den - num) ** (n - t), 0
+    for j in range(t, n + 1):
+        exact, term = exact + term, term * (n - j) * num // ((j + 1) * (den - num))
+    return exact / den**n
 
 
 def _grouping_permutation(splits: list[tuple[int, int]]) -> list[int]:
@@ -75,10 +87,9 @@ def _grouping_permutation(splits: list[tuple[int, int]]) -> list[int]:
 
 def _regroup(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
     """W m W^dagger for W = linalg.permutation_operator(dims, perm): factor j of
-    the space moves to slot perm[j], by a transpose instead of dense products."""
+    the space moves to slot perm[j], by a transpose instead of dense products.
+    ``perm`` is not checked: every caller takes it from :func:`_grouping_permutation`."""
     k = len(dims)
-    if sorted(perm) != list(range(k)):
-        raise DimensionError(f"{list(perm)} is not a permutation of 0..{k - 1}")
     axes = [int(j) for j in np.argsort(perm)]
     tensor = np.asarray(m).reshape(tuple(dims) * 2)
     return tensor.transpose(axes + [a + k for a in axes]).reshape(m.shape)

@@ -235,13 +235,16 @@ def classical_objective_blocks(
     blocks[(c1, c2, a1, a2)] sums, over all keys accepting both answers, the
     key probability times the key-state projector.  weights[(c1, c2)] is the
     probability 1/4 of that challenge pair.  The attack value is the weighted
-    sum over challenge pairs of the block SDP values.  Blocks are views of one array.
+    sum over challenge pairs of the block SDP values.  Blocks are views of one
+    array, asked of :func:`linalg.zero_operator` before anything is computed.
     """
+    d = scheme.dim
+    stack = linalg.zero_operator(2 * d * d).reshape(2, 2, d, d, d, d)
     accept = scheme.accept_table()
     states = scheme.key_states()
     # [c1, c2, a1, a2, i, j]: the projectors of the keys accepting both answers, summed.
-    stack = np.einsum("xak,ybk,ki,kj->xyabij", accept, accept, states, states.conj())
-    stack /= 2 * scheme.dim
+    np.einsum("xak,ybk,ki,kj->xyabij", accept, accept, states, states.conj(), out=stack)
+    stack /= 2 * d
     blocks = {i: stack[i] for i in np.ndindex(stack.shape[:4])}
     return blocks, {pair: 0.25 for pair in np.ndindex(2, 2)}
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmoney import _codec, certificates, cloners, composition, linalg, schemes, sdp
+from qmoney import _codec, certificates, cli, cloners, composition, linalg, schemes, sdp
 from qmoney.channels import ChoiOperator
 from qmoney.exceptions import DimensionError, FileFormatError, HermiticityError
 
@@ -232,38 +232,58 @@ class TestCertificateFiles:
         path = tmp_path / "cert.json"
         certificates.save_certificate(str(path), problem, x, y, 1e-7, 0.75)
         loaded = certificates.load_certificate(str(path))
-        assert loaded.problem.dims == (2, 2, 2)
+        assert loaded.problem.dims == (4, 2)
         assert abs(loaded.value - 0.75) < 1e-15
         report = loaded.verify()
         assert report.certified
         assert abs(report.primal_value - loaded.value) <= loaded.tolerance
 
-    def test_round_trip_without_dims_field(self, tmp_path):
-        problem = _wiesner_problem()
-        x = cloners.wiesner_optimal_cloner().matrix
-        y = 0.375 * np.eye(2)
+    def test_payload_holds_exactly_the_fields_certify_reads(self):
+        payload = certificates.certificate_payload(
+            _wiesner_problem(), cloners.wiesner_optimal_cloner().matrix, 0.375 * np.eye(2),
+            1e-7, 0.75,
+        )
+        assert set(payload) == {"q", "primal_x", "dual_y", "tolerance", "value"}
+
+    @pytest.mark.parametrize("scheme", ["wiesner", "six-state", "ticket:3"])
+    def test_file_with_a_stored_factor_layout_certifies_unchanged(self, scheme, tmp_path, capsys):
+        """Files that also carry ``dims`` and ``n_out`` (the fine factor layout of
+        the solved problem) certify with the same stdout as the five-field file,
+        even when the stored layout disagrees with the matrices: it is not read."""
         path = tmp_path / "cert.json"
-        certificates.save_certificate(str(path), problem, x, y, 1e-7, 0.75)
+        assert cli.main(["analyze", "--scheme", scheme, "--output", str(path)]) == 0
         payload = json.loads(path.read_text())
-        del payload["dims"]
-        del payload["n_out"]
-        path.write_text(json.dumps(payload))
-        loaded = certificates.load_certificate(str(path))
-        assert loaded.problem.dims == (4, 2)
-        assert loaded.verify().certified
+        if scheme == "ticket:3":
+            problem = sdp.assemble_block_sdp(
+                *cli._challenge_problems(schemes.fourier_ticket_scheme(3))
+            )
+        else:
+            problem = cli.resolve_scheme(scheme).cloning_problem()
+        capsys.readouterr()
+        stdouts = []
+        for layout in (None, (list(problem.dims), problem.n_out), ([5, 5, 5], 1)):
+            if layout is not None:
+                payload.update(dims=layout[0], n_out=layout[1])
+                path.write_text(json.dumps(payload))
+            assert cli.main(["certify", str(path)]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0]
+        assert "certified true" in stdouts[0]
+        assert certificates.load_certificate(str(path)).problem.dims == (
+            problem.out_dim, problem.in_dim
+        )
 
     @pytest.mark.parametrize(
         "mutate",
         [
             lambda p: p.pop("q"),
+            lambda p: p.pop("primal_x"),
             lambda p: p.pop("dual_y"),
             lambda p: p.pop("tolerance"),
             lambda p: p.pop("value"),
             lambda p: p.update(tolerance=-1.0),
             lambda p: p.update(tolerance="tight"),
             lambda p: p.update(value="best"),
-            lambda p: p.update(dims=[2, 0, 2]),
-            lambda p: p.update(dims=[3, 3, 3]),
             lambda p: p.update(q=[[1.0, 2.0]]),
         ],
     )

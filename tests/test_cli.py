@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -207,8 +208,6 @@ class TestCertify:
         "update",
         [
             {"tolerance": True},
-            {"dims": [2, 2, 2, True]},
-            {"n_out": True, "dims": [4, 2]},
             {"value": float("nan")},
             {"value": float("inf")},
         ],
@@ -221,19 +220,6 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {next(iter(update))} must be")
-
-    def test_stored_dims_whose_product_overflows_int64_are_a_parse_error(
-        self, certificate, capsys
-    ):
-        # (2**62 + 1) * 4 wraps to 4 in int64, which would match the 4 output rows.
-        payload = json.loads(certificate.read_text())
-        payload.update(dims=[2**62 + 1, 4, 2], n_out=2)
-        certificate.write_text(json.dumps(payload))
-        assert cli.main(["certify", str(certificate)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "split as" in captured.err
-
 
 class TestSimulate:
     def test_wiesner_optimal(self, capsys):
@@ -598,14 +584,54 @@ class TestExitCodes:
         self, monkeypatch, capsys
     ):
         """analyze --scheme ticket:3 builds its 27-row challenge blocks by a direct sum,
-        which is refused like any other operator when memory holds fewer than seven."""
-        sizes = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        which is refused like any other operator when memory holds fewer than seven.
+        Twelve pages (49,152 B) pass the answer stack built first, whose 18 rows need
+        7 * 16 * 18**2 = 36,288 B, and refuse a block's 7 * 16 * 27**2 = 81,648 B."""
+        sizes = {"SC_PHYS_PAGES": 12, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
         code = cli.main(["analyze", "--scheme", "ticket:3"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert "27 x 27" in captured.err
+
+    def test_answer_stack_past_memory_is_refused_unallocated(self, monkeypatch, capsys):
+        """analyze --scheme ticket:12 stacks its 4 * 12**4 answer-block entries as one
+        288-row operator, refused at 1 MiB before any of it is allocated."""
+        sizes = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", "--scheme", "ticket:12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "288 x 288" in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_ticket_effect_table_past_memory_is_refused(self, monkeypatch, capsys):
+        """simulate --scheme ticket:8 holds its 8**2 mixed-challenge effects in one
+        64-row table, which 64 pages (256 KiB) refuse."""
+        sizes = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        code = cli.main(["simulate", "--scheme", "ticket:8", "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "64 x 64" in captured.err
+
+    def test_large_ticket_dimension_is_refused_at_once(self, monkeypatch, capsys):
+        """simulate --scheme ticket:200 asks for a 40000-row effect table, refused
+        with 8 GiB of memory before any effect is computed."""
+        sizes = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--scheme", "ticket:200", "--trials", "10"])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "40000 x 40000" in capsys.readouterr().err
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "threshold"])

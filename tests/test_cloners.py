@@ -1,5 +1,6 @@
 """Attack-construction tests: channel values, Pauli algebra, ticket measurements."""
 
+import itertools
 import math
 
 import numpy as np
@@ -71,18 +72,29 @@ class TestWernerCloner:
             cloners.werner_cloner(1)
 
 
+def _fourier(d):
+    """F with shift = F phase F*; exponents reduced mod d, as the Fourier ticket
+    scheme builds its basis, so that omega's roundoff does not compound."""
+    omega = np.exp(2j * np.pi / d)
+    i, j = np.indices((d, d))
+    return omega ** (-(i * j % d)) / math.sqrt(d)
+
+
 class TestPauliOperators:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 200, 256])
     def test_conjugation_identity(self, d):
-        p = cloners.pauli_operators(d)
-        defect = np.abs(p.shift - p.fourier @ p.phase @ p.fourier.conj().T).max()
+        shift, phase = cloners.pauli_operators(d)
+        fourier = _fourier(d)
+        for u in (shift, phase, fourier):
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-12
+        defect = np.abs(shift - fourier @ phase @ fourier.conj().T).max()
         assert defect <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_order_d_cyclic_group(self, d):
-        p = cloners.pauli_operators(d)
-        assert np.abs(np.linalg.matrix_power(p.shift, d) - np.eye(d)).max() < 1e-12
-        assert np.abs(np.linalg.matrix_power(p.phase, d) - np.eye(d)).max() < 1e-12
+        shift, phase = cloners.pauli_operators(d)
+        assert np.abs(np.linalg.matrix_power(shift, d) - np.eye(d)).max() < 1e-12
+        assert np.abs(np.linalg.matrix_power(phase, d) - np.eye(d)).max() < 1e-12
 
     def test_rejects_trivial_dimension(self):
         with pytest.raises(DimensionError):
@@ -111,6 +123,24 @@ class TestTicketCloner:
             total += effect
         assert np.abs(total - np.eye(d)).max() <= 1e-10
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_mixed_plans_match_per_outcome_outer_products(self, d):
+        """Both mixed plans hold the d^2 effects |v><v|/d, bit for bit as
+        np.outer builds them one at a time, with v = shift^s phase^t psi."""
+        shift, phase = cloners.pauli_operators(d)
+        psi = cloners._ticket_state(d)
+        eye = np.eye(d, dtype=np.complex128)
+        shifts = list(itertools.accumulate([shift] * (d - 1), np.matmul, initial=eye))
+        phases = list(itertools.accumulate([phase] * (d - 1), np.matmul, initial=eye))
+        plans = cloners.ticket_cloner(d).plans
+        for k, (s, t) in enumerate(np.ndindex(d, d)):
+            v = shifts[s] @ phases[t] @ psi
+            reference = np.outer(v, v.conj()) / d
+            for pair, answers in (((0, 1), (s, t)), ((1, 0), (t, s))):
+                effect, got = plans[pair][k]
+                assert got == answers
+                assert effect.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_overlap_of_the_seed_state(self, d):
         psi = cloners._ticket_state(d)
@@ -118,15 +148,15 @@ class TestTicketCloner:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_shift_covariance_of_diagonal_weights(self, d):
-        p = cloners.pauli_operators(d)
+        shift, phase = cloners.pauli_operators(d)
         psi = cloners._ticket_state(d)
         per_label = []
         for s in range(d):
             acc = 0.0
             for t in range(d):
                 vec = (
-                    np.linalg.matrix_power(p.shift, s)
-                    @ np.linalg.matrix_power(p.phase, t)
+                    np.linalg.matrix_power(shift, s)
+                    @ np.linalg.matrix_power(phase, t)
                     @ psi
                 )
                 acc += abs(vec[s]) ** 2 / d
