@@ -105,6 +105,7 @@ class TicketStrategy:
                 f"plans must cover exactly the challenge pairs {CHALLENGE_PAIRS}"
             )
         eye = np.eye(self.dim)
+        proved = set()  # ids of effects already proved positive: plans may share them
         for pair, plan in self.plans.items():
             total = np.zeros((self.dim, self.dim), dtype=np.complex128)
             for effect, answers in plan:
@@ -114,10 +115,13 @@ class TicketStrategy:
                     )
                 if len(answers) != 2:
                     raise DimensionError(f"outcome must carry an answer pair, got {answers}")
-                if not linalg.positive_semidefinite(linalg.as_hermitian(effect)):
+                if id(effect) not in proved and not linalg.positive_semidefinite(
+                    linalg.as_hermitian(effect)
+                ):
                     raise ChannelValidationError(
                         f"effect for challenges {pair} is not positive semidefinite"
                     )
+                proved.add(id(effect))
                 total += effect
             defect = np.abs(total - eye).max()
             if defect > linalg.VALUE_TOL:
@@ -143,7 +147,7 @@ def ticket_cloner(d: int) -> TicketStrategy:
     effects are shifted and phased projections of one fixed state; outcome
     (s, t) answers s to the challenge-0 verifier and t to the challenge-1
     verifier.  The attack succeeds with probability 3/4 + 1/(4 sqrt(d)).  Both mixed
-    plans view one table of the d^2 effects, asked of :func:`linalg.zero_operator` first.
+    plans share the d^2 effect views of one table, asked of :func:`linalg.zero_operator` first.
     """
     shift, phase = pauli_operators(d)
     table = linalg.zero_operator(d * d).reshape(d * d, d, d)
@@ -154,10 +158,9 @@ def ticket_cloner(d: int) -> TicketStrategy:
     vecs = np.array([shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)])
     np.multiply(vecs[:, :, None], vecs.conj()[:, None, :], out=table)
     table /= d
-    plans: dict[tuple[int, int], tuple] = {
-        (0, 1): tuple((e, (s, t)) for e, (s, t) in zip(table, np.ndindex(d, d))),
-        (1, 0): tuple((e, (t, s)) for e, (s, t) in zip(table, np.ndindex(d, d))),
-    }
+    mixed = tuple((e, (s, t)) for e, (s, t) in zip(table, np.ndindex(d, d)))
+    swapped = tuple((e, (t, s)) for e, (s, t) in mixed)  # the same effect objects
+    plans: dict[tuple[int, int], tuple] = {(0, 1): mixed, (1, 0): swapped}
     bases = schemes.fourier_ticket_scheme(d).pair
     for c, basis in enumerate((bases.basis0, bases.basis1)):
         plans[(c, c)] = tuple((np.outer(v, v.conj()), (t, t)) for t, v in enumerate(basis.T))
@@ -179,6 +182,7 @@ def outcome_tables(
             f"strategy dimension {strategy.dim} does not match scheme dimension {scheme.dim}"
         )
     states = scheme.key_states()
+    rho = (states.conj()[:, :, None] * states[:, None, :]).reshape(len(states), -1)
     table = scheme.accept_table()
     longest = max(len(plan) for plan in strategy.plans.values())
     prob = np.zeros((len(CHALLENGE_PAIRS), len(states), longest))
@@ -190,7 +194,7 @@ def outcome_tables(
             raise DimensionError(f"answers to challenges {(c1, c2)} must lie in [0, {scheme.dim})")
         a1, a2 = answers.T
         n = len(effects)
-        prob[ci, :, :n] = np.einsum("ki,mij,kj->km", states.conj(), effects, states).real
+        prob[ci, :, :n] = (rho @ np.reshape(effects, (n, -1)).T).real  # BLAS, not 3-operand einsum
         accept[ci, :, :n] = (table[c1, a1] & table[c2, a2]).T
     return prob, accept
 

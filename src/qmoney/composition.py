@@ -2,9 +2,9 @@
 
 Running n independent verifications multiplies the optimal counterfeiting
 value: tensoring per-repetition optimal pairs gives matching feasible points
-of the n-fold problem.  The only bookkeeping is a factor permutation, since
-the tensor product groups factors per repetition while the n-fold problem
-wants all clone factors in front of all input factors.
+of the n-fold problem.  The only bookkeeping is one regrouping, from the tensor
+order (out_1 (x) in_1) (x) ... (x) (out_n (x) in_n) to every output before every
+input, and it needs only each repetition's (out_dim, in_dim) split.
 
 Threshold verification accepts when at least t of n repetitions pass.  Under
 two conditions on the single-repetition ensemble (uniform average state, flat
@@ -74,52 +74,35 @@ def threshold_value(alpha: float, n: int, t: int) -> float:
     return exact / den**n
 
 
-def _grouping_permutation(splits: list[tuple[int, int]]) -> list[int]:
-    """Slot map sending per-problem factor runs to grouped (outputs, inputs) order.
-
-    ``splits`` gives each problem's (factor count, n_out).  Source order is the
-    tensor order: problem 0's factors, then problem 1's, and so on.  Target
-    order is a stable sort putting every output factor before every input factor.
-    """
-    is_input = [j >= n_out for count, n_out in splits for j in range(count)]
-    return np.argsort(np.argsort(is_input, kind="stable")).tolist()
-
-
-def _regroup(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
-    """W m W^dagger for W = linalg.permutation_operator(dims, perm): factor j of
-    the space moves to slot perm[j], by a transpose instead of dense products.
-    ``perm`` is not checked: every caller takes it from :func:`_grouping_permutation`."""
-    k = len(dims)
-    axes = [int(j) for j in np.argsort(perm)]
-    tensor = np.asarray(m).reshape(tuple(dims) * 2)
-    return tensor.transpose(axes + [a + k for a in axes]).reshape(m.shape)
+def _regroup(m: np.ndarray, splits: list[tuple[int, int]]) -> np.ndarray:
+    """An operator on (out_1 (x) in_1) (x) ... (x) (out_n (x) in_n), given each
+    factor's (out_i, in_i), moved to (out_1 (x) ... (x) out_n) (x) (in_1 (x) ... (x) in_n)
+    by one transpose: W m W^dagger for the permutation operator W of that move."""
+    n = len(splits)
+    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    tensor = np.asarray(m).reshape([d for split in splits for d in split] * 2)
+    return tensor.transpose(axes + [a + 2 * n for a in axes]).reshape(m.shape)
 
 
 def _tensor(mats: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def _grouped_product(mats: list[np.ndarray], problems: list[CloningSdp]) -> np.ndarray:
-    """Tensor product of one operator per problem, factors regrouped so that
-    every problem's output factors precede every input factor."""
-    perm = _grouping_permutation([(len(p.dims), p.n_out) for p in problems])
-    return _regroup(_tensor(mats), [d for p in problems for d in p.dims], perm)
-
-
 def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     """The composed problem whose attacks clone every repetition at once.
 
     The objective is the tensor product of the component objectives with
-    factors regrouped so all clone factors precede all input factors.
+    factors regrouped by :func:`_regroup` so all clone factors precede all input
+    factors; its ``dims`` is (product of the out_dim, product of the in_dim).
     """
     if not problems:
         raise DimensionError("need at least one component problem")
     if len(problems) == 1:
         return problems[0]
-    objective = _grouped_product([p.objective for p in problems], problems)
-    outputs = [d for p in problems for d in p.dims[: p.n_out]]
-    inputs = [d for p in problems for d in p.dims[p.n_out :]]
-    return CloningSdp(objective, tuple(outputs + inputs), n_out=len(outputs))
+    splits = [p.dims for p in problems]
+    objective = _regroup(_tensor([p.objective for p in problems]), splits)
+    out_dim, in_dim = (math.prod(side) for side in zip(*splits))
+    return CloningSdp(objective, (out_dim, in_dim))
 
 
 def tensor_certificates(
@@ -130,7 +113,7 @@ def tensor_certificates(
     Each component pair is feasibility-checked first; the products then
     inherit feasibility (positivity survives tensoring on both sides, and the
     lifted dual products dominate the objective products).  The primal factor
-    is conjugated by the same grouping permutation as the composed objective.
+    is regrouped as the composed objective is.
     """
     if not x_list or len(x_list) != len(y_list) or len(x_list) != len(problems):
         raise DimensionError("need matching non-empty primal, dual, and problem lists")
@@ -147,7 +130,7 @@ def tensor_certificates(
                 f"component {i} dual point is infeasible: slack eigenvalue "
                 f"{dual.min_eigenvalue:.3e}"
             )
-    return _grouped_product(x_list, problems), _tensor(y_list)
+    return _regroup(_tensor(x_list), [p.dims for p in problems]), _tensor(y_list)
 
 
 @dataclass(frozen=True)
@@ -228,9 +211,9 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     """The composed problem for at-least-t-of-n verification, ready to solve.
 
     The objective is R of :func:`_threshold_operator` regrouped so clone
-    factors precede input factors, matching the layout of :func:`repeated_sdp`.
+    factors precede input factors, matching the layout of :func:`repeated_sdp`:
+    each round is split (d^2, d), and ``dims`` is (d^(2n), d^n).
     """
     _, r = _threshold_operator(ensemble, n, t)
     d = ensemble.dim
-    perm = _grouping_permutation([(3, 2)] * n)
-    return CloningSdp(_regroup(r, [d] * (3 * n), perm), tuple([d] * (3 * n)), n_out=2 * n)
+    return CloningSdp(_regroup(r, [(d * d, d)] * n), (d ** (2 * n), d**n))

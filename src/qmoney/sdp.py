@@ -68,7 +68,6 @@ A problem that fails the test goes on to the iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,34 +85,30 @@ CHOLESKY_SHIFTS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
 
 @dataclass(frozen=True)
 class CloningSdp:
-    """Problem data: objective operator and the factor split of its space.
+    """Problem data: an objective on output (x) input and the pair of their sizes.
 
-    ``dims`` lists the tensor factor dimensions of the space the objective
-    acts on; the first ``n_out`` factors form the output (clone registers),
-    the rest form the input.  The default treats all but the last factor as
-    output, matching the (clone 1, clone 2, input) layout.
+    ``dims`` may be given as any tuple of tensor factor dimensions whose
+    product is the objective's size, with the input factor last; all factors
+    before it form the output (clone registers), as in (clone 1, clone 2,
+    input).  The problem stores only the split, ``dims == (out_dim, in_dim)``,
+    so ``dims=(2, 2, 2)`` reads back as ``(4, 2)``.
     """
 
     objective: np.ndarray
     dims: tuple[int, ...]
-    n_out: int = -1
 
     def __post_init__(self):
         obj = linalg.as_hermitian(self.objective)
         dims = linalg.check_factored_dims(self.dims, obj.shape[0])
-        n_out = self.n_out if self.n_out >= 0 else len(dims) - 1
-        if not 1 <= n_out < len(dims):
-            raise DimensionError(
-                f"n_out must leave at least one input factor, got {n_out} of {len(dims)}"
-            )
+        if len(dims) < 2:
+            raise DimensionError(f"dims must list output and input factors, got {dims}")
         if not linalg.positive_semidefinite(obj):
             raise DimensionError(
                 "objective must be positive semidefinite, minimum eigenvalue "
                 f"{linalg.min_eigenvalue(obj):.3e}"
             )
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "dims", (obj.shape[0] // dims[-1], dims[-1]))
 
     @property
     def dim(self) -> int:
@@ -121,17 +116,15 @@ class CloningSdp:
 
     @property
     def out_dim(self) -> int:
-        return math.prod(self.dims[: self.n_out])
+        return self.dims[0]
 
     @property
     def in_dim(self) -> int:
-        return math.prod(self.dims[self.n_out :])
+        return self.dims[1]
 
     def trace_out(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the output factors."""
-        return linalg.partial_trace(
-            x, (self.out_dim, self.in_dim), [1]
-        )
+        return linalg.partial_trace(x, self.dims, [1])
 
     def lift_dual(self, y: np.ndarray) -> np.ndarray:
         """Embed an input-space operator as identity (x) y on the full space."""
@@ -232,7 +225,7 @@ def _output_support(problem: CloningSdp) -> np.ndarray:
     """Orthonormal basis V (d_out x r) of the support of Tr_in Q: its eigenvectors
     above ``linalg.ROUNDOFF_TOL`` times the largest eigenvalue."""
     w, v = linalg.hermitian_eig(
-        linalg.partial_trace(problem.objective, (problem.out_dim, problem.in_dim), [0])
+        linalg.partial_trace(problem.objective, problem.dims, [0])
     )
     return v[:, w > linalg.ROUNDOFF_TOL * w[-1]]
 
@@ -492,8 +485,8 @@ def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     if not blocks or len(blocks) != len(weights):
         raise DimensionError("need matching non-empty block and weight lists")
     first = blocks[0]
-    if any(b.dims != first.dims or b.n_out != first.n_out for b in blocks):
-        raise DimensionError("blocks must share one factor structure")
+    if any(b.dims != first.dims for b in blocks):
+        raise DimensionError("blocks must share one (out_dim, in_dim) split")
     # Written so that NaN fails both tests.
     if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= linalg.VALUE_TOL:
         raise DimensionError("weights must be nonnegative and sum to 1")
@@ -503,17 +496,17 @@ def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
 def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
     """Combine weighted same-shape subproblems into one problem.
 
-    The combined space inserts a block-index factor at the head of the input
-    group, and the combined objective is the direct sum of the weighted block
-    objectives.  Feasible points decompose into one feasible point per block,
-    so the combined optimal value is the weighted sum of block values.
+    The combined space is output (x) (block index (x) input): the block index
+    heads the input, so ``dims`` is ``(out_dim, len(blocks) * in_dim)``.  The
+    combined objective is the direct sum of the weighted block objectives.
+    Feasible points decompose into one feasible point per block, so the
+    combined optimal value is the weighted sum of block values.
     """
     first = _check_blocks(blocks, weights)
     objective = linalg.direct_sum(
         [w * b.objective for b, w in zip(blocks, weights)], first.out_dim, first.in_dim
     )
-    dims = first.dims[: first.n_out] + (len(blocks),) + first.dims[first.n_out :]
-    return CloningSdp(objective, dims, n_out=first.n_out)
+    return CloningSdp(objective, (first.out_dim, len(blocks) * first.in_dim))
 
 
 def solve_block_diagonal(

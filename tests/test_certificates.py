@@ -181,6 +181,15 @@ class TestSolverIntegration:
             certificates.check_dual(np.eye(3), problem)
 
 
+def _built_problem(scheme):
+    """The problem ``analyze --scheme scheme --output`` writes: for a ticket scheme,
+    its four challenge-pair problems combined into one."""
+    if scheme.startswith("ticket:"):
+        ticket = schemes.fourier_ticket_scheme(int(scheme.partition(":")[2]))
+        return sdp.assemble_block_sdp(*cli._challenge_problems(ticket))
+    return cli.resolve_scheme(scheme).cloning_problem()
+
+
 class TestCertificateFiles:
     def test_pair_encoding_matches_a_per_entry_reference(self):
         rng = np.random.default_rng(5)
@@ -245,33 +254,40 @@ class TestCertificateFiles:
         )
         assert set(payload) == {"q", "primal_x", "dual_y", "tolerance", "value"}
 
-    @pytest.mark.parametrize("scheme", ["wiesner", "six-state", "ticket:3"])
-    def test_file_with_a_stored_factor_layout_certifies_unchanged(self, scheme, tmp_path, capsys):
-        """Files that also carry ``dims`` and ``n_out`` (the fine factor layout of
-        the solved problem) certify with the same stdout as the five-field file,
-        even when the stored layout disagrees with the matrices: it is not read."""
+    @pytest.mark.parametrize(
+        "scheme, layout",
+        [("wiesner", [2, 2, 2]), ("six-state", [2, 2, 2]), ("ticket:3", [3, 3, 4, 3])],
+        ids=["wiesner", "six-state", "ticket:3"],
+    )
+    def test_file_with_a_stored_factor_layout_certifies_unchanged(
+        self, scheme, layout, tmp_path, capsys
+    ):
+        """Files that also carry ``dims`` and ``n_out`` (the fine factor layout
+        that older files stored) certify with the same stdout as the five-field
+        file, even when the stored layout disagrees with the matrices: it is not read."""
         path = tmp_path / "cert.json"
         assert cli.main(["analyze", "--scheme", scheme, "--output", str(path)]) == 0
         payload = json.loads(path.read_text())
-        if scheme == "ticket:3":
-            problem = sdp.assemble_block_sdp(
-                *cli._challenge_problems(schemes.fourier_ticket_scheme(3))
-            )
-        else:
-            problem = cli.resolve_scheme(scheme).cloning_problem()
         capsys.readouterr()
         stdouts = []
-        for layout in (None, (list(problem.dims), problem.n_out), ([5, 5, 5], 1)):
-            if layout is not None:
-                payload.update(dims=layout[0], n_out=layout[1])
+        for stored in (None, (layout, 2), ([5, 5, 5], 1)):
+            if stored is not None:
+                payload.update(dims=stored[0], n_out=stored[1])
                 path.write_text(json.dumps(payload))
             assert cli.main(["certify", str(path)]) == 0
             stdouts.append(capsys.readouterr().out)
         assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0]
         assert "certified true" in stdouts[0]
-        assert certificates.load_certificate(str(path)).problem.dims == (
-            problem.out_dim, problem.in_dim
-        )
+        assert certificates.load_certificate(str(path)).problem.dims == _built_problem(scheme).dims
+
+    @pytest.mark.parametrize("scheme", ["sic", "symmetric:3", "ticket:2"])
+    def test_a_built_problem_and_its_loaded_certificate_share_dims(self, scheme, tmp_path):
+        path = tmp_path / "cert.json"
+        assert cli.main(["analyze", "--scheme", scheme, "--output", str(path)]) == 0
+        loaded = certificates.load_certificate(str(path))
+        problem = _built_problem(scheme)
+        assert loaded.problem.dims == problem.dims == (problem.out_dim, problem.in_dim)
+        np.testing.assert_array_equal(loaded.problem.objective, problem.objective)
 
     @pytest.mark.parametrize(
         "mutate",

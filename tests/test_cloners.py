@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoney import channels, cloners, schemes
+from qmoney import channels, cloners, linalg, schemes
 from qmoney.exceptions import ChannelValidationError, DimensionError
 
 
@@ -141,6 +141,19 @@ class TestTicketCloner:
                 assert got == answers
                 assert effect.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_each_effect_is_proved_positive_once(self, d, monkeypatch):
+        """The mixed plans share their d^2 effect objects, so validation proves
+        d^2 of them positive plus the d of each equal-challenge plan."""
+        calls = []
+        bounded_below = linalg.bounded_below
+        monkeypatch.setattr(
+            linalg, "bounded_below", lambda m, bound: calls.append(1) or bounded_below(m, bound)
+        )
+        plans = cloners.ticket_cloner(d).plans
+        assert all(a is b for (a, _), (b, _) in zip(plans[(0, 1)], plans[(1, 0)]))
+        assert len(calls) == d * d + 2 * d
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_overlap_of_the_seed_state(self, d):
         psi = cloners._ticket_state(d)
@@ -213,6 +226,41 @@ class TestStrategyEvaluation:
             )
 
 
+def _einsum_outcome_probabilities(strategy, scheme):
+    """The Born probabilities of :func:`cloners.outcome_tables` by a direct
+    three-operand contraction, as a reference."""
+    states = scheme.key_states()
+    longest = max(len(plan) for plan in strategy.plans.values())
+    prob = np.zeros((len(cloners.CHALLENGE_PAIRS), len(states), longest))
+    for ci, pair in enumerate(cloners.CHALLENGE_PAIRS):
+        effects = [effect for effect, _ in strategy.plans[pair]]
+        prob[ci, :, : len(effects)] = np.einsum(
+            "ki,mij,kj->km", states.conj(), effects, states
+        ).real
+    return prob
+
+
+class TestOutcomeTables:
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_probabilities_match_the_direct_contraction(self, d, rotate):
+        scheme = schemes.fourier_ticket_scheme(d)
+        if rotate:  # a Haar-random unitary applied to both bases
+            rng = np.random.default_rng(d)
+            u, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            u = u * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            scheme = schemes.TicketScheme(
+                schemes.BasisPair(d, u @ scheme.pair.basis0, u @ scheme.pair.basis1)
+            )
+        strategy = cloners.ticket_cloner(d)
+        prob, _ = cloners.outcome_tables(strategy, scheme)
+        # Each entry sums d^2 products of magnitude at most 1 in another order.
+        np.testing.assert_allclose(
+            prob, _einsum_outcome_probabilities(strategy, scheme),
+            rtol=0, atol=d * d * np.finfo(float).eps,
+        )
+
+
 class TestAcceptedMass:
     @pytest.mark.parametrize("prob", [[[math.nan, 1.0]], [[0.5, 0.5], [1.0, math.nan]],
                                       [[math.nan, math.nan]]])
@@ -249,6 +297,14 @@ class TestStrategyValidation:
         plan = ((np.outer(vec, vec), (0, 0)),)
         with pytest.raises(ChannelValidationError):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+
+    def test_non_positive_effect_shared_by_two_plans_rejected(self):
+        scheme = schemes.fourier_ticket_scheme(2)
+        good = _repeat_basis_plan(scheme, 0)
+        bad = ((np.eye(2) * 1.5, (0, 0)), (np.eye(2) * -0.5, (1, 1)))
+        plans = {(0, 0): good, (0, 1): bad, (1, 0): bad, (1, 1): good}
+        with pytest.raises(ChannelValidationError, match=r"\(0, 1\).*positive"):
+            cloners.TicketStrategy(2, plans)
 
     def test_non_positive_effect_rejected(self):
         good = np.eye(2) * 1.5

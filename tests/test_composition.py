@@ -32,7 +32,7 @@ class TestRepeatedValue:
 class TestRepeatedSdp:
     def test_two_fold_problem_solves_to_the_square(self):
         rep = composition.repeated_sdp([_wiesner_problem()] * 2)
-        assert rep.dims == (2,) * 6 and rep.n_out == 4
+        assert rep.dims == (16, 4)
         sol = sdp.solve(rep)
         assert abs(sol.primal_value - 9.0 / 16.0) < 1e-5
 
@@ -53,7 +53,9 @@ class TestRepeatedSdp:
         ]
         q = composition.repeated_sdp(problems).objective
         assert np.array_equal(q, q.conj().T)
-        product = composition._grouped_product([p.objective for p in problems], problems)
+        product = composition._regroup(
+            composition._tensor([p.objective for p in problems]), [p.dims for p in problems]
+        )
         symmetrized = linalg.as_hermitian(linalg.as_hermitian(product))
         assert np.array_equal(q, symmetrized)
 
@@ -67,24 +69,20 @@ class TestRepeatedSdp:
 
 
 class TestRegroup:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_the_dense_permutation_conjugation(self, seed):
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 3), (3, 4)])
+    def test_matches_the_dense_permutation_conjugation(self, seed, n):
+        # Factor order (out_1, in_1, ..., out_n, in_n): out_k moves to slot k,
+        # in_k to slot n + k, so every output precedes every input.
         rng = np.random.default_rng(seed)
-        dims = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
-        perm = [int(p) for p in rng.permutation(len(dims))]
-        n = math.prod(dims)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        splits = [(int(rng.integers(1, 4)), int(rng.integers(1, 3))) for _ in range(n)]
+        dims = [d for split in splits for d in split]
+        perm = [k + n * side for k in range(n) for side in (0, 1)]
+        size = math.prod(dims)
+        m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         w = linalg.permutation_operator(dims, perm)
         np.testing.assert_allclose(
-            composition._regroup(m, dims, perm), w @ m @ w.conj().T, rtol=0, atol=1e-12
+            composition._regroup(m, splits), w @ m @ w.conj().T, rtol=0, atol=1e-12
         )
-
-
-class TestGroupingPermutation:
-    def test_outputs_move_ahead_of_inputs(self):
-        # Problem 0 has factors (out, out, in), problem 1 (out, in): the three
-        # outputs fill slots 0-2 in order, the two inputs slots 3-4.
-        assert composition._grouping_permutation([(3, 2), (2, 1)]) == [0, 1, 3, 2, 4]
 
 
 class TestTensorCertificates:

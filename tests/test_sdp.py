@@ -145,6 +145,15 @@ class TestValidation:
         with pytest.raises(DimensionError):
             sdp.CloningSdp(q, dims=(2, 2, 3))
 
+    def test_rejects_a_single_factor(self):
+        with pytest.raises(DimensionError, match="output and input"):
+            sdp.CloningSdp(np.eye(8) / 8.0, dims=(8,))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2), (2, 2, 1, 2)])
+    def test_dims_reads_back_as_the_output_input_split(self, dims):
+        problem = sdp.CloningSdp(np.eye(8) / 8.0, dims=dims)
+        assert problem.dims == (4, 2) and (problem.out_dim, problem.in_dim) == (4, 2)
+
     @pytest.mark.parametrize("tol", [1e-13, 0.5, 0.0])
     def test_rejects_out_of_range_tolerance(self, tol):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
@@ -171,6 +180,7 @@ class TestBlockProblems:
         blocks = [_qubit_problem(q), _qubit_problem(q)]
         weights = [0.5, 0.5]
         combined = sdp.assemble_block_sdp(blocks, weights)
+        assert combined.dims == (4, 2 * 2)  # the block index heads the input
         solutions = sdp.solve_block_diagonal(blocks, weights)
         primal_x, dual_y = _combined_pair(blocks, weights, solutions)
         assert primal_x.shape == (combined.dim, combined.dim)
@@ -543,7 +553,7 @@ def _rank_deficient_problem(rng, d_out, d_in, r):
     lift = np.kron(v, np.eye(d_in))
     q = lift @ (g @ g.conj().T) @ lift.conj().T
     q = (q + q.conj().T) / (2 * np.linalg.norm(q, 2))
-    return sdp.CloningSdp(q, dims=(d_out, d_in), n_out=1)
+    return sdp.CloningSdp(q, dims=(d_out, d_in))
 
 
 def _whole_solve(problem, monkeypatch):
@@ -586,7 +596,7 @@ class TestOutputSupport:
         # |3> (x) |1> to the rest at 1e-7.
         psi = np.zeros(8, dtype=complex)
         psi[0], psi[7] = 1.0, 1e-7
-        problem = sdp.CloningSdp(np.outer(psi, psi.conj()), dims=(4, 2), n_out=1)
+        problem = sdp.CloningSdp(np.outer(psi, psi.conj()), dims=(4, 2))
         assert _support_rank(problem) == 1
         assert sdp._reduce(problem)[2] is None
         sol = sdp.solve(problem)
