@@ -107,26 +107,31 @@ def choi_from_kraus(kraus: list[np.ndarray]) -> ChoiOperator:
 
 
 def apply_channel(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to an input operator.
+    """Apply the channel to an input operator, or to each of a stack of them of
+    shape (..., d, d).
 
     The action is recovered from the Choi operator by pairing the input factor
     with the transpose of rho and tracing it out.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     d = choi.in_dim
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise DimensionError(f"input has shape {rho.shape}, channel expects {(d, d)}")
     j = choi.matrix.reshape(choi.out_dim, d, choi.out_dim, d)
-    return np.einsum("aibj,ij->ab", j, rho)
+    return np.einsum("aibj,...ij->...ab", j, rho)
+
+
+def _conjugate_pairing(choi: ChoiOperator, targets: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Row k: <t_k (x) conj(s_k)| J |t_k (x) conj(s_k)> for the rows t_k of ``targets``
+    and s_k of ``states``, which equals <t_k| Phi(|s_k><s_k|) |t_k> for the channel
+    Phi with Choi operator J."""
+    vecs = (targets[:, :, None] * states.conj()[:, None, :]).reshape(len(targets), -1)
+    return np.einsum("ki,ki->k", vecs.conj() @ choi.matrix, vecs).real
 
 
 def pair_with_conjugate(choi: ChoiOperator, target: np.ndarray, state: np.ndarray) -> float:
-    """Overlap of the channel output on |state> with the pure |target>.
-
-    Evaluates the quadratic form <target (x) conj(state)| J |target (x) conj(state)>,
-    which equals <target| Phi(|state><state|) |target> for the channel Phi
-    with Choi operator J.
-    """
+    """Overlap of the channel output on |state> with the pure |target>: the Choi
+    quadratic form of :func:`clone_rates` for one state."""
     target = np.asarray(target, dtype=np.complex128).ravel()
     state = np.asarray(state, dtype=np.complex128).ravel()
     if target.size != choi.out_dim or state.size != choi.in_dim:
@@ -134,8 +139,7 @@ def pair_with_conjugate(choi: ChoiOperator, target: np.ndarray, state: np.ndarra
             f"target/state sizes {target.size}/{state.size} do not match "
             f"channel dims {choi.out_dim}/{choi.in_dim}"
         )
-    vec = np.kron(target, state.conj())
-    return float(np.real(vec.conj() @ choi.matrix @ vec))
+    return float(_conjugate_pairing(choi, target[None], state[None])[0])
 
 
 def clone_rates(choi: ChoiOperator, ensemble) -> np.ndarray:
@@ -144,9 +148,10 @@ def clone_rates(choi: ChoiOperator, ensemble) -> np.ndarray:
     The counterfeiter feeds the state to the channel and the issuer projects
     both output registers onto it.  Each rate is computed along two independent
     routes, by applying the channel and taking the expectation directly, and
-    through the Choi quadratic form with the conjugated input; the two must
-    agree to ``linalg.ROUNDOFF_TOL``, and the second, clipped to [0, 1], is
-    returned once it lies there within ``linalg.VALUE_TOL``.
+    through the Choi quadratic form with the conjugated input; each route takes
+    all the states at once as a stack.  The two must agree entrywise to
+    ``linalg.ROUNDOFF_TOL``, and the second, clipped to [0, 1], is returned once
+    it lies there within ``linalg.VALUE_TOL``.
     """
     d = ensemble.dim
     if choi.in_dim != d or choi.out_dim != d * d:
@@ -154,14 +159,17 @@ def clone_rates(choi: ChoiOperator, ensemble) -> np.ndarray:
             f"channel dims ({choi.out_dim}, {choi.in_dim}) do not match a "
             f"two-clone attack on dimension {d}"
         )
-    rates = np.empty(len(ensemble.items))
-    for i, (_, psi) in enumerate(ensemble.items):
-        target = np.kron(psi, psi)
-        out = apply_channel(choi, np.outer(psi, psi.conj()))
-        direct = float(np.real(target.conj() @ out @ target))
-        rates[i] = pair_with_conjugate(choi, target, psi)
-        if abs(direct - rates[i]) > linalg.ROUNDOFF_TOL:
-            raise ChannelValidationError(f"clone rate routes disagree: {direct!r} vs {rates[i]!r}")
+    states = np.array([psi for _, psi in ensemble.items], dtype=np.complex128)
+    targets = (states[:, :, None] * states[:, None, :]).reshape(len(states), -1)
+    out = apply_channel(choi, states[:, :, None] * states.conj()[:, None, :])
+    direct = np.einsum("ka,kab,kb->k", targets.conj(), out, targets).real
+    rates = _conjugate_pairing(choi, targets, states)
+    agree = np.abs(direct - rates) <= linalg.ROUNDOFF_TOL
+    if not agree.all():  # NaN fails too
+        i = int(np.argmin(agree))
+        raise ChannelValidationError(
+            f"clone rate routes disagree: {float(direct[i])!r} vs {float(rates[i])!r}"
+        )
     if not np.all(np.abs(rates - 0.5) <= 0.5 + linalg.VALUE_TOL):  # NaN fails too
         raise ChannelValidationError(f"clone rates {rates!r} outside [0, 1]")
     return np.clip(rates, 0.0, 1.0)

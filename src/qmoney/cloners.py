@@ -24,6 +24,18 @@ from .exceptions import ChannelValidationError, DimensionError
 
 CHALLENGE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# A plan's effects are checked and contracted in stacks of at most this many bytes:
+# one LAPACK or BLAS call per stack, and no copy of a whole plan beside its effects.
+STACK_BYTES = 512 * 1024
+
+
+def _stacks(effects, dim: int):
+    """Consecutive (start, stack) pieces of a plan's (dim, dim) effects, each stack a
+    fresh complex array of at most ``STACK_BYTES``, or of one effect."""
+    step = max(1, STACK_BYTES // (16 * dim * dim))
+    for start in range(0, len(effects), step):
+        yield start, np.array(effects[start:start + step], dtype=np.complex128)
+
 
 def wiesner_optimal_cloner() -> ChoiOperator:
     """Optimal attack channel against the four-state qubit scheme.
@@ -93,7 +105,10 @@ class TicketStrategy:
     For each challenge pair (c1, c2) the attacker measures the note once with
     a POVM; each outcome carries the answer pair (a1, a2) it reports, a1 to
     the first verifier and a2 to the second.  Every plan must be a complete
-    measurement: positive effects summing to the identity.
+    measurement: positive effects summing to the identity.  Each plan is checked
+    in stacks of at most ``STACK_BYTES``: one positivity proof per stack for the
+    effects not yet proved (plans may share effect objects), and the completeness
+    sum accumulated stack by stack.
     """
 
     dim: int
@@ -107,7 +122,6 @@ class TicketStrategy:
         eye = np.eye(self.dim)
         proved = set()  # ids of effects already proved positive: plans may share them
         for pair, plan in self.plans.items():
-            total = np.zeros((self.dim, self.dim), dtype=np.complex128)
             for effect, answers in plan:
                 if effect.shape != (self.dim, self.dim):
                     raise DimensionError(
@@ -115,14 +129,17 @@ class TicketStrategy:
                     )
                 if len(answers) != 2:
                     raise DimensionError(f"outcome must carry an answer pair, got {answers}")
-                if id(effect) not in proved and not linalg.positive_semidefinite(
-                    linalg.as_hermitian(effect)
-                ):
+            effects = [effect for effect, _ in plan]
+            total = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            for start, stack in _stacks(effects, self.dim):
+                ids = [id(effect) for effect in effects[start:start + len(stack)]]
+                fresh = [k for k, i in enumerate(ids) if i not in proved]
+                if fresh and not linalg.positive_semidefinite(linalg.as_hermitian(stack[fresh])):
                     raise ChannelValidationError(
                         f"effect for challenges {pair} is not positive semidefinite"
                     )
-                proved.add(id(effect))
-                total += effect
+                proved.update(ids)
+                total += stack.sum(axis=0)
             defect = np.abs(total - eye).max()
             if defect > linalg.VALUE_TOL:
                 raise ChannelValidationError(
@@ -175,7 +192,8 @@ def outcome_tables(
     Both arrays are indexed [challenge pair, key, outcome], with challenge
     pairs in ``CHALLENGE_PAIRS`` order and keys in ``scheme.keys()`` order.
     Plans shorter than the longest are zero-padded: a padding outcome has
-    probability 0 and is not accepted.
+    probability 0 and is not accepted.  Each plan is contracted with the key
+    states in the stacks that :class:`TicketStrategy` checks it in.
     """
     if strategy.dim != scheme.dim:
         raise DimensionError(
@@ -187,15 +205,21 @@ def outcome_tables(
     longest = max(len(plan) for plan in strategy.plans.values())
     prob = np.zeros((len(CHALLENGE_PAIRS), len(states), longest))
     accept = np.zeros(prob.shape, dtype=bool)
+    contracted = {}  # effect ids of a plan -> its challenge pair: plans may share them
     for ci, (c1, c2) in enumerate(CHALLENGE_PAIRS):
         effects, answers = zip(*strategy.plans[(c1, c2)])
         answers = np.array(answers)
         if answers.min() < 0 or answers.max() >= scheme.dim:
             raise DimensionError(f"answers to challenges {(c1, c2)} must lie in [0, {scheme.dim})")
         a1, a2 = answers.T
-        n = len(effects)
-        prob[ci, :, :n] = (rho @ np.reshape(effects, (n, -1)).T).real  # BLAS, not 3-operand einsum
-        accept[ci, :, :n] = (table[c1, a1] & table[c2, a2]).T
+        same = contracted.setdefault(tuple(map(id, effects)), ci)
+        if same != ci:  # an earlier plan's effects, in its order
+            prob[ci] = prob[same]
+        else:
+            for start, stack in _stacks(effects, scheme.dim):
+                # One BLAS product per stack, not a 3-operand einsum.
+                prob[ci, :, start:start + len(stack)] = (rho @ stack.reshape(len(stack), -1).T).real
+        accept[ci, :, :len(effects)] = (table[c1, a1] & table[c2, a2]).T
     return prob, accept
 
 

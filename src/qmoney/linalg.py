@@ -33,6 +33,11 @@ Conventions used across the package:
   support rank cut is a plain fraction of the largest eigenvalue, with no
   floor.  A caller's own tolerance (the solver's and the certifier's ``tol``)
   is absolute and outside this policy.
+- :func:`as_hermitian`, :func:`bounded_below` and :func:`positive_semidefinite`
+  also take a stack of shape (..., n, n), so many small matrices cost one
+  LAPACK call rather than one Python round trip each.  A stack is judged as
+  its matrices are one by one: every scale, bound and Cholesky shift is taken
+  per matrix, and the stack passes only if each of them does.
 
 Everything here is dense.  The problem sizes in this package top out around a
 few hundred dimensions, where dense LAPACK kernels are both faster and more
@@ -55,41 +60,49 @@ PSD_TOL = 1e-9
 VALUE_TOL = 1e-9
 
 
-def _square(m, copy: bool = False) -> np.ndarray:
-    """``m`` as a complex matrix, a fresh copy if ``copy``; DimensionError unless square."""
+def _square(m, copy: bool = False, stack: bool = False) -> np.ndarray:
+    """``m`` as a complex matrix, a fresh copy if ``copy``; DimensionError unless square,
+    or with ``stack``, unless a stack of square matrices of shape (..., n, n)."""
     m = (np.array if copy else np.asarray)(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def as_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m†)/2 of a nearly Hermitian matrix.
+    """Return the Hermitian part (m + m†)/2 of a nearly Hermitian matrix, or of each
+    matrix of a stack of shape (..., n, n).
 
-    Entrywise defects up to ``ROUNDOFF_TOL`` times max(1, largest entry) are
-    treated as roundoff and silently repaired.  A larger defect is a logic error
-    somewhere upstream, so it raises instead of being averaged away.  The sum is
-    formed in tiles against their mirrors, with no full-size temporary, and the
+    Entrywise defects up to ``ROUNDOFF_TOL`` times max(1, largest entry), both taken
+    per matrix, are treated as roundoff and silently repaired.  A larger defect is a
+    logic error somewhere upstream, so it raises instead of being averaged away.  The
+    sum is formed in tiles against their mirrors, with no full-size temporary, and the
     defect is computed only for a tile unequal to its mirror's conjugate transpose.
     """
-    m = _square(mat)
+    m = _square(mat, stack=True)
     if not np.all(np.isfinite(m)):
         raise HermiticityError("matrix has non-finite entries")
-    out, defect, t = np.empty_like(m), 0.0, 128  # t: tile rows
-    for i in range(0, len(m), t):
-        for j in range(i, len(m), t):
-            upper, mirror = m[i:i + t, j:j + t], m[j:j + t, i:i + t].conj().T
+    n, t = m.shape[-1], 128  # t: tile rows
+    out, defect = np.empty_like(m), np.zeros(m.shape[:-2])
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper = m[..., i:i + t, j:j + t]
+            mirror = m[..., j:j + t, i:i + t].conj().swapaxes(-1, -2)
             if not (upper == mirror).all():
-                defect = max(defect, np.abs(upper - mirror).max())
-            np.add(upper, mirror, out=out[i:i + t, j:j + t])
+                defect = np.maximum(defect, np.abs(upper - mirror).max(axis=(-2, -1)))
+            np.add(upper, mirror, out=out[..., i:i + t, j:j + t])
             if j > i:
-                np.add(m[j:j + t, i:i + t], upper.conj().T, out=out[j:j + t, i:i + t])
-    if defect > ROUNDOFF_TOL:  # within it the verdict holds at any scale: entries go unread
-        scale = np.abs(m).max()
-        if defect > ROUNDOFF_TOL * scale:
+                np.add(m[..., j:j + t, i:i + t], upper.conj().swapaxes(-1, -2),
+                       out=out[..., j:j + t, i:i + t])
+    if defect.max(initial=0.0) > ROUNDOFF_TOL:  # within it the verdict holds at any scale
+        scale = np.abs(m).max(axis=(-2, -1))
+        bad = np.argwhere(defect > ROUNDOFF_TOL * np.maximum(1.0, scale))
+        if len(bad):
+            k = tuple(bad[0].tolist())
+            what = f"matrix {', '.join(map(str, k))} of the stack" if k else "matrix"
             raise HermiticityError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{ROUNDOFF_TOL:.1e} * {scale:.3e}"
+                f"{what} is not Hermitian: defect {defect[k]:.3e} exceeds "
+                f"{ROUNDOFF_TOL:.1e} * {scale[k]:.3e}"
             )
     return np.divide(out, 2, out=out)
 
@@ -283,22 +296,26 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(eigenvalues(m)[0])
 
 
-def bounded_below(m: np.ndarray, bound: float) -> bool:
-    """Whether a Cholesky factorization proves lambda_min(m) >= bound.
+def bounded_below(m: np.ndarray, bound: float | np.ndarray) -> bool:
+    """Whether a Cholesky factorization proves lambda_min(m) >= bound, or of each
+    matrix m_k of a stack of shape (..., n, n) that lambda_min(m_k) >= bound_k.
 
-    ``m`` must be exactly Hermitian (as :func:`as_hermitian` returns it).  The
-    factorization is of m - (bound + delta) I, where
-    delta = 4 (n + 1) u max(0, tr(m - bound I)) and u = 2**-53 bounds the
-    backward error of a complex Cholesky factorization (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  So True is a proof;
-    False means the bound fails or lies within delta of lambda_min.
+    ``m`` must be exactly Hermitian (as :func:`as_hermitian` returns it), and
+    ``bound`` is one number or one per matrix.  Each matrix is factorized as
+    m_k - (bound_k + delta_k) I, where delta_k = 4 (n + 1) u max(0, tr(m_k - bound_k I))
+    and u = 2**-53 bounds the backward error of a complex Cholesky factorization
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46,
+    2006).  The shift is per matrix, so a large matrix does not widen a small one's
+    margin, and the whole stack goes to LAPACK in one call.  So True is a proof for
+    every matrix; False means the bound fails or lies within delta_k of lambda_min
+    for at least one.
     """
-    m = _square(m, copy=True)  # shifted in place
-    n = m.shape[0]
-    diagonal = np.einsum("ii->i", m)  # a writeable view
+    m = _square(m, copy=True, stack=True)  # shifted in place
+    n = m.shape[-1]
+    diagonal = np.einsum("...ii->...i", m)  # a writeable view
     # A negative trace leaves a negative diagonal entry, on which Cholesky fails exactly.
-    delta = 4 * (n + 1) * 2.0**-53 * max(0.0, diagonal.real.sum() - n * bound)
-    diagonal -= bound + delta
+    delta = 4 * (n + 1) * 2.0**-53 * np.maximum(0.0, diagonal.real.sum(axis=-1) - n * bound)
+    diagonal -= (bound + delta)[..., None]
     try:
         factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -307,8 +324,10 @@ def bounded_below(m: np.ndarray, bound: float) -> bool:
 
 
 def positive_semidefinite(m: np.ndarray) -> bool:
-    """Whether :func:`bounded_below` proves lambda_min(m) >= -PSD_TOL max(1, tr m)."""
-    return bounded_below(m, -PSD_TOL * max(1.0, float(np.trace(m).real)))
+    """Whether :func:`bounded_below` proves lambda_min(m) >= -PSD_TOL max(1, tr m),
+    or for a stack, that bound for each matrix with its own trace."""
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    return bounded_below(m, -PSD_TOL * np.maximum(1.0, trace))
 
 
 def operator_norm(m: np.ndarray) -> float:

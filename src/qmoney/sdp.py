@@ -99,6 +99,8 @@ class CloningSdp:
 
     def __post_init__(self):
         obj = linalg.as_hermitian(self.objective)
+        if obj.ndim != 2:
+            raise DimensionError(f"objective must be a square matrix, got shape {obj.shape}")
         dims = linalg.check_factored_dims(self.dims, obj.shape[0])
         if len(dims) < 2:
             raise DimensionError(f"dims must list output and input factors, got {dims}")

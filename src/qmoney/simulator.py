@@ -18,6 +18,7 @@ sample.  A rate of exactly 1 or 0 draws exactly every trial or none.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -200,9 +201,12 @@ def simulate_honest_verification(
     return _note_attack(trials, seed, 1, cloners.accepted_mass(prob, accept))
 
 
+@functools.cache
 def _bell_probabilities() -> tuple[float, np.ndarray]:
     """Pass probability of a submitted Bell half, and per Wiesner key that of
-    the retained half once the submitted one passed.
+    the retained half once the submitted one passed.  Neither depends on any
+    argument, so they are computed once per process and the per-key array is
+    returned read-only.
 
     The first is <psi|rho|psi> with rho the submitted half's reduced state,
     which is I/2, so it is the same for every key and is taken at the first.
@@ -224,6 +228,7 @@ def _bell_probabilities() -> tuple[float, np.ndarray]:
     for i, psi in enumerate(states):
         post = np.kron(np.outer(psi, psi.conj()), np.eye(2)) @ bell
         p_second[i] = rate(linalg.partial_trace(np.outer(post, post.conj()), (2, 2), (1,)), psi)
+    p_second.flags.writeable = False
     return rate(submitted, states[0]), p_second
 
 

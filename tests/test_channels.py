@@ -138,6 +138,44 @@ def test_clone_rates_are_the_per_state_output_overlaps():
         assert rate == pytest.approx(float(np.real(target.conj() @ out @ target)), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_stack_of_inputs_is_applied_one_by_one(seed):
+    rng = np.random.default_rng(200 + seed)
+    choi = channels.choi_from_kraus(random_tp_kraus(rng, 3, 2, 3))
+    rhos = np.array([np.outer(psi, psi.conj()) for psi in (random_state(rng, 3) for _ in range(5))])
+    stacked = channels.apply_channel(choi, rhos.reshape(5, 1, 3, 3))
+    assert stacked.shape == (5, 1, 2, 2)
+    for out, rho in zip(stacked[:, 0], rhos):
+        np.testing.assert_allclose(out, channels.apply_channel(choi, rho), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clone_rates_are_the_one_state_pairings(seed):
+    """The stacked quadratic form gives, state by state, what the one-state call gives."""
+    rng = np.random.default_rng(300 + seed)
+    choi = channels.choi_from_kraus(random_tp_kraus(rng, 2, 4, 2))
+    ensemble = schemes.Ensemble(2, tuple((0.2, random_state(rng, 2)) for _ in range(5)))
+    for rate, (_, psi) in zip(channels.clone_rates(choi, ensemble), ensemble.items):
+        assert rate == pytest.approx(
+            channels.pair_with_conjugate(choi, np.kron(psi, psi), psi), abs=1e-15
+        )
+
+
+def test_clone_rates_refuse_routes_that_disagree_at_one_state(monkeypatch):
+    """An applied-channel route off at the third state only is refused, naming its rates."""
+    choi = channels.choi_from_kraus([np.kron(np.eye(2), [[1.0], [0.0]])])  # append |0>
+    apply_channel = channels.apply_channel
+
+    def skewed(c, rho):
+        out = apply_channel(c, rho)
+        out[2] += 1e-9 * np.eye(4)
+        return out
+
+    monkeypatch.setattr(channels, "apply_channel", skewed)
+    with pytest.raises(ChannelValidationError, match=r"routes disagree: 0\.500000000999\d* vs 0\.(5|49999)"):
+        channels.clone_rates(choi, schemes.wiesner_ensemble())
+
+
 def test_clone_rates_dimension_check():
     choi = channels.choi_from_kraus([np.eye(2, dtype=np.complex128)])
     with pytest.raises(DimensionError):

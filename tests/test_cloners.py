@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,15 +145,17 @@ class TestTicketCloner:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_each_effect_is_proved_positive_once(self, d, monkeypatch):
         """The mixed plans share their d^2 effect objects, so validation proves
-        d^2 of them positive plus the d of each equal-challenge plan."""
-        calls = []
+        d^2 of them positive plus the d of each equal-challenge plan, counted as
+        matrices over the stacks that ``bounded_below`` is handed."""
+        proved = []
         bounded_below = linalg.bounded_below
         monkeypatch.setattr(
-            linalg, "bounded_below", lambda m, bound: calls.append(1) or bounded_below(m, bound)
+            linalg, "bounded_below",
+            lambda m, bound: proved.append(math.prod(np.shape(m)[:-2])) or bounded_below(m, bound),
         )
         plans = cloners.ticket_cloner(d).plans
         assert all(a is b for (a, _), (b, _) in zip(plans[(0, 1)], plans[(1, 0)]))
-        assert len(calls) == d * d + 2 * d
+        assert sum(proved) == d * d + 2 * d
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_overlap_of_the_seed_state(self, d):
@@ -261,6 +264,34 @@ class TestOutcomeTables:
         )
 
 
+    def test_a_plan_is_checked_and_contracted_without_a_copy_of_it(self):
+        """Building the d = 40 strategy and its tables peaks below 1.5 times the
+        16 d^4 bytes of the shared effect table: each plan goes through bounded
+        stacks, not a second whole-plan array.  Below d = 24 the fixed stack size
+        dominates the ratio."""
+        d = 40
+        scheme = schemes.fourier_ticket_scheme(d)
+        tracemalloc.start()
+        try:
+            cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * d**4
+
+    @pytest.mark.parametrize("stack_bytes", [1, 16 * 9 * 4])
+    def test_stack_size_moves_the_tables_by_roundoff_only(self, stack_bytes, monkeypatch):
+        """One effect per stack, or stacks of four, give the tables of one stack per
+        plan up to the products' summation order, and the same acceptance."""
+        d = 3
+        scheme = schemes.fourier_ticket_scheme(d)
+        prob, accept = cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
+        monkeypatch.setattr(cloners, "STACK_BYTES", stack_bytes)
+        pieces = cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
+        np.testing.assert_allclose(pieces[0], prob, rtol=0, atol=d * d * np.finfo(float).eps)
+        np.testing.assert_array_equal(pieces[1], accept)
+
+
 class TestAcceptedMass:
     @pytest.mark.parametrize("prob", [[[math.nan, 1.0]], [[0.5, 0.5], [1.0, math.nan]],
                                       [[math.nan, math.nan]]])
@@ -304,6 +335,17 @@ class TestStrategyValidation:
         bad = ((np.eye(2) * 1.5, (0, 0)), (np.eye(2) * -0.5, (1, 1)))
         plans = {(0, 0): good, (0, 1): bad, (1, 0): bad, (1, 1): good}
         with pytest.raises(ChannelValidationError, match=r"\(0, 1\).*positive"):
+            cloners.TicketStrategy(2, plans)
+
+    @pytest.mark.parametrize("stack_bytes", [1, 16 * 4 * 2, 2**20])
+    def test_non_positive_effect_in_any_stack_rejected(self, stack_bytes, monkeypatch):
+        """A non-positive effect among positive ones is rejected whichever stack it lands in."""
+        monkeypatch.setattr(cloners, "STACK_BYTES", stack_bytes)
+        scheme = schemes.fourier_ticket_scheme(2)
+        good = _repeat_basis_plan(scheme, 0)
+        bad = tuple((np.eye(2) * w, (0, 0)) for w in (0.5, 0.5, 0.5, -0.5))
+        plans = {(0, 0): good, (0, 1): good, (1, 0): bad, (1, 1): good}
+        with pytest.raises(ChannelValidationError, match=r"\(1, 0\).*positive"):
             cloners.TicketStrategy(2, plans)
 
     def test_non_positive_effect_rejected(self):

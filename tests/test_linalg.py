@@ -437,3 +437,90 @@ def test_check_factored_dims():
         linalg.check_factored_dims([2, 3], 7)
     with pytest.raises(DimensionError):
         linalg.check_factored_dims([0, 5])
+
+
+def _spectral_stack(rng, n, scales, lowest):
+    """An exactly Hermitian stack: matrix k is scales[k] U_k diag(lowest[k], uniform
+    in [0, 1), ...) U_k^H for a Haar-random unitary U_k."""
+    mats = []
+    for scale, low in zip(scales, lowest):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        spectrum = scale * np.concatenate([[low], rng.uniform(0.0, 1.0, n - 1)])
+        mats.append((u * spectrum) @ u.conj().T)
+    return linalg.as_hermitian(np.array(mats))
+
+
+def _verdict_or_error(check, m):
+    try:
+        return check(m)
+    except HermiticityError:
+        return HermiticityError
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_a_stacks_verdict_is_every_matrix_verdict(seed):
+    """For random stacks at scales from 1e-8 to 1e8, with smallest eigenvalues
+    above, near and below each bound, a stack passes exactly when each of its
+    matrices passes alone, and its Hermitian part is each matrix's."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+    scales = 10.0 ** rng.uniform(-8, 8, k)
+    # Odd seeds: margins that pass alone, though not under a larger matrix's shift.
+    choices = [0.5, 1e-6, 1e-9] if seed % 2 else [0.5, 1e-12, 0.0, -1e-12, -1e-10, -1e-3]
+    m = _spectral_stack(rng, n, scales, rng.choice(choices, size=k))
+    bounds = -linalg.PSD_TOL * rng.uniform(0.0, 2.0, k)
+    for check in (lambda x: linalg.bounded_below(x, 0.0), linalg.positive_semidefinite):
+        assert check(m) == all(check(x) for x in m)
+    assert linalg.bounded_below(m, bounds) == all(map(linalg.bounded_below, m, bounds))
+    skewed = m.copy()
+    for i in range(k):  # odd seeds: defects within the tolerance; even: on both sides of it
+        skewed[i, 0, -1] += 10.0 ** rng.uniform(-16, -13 if seed % 2 else -11) * scales[i]
+    alone = [_verdict_or_error(linalg.as_hermitian, x) for x in skewed]
+    if any(v is HermiticityError for v in alone):
+        with pytest.raises(HermiticityError, match="of the stack is not Hermitian"):
+            linalg.as_hermitian(skewed)
+    else:
+        np.testing.assert_array_equal(linalg.as_hermitian(skewed), np.array(alone))
+
+
+def test_a_small_indefinite_matrix_is_not_hidden_by_a_large_one():
+    """Tolerance and shift are per matrix: a 1e-8-scale matrix with smallest
+    eigenvalue -1e-8 fails beside a 1e8-scale positive one, whose trace would
+    allow it, and a 1e-8-scale positive one whose smallest eigenvalue is far
+    below the large matrix's shift passes beside it."""
+    rng = np.random.default_rng(5)
+    big = _spectral_stack(rng, 4, [1e8], [0.5])
+    indefinite = _spectral_stack(rng, 4, [1e-8], [-1.0])
+    assert linalg.positive_semidefinite(big) and not linalg.positive_semidefinite(indefinite)
+    assert linalg.bounded_below(indefinite, -linalg.PSD_TOL * 1e8)
+    assert not linalg.positive_semidefinite(np.concatenate([indefinite, big]))
+    positive = _spectral_stack(rng, 4, [1e-8], [1e-2])  # smallest eigenvalue 1e-10
+    assert not linalg.bounded_below(positive, 4 * 5 * 2.0**-53 * np.trace(big[0]).real)
+    assert linalg.bounded_below(np.concatenate([big, positive]), 0.0)
+
+
+def test_a_small_non_hermitian_matrix_is_not_hidden_by_a_large_one():
+    small = np.eye(3, dtype=np.complex128)
+    small[0, 2] = 1e-9
+    large = 1e8 * np.eye(3, dtype=np.complex128)
+    with pytest.raises(HermiticityError, match=r"matrix 0 of the stack .* 1\.000e-09"):
+        linalg.as_hermitian(np.stack([small, large]))
+    linalg.as_hermitian(large + 1e-9 * np.triu(np.ones((3, 3)), 1))  # within 1e-12 * 1e8
+
+
+@pytest.mark.parametrize("where", [0, 2])
+def test_a_nan_in_one_matrix_of_a_stack_is_refused(where):
+    m = np.stack([np.eye(3, dtype=np.complex128)] * 3)
+    m[where, 1, 1] = np.nan
+    with pytest.raises(HermiticityError, match="non-finite"):
+        linalg.as_hermitian(m)
+    assert not linalg.bounded_below(m, -1.0)
+
+
+def test_a_stack_must_hold_square_matrices():
+    for bad in (np.zeros((2, 2, 3)), np.zeros(3)):
+        with pytest.raises(DimensionError, match="square matrix"):
+            linalg.as_hermitian(bad)
+        with pytest.raises(DimensionError, match="square matrix"):
+            linalg.bounded_below(bad, 0.0)

@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(DimensionError, match="output and input"):
             sdp.CloningSdp(np.eye(8) / 8.0, dims=(8,))
 
+    def test_rejects_a_stack_of_objectives(self):
+        """A stack passes the symmetrization, which takes stacks, but is no problem."""
+        with pytest.raises(DimensionError, match="square matrix"):
+            sdp.CloningSdp(np.stack([np.eye(8) / 8.0] * 8), dims=(2, 2, 2))
+
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2), (2, 2, 1, 2)])
     def test_dims_reads_back_as_the_output_input_split(self, dims):
         problem = sdp.CloningSdp(np.eye(8) / 8.0, dims=dims)

@@ -299,6 +299,12 @@ class TestBellAttack:
         assert p_pass == 0.5
         np.testing.assert_array_equal(p_second, 1.0)
 
+    def test_bell_rates_are_computed_once_and_read_only(self):
+        rates = simulator._bell_probabilities()
+        assert simulator._bell_probabilities() is rates
+        with pytest.raises(ValueError, match="read-only"):
+            rates[1][0] = 0.5
+
     def test_no_uniform_fails_a_retained_half(self):
         """For each of the four Wiesner keys, the retained half's rate lies above
         the largest uniform a 53-bit draw gives, so its verification never fails."""
