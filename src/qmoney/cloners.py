@@ -24,17 +24,9 @@ from .exceptions import ChannelValidationError, DimensionError
 
 CHALLENGE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# A plan's effects are checked and contracted in stacks of at most this many bytes:
-# one LAPACK or BLAS call per stack, and no copy of a whole plan beside its effects.
+# A plan's effects are proved positive in slices of at most this many bytes: one
+# LAPACK call per slice, and no Hermitian copy of a whole plan beside its effects.
 STACK_BYTES = 512 * 1024
-
-
-def _stacks(effects, dim: int):
-    """Consecutive (start, stack) pieces of a plan's (dim, dim) effects, each stack a
-    fresh complex array of at most ``STACK_BYTES``, or of one effect."""
-    step = max(1, STACK_BYTES // (16 * dim * dim))
-    for start in range(0, len(effects), step):
-        yield start, np.array(effects[start:start + step], dtype=np.complex128)
 
 
 def wiesner_optimal_cloner() -> ChoiOperator:
@@ -103,44 +95,43 @@ class TicketStrategy:
     """Measurement attack on a classical-verification scheme.
 
     For each challenge pair (c1, c2) the attacker measures the note once with
-    a POVM; each outcome carries the answer pair (a1, a2) it reports, a1 to
-    the first verifier and a2 to the second.  Every plan must be a complete
-    measurement: positive effects summing to the identity.  Each plan is checked
-    in stacks of at most ``STACK_BYTES``: one positivity proof per stack for the
-    effects not yet proved (plans may share effect objects), and the completeness
-    sum accumulated stack by stack.
+    a POVM.  A plan is two arrays ``(effects, answers)``: effects[k] is the (dim,
+    dim) effect of outcome k, and answers[k] the integer answer pair (a1, a2) it
+    reports, a1 to the first verifier and a2 to the second, each in [0, dim).
+    Every plan must be a complete measurement: positive effects summing to the
+    identity.  Plans may share one effects array; each distinct array is proved
+    positive once, in slices of at most ``STACK_BYTES``, and summed once.
     """
 
     dim: int
-    plans: Mapping[tuple[int, int], tuple[tuple[np.ndarray, tuple[int, int]], ...]]
+    plans: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if set(self.plans) != set(CHALLENGE_PAIRS):
             raise DimensionError(
                 f"plans must cover exactly the challenge pairs {CHALLENGE_PAIRS}"
             )
-        eye = np.eye(self.dim)
-        proved = set()  # ids of effects already proved positive: plans may share them
-        for pair, plan in self.plans.items():
-            for effect, answers in plan:
-                if effect.shape != (self.dim, self.dim):
-                    raise DimensionError(
-                        f"effect for challenges {pair} has shape {effect.shape}"
-                    )
-                if len(answers) != 2:
-                    raise DimensionError(f"outcome must carry an answer pair, got {answers}")
-            effects = [effect for effect, _ in plan]
-            total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            for start, stack in _stacks(effects, self.dim):
-                ids = [id(effect) for effect in effects[start:start + len(stack)]]
-                fresh = [k for k, i in enumerate(ids) if i not in proved]
-                if fresh and not linalg.positive_semidefinite(linalg.as_hermitian(stack[fresh])):
+        d = self.dim
+        checked = []  # effects arrays already proved: plans may share one
+        for pair, (effects, answers) in self.plans.items():
+            m = len(effects)
+            if effects.shape != (m, d, d) or answers.shape != (m, 2):
+                raise DimensionError(f"plan for challenges {pair} has shapes {effects.shape} "
+                                     f"and {answers.shape}, want ({m}, {d}, {d}) and ({m}, 2)")
+            # Bool answers would index as a mask, float ones not at all.
+            if not (np.issubdtype(answers.dtype, np.integer) and (0 <= answers).all()
+                    and (answers < d).all()):
+                raise DimensionError(f"answers to challenges {pair} must be integers in [0, {d})")
+            if any(effects is seen for seen in checked):
+                continue
+            checked.append(effects)
+            step = max(1, STACK_BYTES // (16 * d * d))
+            for s in range(0, m, step):
+                if not linalg.positive_semidefinite(linalg.as_hermitian(effects[s:s + step])):
                     raise ChannelValidationError(
                         f"effect for challenges {pair} is not positive semidefinite"
                     )
-                proved.update(ids)
-                total += stack.sum(axis=0)
-            defect = np.abs(total - eye).max()
+            defect = np.abs(effects.sum(axis=0) - np.eye(d)).max()
             if defect > linalg.VALUE_TOL:
                 raise ChannelValidationError(
                     f"measurement for challenges {pair} is incomplete: defect {defect:.3e}"
@@ -164,7 +155,8 @@ def ticket_cloner(d: int) -> TicketStrategy:
     effects are shifted and phased projections of one fixed state; outcome
     (s, t) answers s to the challenge-0 verifier and t to the challenge-1
     verifier.  The attack succeeds with probability 3/4 + 1/(4 sqrt(d)).  Both mixed
-    plans share the d^2 effect views of one table, asked of :func:`linalg.zero_operator` first.
+    plans hold the same (d^2, d, d) effects array, asked of :func:`linalg.zero_operator`
+    first, and their answer arrays are each other's columns swapped.
     """
     shift, phase = pauli_operators(d)
     table = linalg.zero_operator(d * d).reshape(d * d, d, d)
@@ -175,12 +167,12 @@ def ticket_cloner(d: int) -> TicketStrategy:
     vecs = np.array([shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)])
     np.multiply(vecs[:, :, None], vecs.conj()[:, None, :], out=table)
     table /= d
-    mixed = tuple((e, (s, t)) for e, (s, t) in zip(table, np.ndindex(d, d)))
-    swapped = tuple((e, (t, s)) for e, (s, t) in mixed)  # the same effect objects
-    plans: dict[tuple[int, int], tuple] = {(0, 1): mixed, (1, 0): swapped}
+    mixed = np.indices((d, d)).reshape(2, -1).T  # row k = (s, t) of outcome k
+    plans = {(0, 1): (table, mixed), (1, 0): (table, mixed[:, ::-1])}
     bases = schemes.fourier_ticket_scheme(d).pair
+    repeat = np.arange(d).repeat(2).reshape(d, 2)
     for c, basis in enumerate((bases.basis0, bases.basis1)):
-        plans[(c, c)] = tuple((np.outer(v, v.conj()), (t, t)) for t, v in enumerate(basis.T))
+        plans[(c, c)] = (basis.T[:, :, None] * basis.T.conj()[:, None, :], repeat)
     return TicketStrategy(d, plans)
 
 
@@ -192,8 +184,9 @@ def outcome_tables(
     Both arrays are indexed [challenge pair, key, outcome], with challenge
     pairs in ``CHALLENGE_PAIRS`` order and keys in ``scheme.keys()`` order.
     Plans shorter than the longest are zero-padded: a padding outcome has
-    probability 0 and is not accepted.  Each plan is contracted with the key
-    states in the stacks that :class:`TicketStrategy` checks it in.
+    probability 0 and is not accepted.  Each distinct effects array is contracted
+    with the key states by one BLAS product; a plan holding an earlier plan's
+    array copies its rows.
     """
     if strategy.dim != scheme.dim:
         raise DimensionError(
@@ -202,24 +195,19 @@ def outcome_tables(
     states = scheme.key_states()
     rho = (states.conj()[:, :, None] * states[:, None, :]).reshape(len(states), -1)
     table = scheme.accept_table()
-    longest = max(len(plan) for plan in strategy.plans.values())
+    plans = [strategy.plans[pair] for pair in CHALLENGE_PAIRS]
+    longest = max(len(effects) for effects, _ in plans)
     prob = np.zeros((len(CHALLENGE_PAIRS), len(states), longest))
     accept = np.zeros(prob.shape, dtype=bool)
-    contracted = {}  # effect ids of a plan -> its challenge pair: plans may share them
-    for ci, (c1, c2) in enumerate(CHALLENGE_PAIRS):
-        effects, answers = zip(*strategy.plans[(c1, c2)])
-        answers = np.array(answers)
-        if answers.min() < 0 or answers.max() >= scheme.dim:
-            raise DimensionError(f"answers to challenges {(c1, c2)} must lie in [0, {scheme.dim})")
-        a1, a2 = answers.T
-        same = contracted.setdefault(tuple(map(id, effects)), ci)
-        if same != ci:  # an earlier plan's effects, in its order
+    for ci, ((c1, c2), (effects, answers)) in enumerate(zip(CHALLENGE_PAIRS, plans)):
+        m = len(effects)
+        same = next(cj for cj, (earlier, _) in enumerate(plans) if earlier is effects)
+        if same != ci:
             prob[ci] = prob[same]
         else:
-            for start, stack in _stacks(effects, scheme.dim):
-                # One BLAS product per stack, not a 3-operand einsum.
-                prob[ci, :, start:start + len(stack)] = (rho @ stack.reshape(len(stack), -1).T).real
-        accept[ci, :, :len(effects)] = (table[c1, a1] & table[c2, a2]).T
+            prob[ci, :, :m] = (rho @ effects.reshape(m, -1).T).real
+        a1, a2 = answers.T
+        accept[ci, :, :m] = (table[c1, a1] & table[c2, a2]).T
     return prob, accept
 
 

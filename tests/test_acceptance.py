@@ -180,7 +180,8 @@ def test_criterion_09_ticket_cloner_formula_and_povm():
         assert abs(value - (0.75 + 0.25 / math.sqrt(d))) <= 1e-10, d
         eye = np.eye(d)
         for pair, plan in strategy.plans.items():
-            total = sum(effect for effect, _ in plan)
+            effects, _ = plan
+            total = effects.sum(axis=0)
             assert np.abs(total - eye).max() <= 1e-10, (d, pair)
 
 

@@ -113,16 +113,13 @@ class TestTicketCloner:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_mixed_plan_is_a_rank_one_covariant_povm(self, d):
         strategy = cloners.ticket_cloner(d)
-        plan = strategy.plans[(0, 1)]
-        assert len(plan) == d * d
-        total = np.zeros((d, d), dtype=np.complex128)
-        for effect, _ in plan:
-            scaled = effect * d
-            # each scaled effect is a rank-1 projector
-            assert np.abs(scaled @ scaled - scaled).max() < 1e-10
-            assert abs(np.trace(scaled).real - 1.0) < 1e-10
-            total += effect
-        assert np.abs(total - np.eye(d)).max() <= 1e-10
+        effects, answers = strategy.plans[(0, 1)]
+        assert effects.shape == (d * d, d, d) and answers.shape == (d * d, 2)
+        scaled = effects * d
+        # each scaled effect is a rank-1 projector
+        assert np.abs(scaled @ scaled - scaled).max() < 1e-10
+        assert np.abs(np.trace(scaled, axis1=1, axis2=2) - 1.0).max() < 1e-10
+        assert np.abs(effects.sum(axis=0) - np.eye(d)).max() <= 1e-10
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_mixed_plans_match_per_outcome_outer_products(self, d):
@@ -138,15 +135,28 @@ class TestTicketCloner:
             v = shifts[s] @ phases[t] @ psi
             reference = np.outer(v, v.conj()) / d
             for pair, answers in (((0, 1), (s, t)), ((1, 0), (t, s))):
-                effect, got = plans[pair][k]
-                assert got == answers
-                assert effect.tobytes() == reference.tobytes()
+                effects, got = plans[pair]
+                assert tuple(got[k]) == answers
+                assert effects[k].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_equal_challenge_plans_match_np_outer(self, d):
+        """Each equal-challenge plan holds |v><v| for the challenged basis's vectors v,
+        bit for bit as np.outer builds them, and repeats the outcome to both verifiers."""
+        pair = schemes.fourier_ticket_scheme(d).pair
+        plans = cloners.ticket_cloner(d).plans
+        for c in (0, 1):
+            effects, answers = plans[(c, c)]
+            np.testing.assert_array_equal(answers, [(t, t) for t in range(d)])
+            for t in range(d):
+                v = pair.vector(t, c)
+                assert effects[t].tobytes() == np.outer(v, v.conj()).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_each_effect_is_proved_positive_once(self, d, monkeypatch):
-        """The mixed plans share their d^2 effect objects, so validation proves
-        d^2 of them positive plus the d of each equal-challenge plan, counted as
-        matrices over the stacks that ``bounded_below`` is handed."""
+        """The mixed plans share one effects array, so validation proves its d^2
+        effects positive once plus the d of each equal-challenge plan, counted as
+        matrices over the slices that ``bounded_below`` is handed."""
         proved = []
         bounded_below = linalg.bounded_below
         monkeypatch.setattr(
@@ -154,7 +164,7 @@ class TestTicketCloner:
             lambda m, bound: proved.append(math.prod(np.shape(m)[:-2])) or bounded_below(m, bound),
         )
         plans = cloners.ticket_cloner(d).plans
-        assert all(a is b for (a, _), (b, _) in zip(plans[(0, 1)], plans[(1, 0)]))
+        assert plans[(0, 1)][0] is plans[(1, 0)][0]
         assert sum(proved) == d * d + 2 * d
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -181,12 +191,11 @@ class TestTicketCloner:
 
 
 def _repeat_basis_plan(scheme, basis):
+    """Measure in one basis and repeat the outcome: ``(effects, answers)``."""
     d = scheme.dim
-    plan = []
-    for t in range(d):
-        vec = scheme.pair.vector(t, basis)
-        plan.append((np.outer(vec, vec.conj()), (t, t)))
-    return tuple(plan)
+    vecs = [scheme.pair.vector(t, basis) for t in range(d)]
+    return (np.array([np.outer(v, v.conj()) for v in vecs]),
+            np.array([(t, t) for t in range(d)]))
 
 
 class TestStrategyEvaluation:
@@ -233,10 +242,10 @@ def _einsum_outcome_probabilities(strategy, scheme):
     """The Born probabilities of :func:`cloners.outcome_tables` by a direct
     three-operand contraction, as a reference."""
     states = scheme.key_states()
-    longest = max(len(plan) for plan in strategy.plans.values())
+    longest = max(len(effects) for effects, _ in strategy.plans.values())
     prob = np.zeros((len(cloners.CHALLENGE_PAIRS), len(states), longest))
     for ci, pair in enumerate(cloners.CHALLENGE_PAIRS):
-        effects = [effect for effect, _ in strategy.plans[pair]]
+        effects, _ = strategy.plans[pair]
         prob[ci, :, : len(effects)] = np.einsum(
             "ki,mij,kj->km", states.conj(), effects, states
         ).real
@@ -266,9 +275,9 @@ class TestOutcomeTables:
 
     def test_a_plan_is_checked_and_contracted_without_a_copy_of_it(self):
         """Building the d = 40 strategy and its tables peaks below 1.5 times the
-        16 d^4 bytes of the shared effect table: each plan goes through bounded
-        stacks, not a second whole-plan array.  Below d = 24 the fixed stack size
-        dominates the ratio."""
+        16 d^4 bytes of the shared effect table: positivity goes through bounded
+        slices, and the products read the table in place, not a second whole-plan
+        array."""
         d = 40
         scheme = schemes.fourier_ticket_scheme(d)
         tracemalloc.start()
@@ -278,18 +287,6 @@ class TestOutcomeTables:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 16 * d**4
-
-    @pytest.mark.parametrize("stack_bytes", [1, 16 * 9 * 4])
-    def test_stack_size_moves_the_tables_by_roundoff_only(self, stack_bytes, monkeypatch):
-        """One effect per stack, or stacks of four, give the tables of one stack per
-        plan up to the products' summation order, and the same acceptance."""
-        d = 3
-        scheme = schemes.fourier_ticket_scheme(d)
-        prob, accept = cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
-        monkeypatch.setattr(cloners, "STACK_BYTES", stack_bytes)
-        pieces = cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
-        np.testing.assert_allclose(pieces[0], prob, rtol=0, atol=d * d * np.finfo(float).eps)
-        np.testing.assert_array_equal(pieces[1], accept)
 
 
 class TestAcceptedMass:
@@ -325,14 +322,14 @@ class TestStrategyValidation:
 
     def test_incomplete_measurement_rejected(self):
         vec = np.array([1.0, 0.0])
-        plan = ((np.outer(vec, vec), (0, 0)),)
+        plan = (np.outer(vec, vec)[None], np.array([(0, 0)]))
         with pytest.raises(ChannelValidationError):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
     def test_non_positive_effect_shared_by_two_plans_rejected(self):
         scheme = schemes.fourier_ticket_scheme(2)
         good = _repeat_basis_plan(scheme, 0)
-        bad = ((np.eye(2) * 1.5, (0, 0)), (np.eye(2) * -0.5, (1, 1)))
+        bad = (np.array([np.eye(2) * 1.5, np.eye(2) * -0.5]), np.array([(0, 0), (1, 1)]))
         plans = {(0, 0): good, (0, 1): bad, (1, 0): bad, (1, 1): good}
         with pytest.raises(ChannelValidationError, match=r"\(0, 1\).*positive"):
             cloners.TicketStrategy(2, plans)
@@ -343,7 +340,8 @@ class TestStrategyValidation:
         monkeypatch.setattr(cloners, "STACK_BYTES", stack_bytes)
         scheme = schemes.fourier_ticket_scheme(2)
         good = _repeat_basis_plan(scheme, 0)
-        bad = tuple((np.eye(2) * w, (0, 0)) for w in (0.5, 0.5, 0.5, -0.5))
+        bad = (np.array([np.eye(2) * w for w in (0.5, 0.5, 0.5, -0.5)]),
+               np.zeros((4, 2), dtype=int))
         plans = {(0, 0): good, (0, 1): good, (1, 0): bad, (1, 1): good}
         with pytest.raises(ChannelValidationError, match=r"\(1, 0\).*positive"):
             cloners.TicketStrategy(2, plans)
@@ -351,6 +349,28 @@ class TestStrategyValidation:
     def test_non_positive_effect_rejected(self):
         good = np.eye(2) * 1.5
         bad = np.eye(2) * -0.5
-        plan = ((good, (0, 0)), (bad, (1, 1)))
+        plan = (np.array([good, bad]), np.array([(0, 0), (1, 1)]))
         with pytest.raises(ChannelValidationError):
+            cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+
+    def test_bool_answers_rejected(self):
+        """Bool answers would index the acceptance table as a mask: the basis-0 repeat
+        strategy at d = 2 would score 0.625 instead of 13/16."""
+        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (effects, answers.astype(bool))
+        with pytest.raises(DimensionError, match="integers"):
+            cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+
+    def test_float_answers_rejected(self):
+        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (effects, answers.astype(float))
+        with pytest.raises(DimensionError, match="integers"):
+            cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+
+    @pytest.mark.parametrize("effects_shape, answers_shape", [
+        ((2, 2, 2), (3, 2)), ((2, 2, 3), (2, 2)), ((2, 4), (2, 2)), ((2, 2, 2), (2,)),
+    ])
+    def test_misshapen_plan_rejected(self, effects_shape, answers_shape):
+        plan = (np.zeros(effects_shape), np.zeros(answers_shape, dtype=int))
+        with pytest.raises(DimensionError, match="shapes"):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})

@@ -623,7 +623,7 @@ class TestTicketTables:
         for (c1, c2), plan in strategy.plans.items():
             for key in scheme.keys():
                 psi = scheme.key_state(key)
-                for effect, (a1, a2) in plan:
+                for effect, (a1, a2) in zip(*plan):
                     if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
                         direct += np.real(psi.conj() @ effect @ psi) / (8 * d)
         assert value == pytest.approx(direct, abs=1e-12)
@@ -654,8 +654,7 @@ class TestTicketTables:
         np.testing.assert_allclose(prob.sum(axis=2), 1.0, atol=1e-12)
 
     def test_out_of_range_answers_are_rejected(self):
-        scheme = schemes.fourier_ticket_scheme(2)
-        plan = ((np.eye(2, dtype=np.complex128), (0, 2)),)
-        strategy = cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
-        with pytest.raises(DimensionError):
-            cloners.outcome_tables(strategy, scheme)
+        for answer in (2, -1):
+            plan = (np.eye(2, dtype=np.complex128)[None], np.array([(0, answer)]))
+            with pytest.raises(DimensionError, match=r"\[0, 2\)"):
+                cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
