@@ -99,7 +99,8 @@ class CertificateReport:
 
 
 def _slack(y: np.ndarray, problem: CloningSdp) -> np.ndarray:
-    return problem.lift_dual(linalg.as_hermitian(y)) - problem.objective
+    slack = problem.lift_dual(linalg.as_hermitian(y))  # I (x) y - Q, in place
+    return np.subtract(slack, problem.objective, out=slack)
 
 
 def check_primal(

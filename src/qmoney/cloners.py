@@ -97,10 +97,10 @@ class TicketStrategy:
     For each challenge pair (c1, c2) the attacker measures the note once with
     a POVM.  A plan is two arrays ``(effects, answers)``: effects[k] is the (dim,
     dim) effect of outcome k, and answers[k] the integer answer pair (a1, a2) it
-    reports, a1 to the first verifier and a2 to the second, each in [0, dim).
-    Every plan must be a complete measurement: positive effects summing to the
-    identity.  Plans may share one effects array; each distinct array is proved
-    positive once, in slices of at most ``STACK_BYTES``, and summed once.
+    reports, a1 to the first verifier and a2 to the second, each in [0, dim); lists
+    are stored as arrays.  Every plan must be a complete measurement: positive effects
+    summing to the identity.  Plans may share one effects array; each distinct array is
+    proved positive once, in slices of at most ``STACK_BYTES``, and summed once.
     """
 
     dim: int
@@ -112,9 +112,14 @@ class TicketStrategy:
                 f"plans must cover exactly the challenge pairs {CHALLENGE_PAIRS}"
             )
         d = self.dim
-        checked = []  # effects arrays already proved: plans may share one
-        for pair, (effects, answers) in self.plans.items():
-            m = len(effects)
+        checked, plans = [], {}  # proved effects arrays (plans may share one); converted plans
+        for pair, plan in self.plans.items():
+            try:  # lists convert; any other layout, such as (effect, answer) pairs, fails here
+                effects, answers = map(np.asarray, plan)
+            except (TypeError, ValueError):
+                raise DimensionError(f"plan for challenges {pair} is not two arrays") from None
+            plans[pair] = effects, answers
+            m = effects.shape[0] if effects.ndim else 0
             if effects.shape != (m, d, d) or answers.shape != (m, 2):
                 raise DimensionError(f"plan for challenges {pair} has shapes {effects.shape} "
                                      f"and {answers.shape}, want ({m}, {d}, {d}) and ({m}, 2)")
@@ -136,6 +141,7 @@ class TicketStrategy:
                 raise ChannelValidationError(
                     f"measurement for challenges {pair} is incomplete: defect {defect:.3e}"
                 )
+        object.__setattr__(self, "plans", plans)
 
 
 def _ticket_state(d: int) -> np.ndarray:

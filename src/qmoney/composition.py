@@ -1,10 +1,8 @@
 """Parallel repetition and threshold composition of cloning problems.
 
-Running n independent verifications multiplies the optimal counterfeiting
-value: tensoring per-repetition optimal pairs gives matching feasible points
-of the n-fold problem.  The only bookkeeping is one regrouping, from the tensor
-order (out_1 (x) in_1) (x) ... (x) (out_n (x) in_n) to every output before every
-input, and it needs only each repetition's (out_dim, in_dim) split.
+Running n independent verifications multiplies the optimal counterfeiting value
+("Products" in :mod:`qmoney.sdp`).  The only bookkeeping is one regrouping,
+:func:`qmoney.linalg.regroup`, which needs each repetition's (out_dim, in_dim) split.
 
 Threshold verification accepts when at least t of n repetitions pass.  Under
 two conditions on the single-repetition ensemble (uniform average state, flat
@@ -16,7 +14,6 @@ explicitly assembled success/failure operator sum.
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +21,7 @@ import numpy as np
 
 from . import certificates, linalg, schemes
 from .exceptions import CertificationError, DimensionError
+from .linalg import regroup as _regroup, tensor as _tensor
 from .sdp import CloningSdp, SdpSolution
 
 DENSE_GUARD = 1024
@@ -74,26 +72,13 @@ def threshold_value(alpha: float, n: int, t: int) -> float:
     return exact / den**n
 
 
-def _regroup(m: np.ndarray, splits: list[tuple[int, int]]) -> np.ndarray:
-    """An operator on (out_1 (x) in_1) (x) ... (x) (out_n (x) in_n), given each
-    factor's (out_i, in_i), moved to (out_1 (x) ... (x) out_n) (x) (in_1 (x) ... (x) in_n)
-    by one transpose: W m W^dagger for the permutation operator W of that move."""
-    n = len(splits)
-    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    tensor = np.asarray(m).reshape([d for split in splits for d in split] * 2)
-    return tensor.transpose(axes + [a + 2 * n for a in axes]).reshape(m.shape)
-
-
-def _tensor(mats: list[np.ndarray]) -> np.ndarray:
-    return functools.reduce(np.kron, mats)
-
-
 def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     """The composed problem whose attacks clone every repetition at once.
 
     The objective is the tensor product of the component objectives with
     factors regrouped by :func:`_regroup` so all clone factors precede all input
     factors; its ``dims`` is (product of the out_dim, product of the in_dim).
+    Its ``components`` are ``problems``, from which :func:`qmoney.sdp.solve` solves it.
     """
     if not problems:
         raise DimensionError("need at least one component problem")
@@ -102,7 +87,9 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     splits = [p.dims for p in problems]
     objective = _regroup(_tensor([p.objective for p in problems]), splits)
     out_dim, in_dim = (math.prod(side) for side in zip(*splits))
-    return CloningSdp(objective, (out_dim, in_dim))
+    product = CloningSdp(objective, (out_dim, in_dim))
+    object.__setattr__(product, "components", tuple(problems))
+    return product
 
 
 def tensor_certificates(

@@ -46,6 +46,7 @@ trustworthy than sparse alternatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -170,6 +171,19 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], which: Iterable[int]) 
     for i in chosen:
         axes[i], axes[i + k] = axes[i + k], axes[i]
     return np.ascontiguousarray(tensor.transpose(axes).reshape(m.shape))
+
+
+def regroup(m: np.ndarray, splits: Sequence[tuple[int, int]]) -> np.ndarray:
+    """m on (out_1 (x) in_1) (x) ... (x) (out_n (x) in_n), with splits (out_i, in_i), moved to
+    (out_1 (x) ... (x) out_n) (x) (in_1 (x) ... (x) in_n) by one transpose: W m W^dagger."""
+    n = len(splits)
+    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    tensor = np.asarray(m).reshape([d for split in splits for d in split] * 2)
+    return tensor.transpose(axes + [a + 2 * n for a in axes]).reshape(m.shape)
+
+
+def tensor(mats: Sequence[np.ndarray]) -> np.ndarray:  # the Kronecker product, in order
+    return functools.reduce(np.kron, mats)
 
 
 def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -316,8 +330,8 @@ def bounded_below(m: np.ndarray, bound: float | np.ndarray) -> bool:
     # A negative trace leaves a negative diagonal entry, on which Cholesky fails exactly.
     delta = 4 * (n + 1) * 2.0**-53 * np.maximum(0.0, diagonal.real.sum(axis=-1) - n * bound)
     diagonal -= (bound + delta)[..., None]
-    try:
-        factor = np.linalg.cholesky(m)
+    try:  # m^T = conj(m): same spectrum, and numpy copies it to LAPACK's order contiguously
+        factor = np.linalg.cholesky(m.swapaxes(-1, -2))
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())  # OpenBLAS factors NaN entries without failing

@@ -64,11 +64,18 @@ pair is optimal: this is the flat dual of the source paper's (3/4)^n,
 by the stopping test of the iteration (relative gap and primal residual at
 most tol, the residual scaled by 1 + ||Q||) and returned after 0 iterations.
 A problem that fails the test goes on to the iteration.
+
+Products.  I (x) Y_i >= Q_i >= 0 gives I (x) (Y_1 (x) ... (x) Y_n) >= Q_1 (x) ... (x) Q_n,
+and products of Choi operators are Choi operators, so values multiply (Mittal & Szegedy,
+FCT 2007).  A :func:`qmoney.composition.repeated_sdp` problem keeps its ``components``;
+the regrouped product of their solutions (iterations summed, no trace) is returned if
+it passes the spectral pair's stopping test at scale 1 + ||Q|| = 1 + prod ||Q_i||.
+Otherwise, or if a component raises :class:`SolverError`, the dense problem is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,11 +98,12 @@ class CloningSdp:
     product is the objective's size, with the input factor last; all factors
     before it form the output (clone registers), as in (clone 1, clone 2,
     input).  The problem stores only the split, ``dims == (out_dim, in_dim)``,
-    so ``dims=(2, 2, 2)`` reads back as ``(4, 2)``.
+    so ``dims=(2, 2, 2)`` reads back as ``(4, 2)``.  ``components``: see "Products".
     """
 
     objective: np.ndarray
     dims: tuple[int, ...]
+    components: tuple[CloningSdp, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obj = linalg.as_hermitian(self.objective)
@@ -130,7 +138,14 @@ class CloningSdp:
 
     def lift_dual(self, y: np.ndarray) -> np.ndarray:
         """Embed an input-space operator as identity (x) y on the full space."""
-        return np.kron(np.eye(self.out_dim, dtype=np.complex128), y)
+        return _lift_dual(y, self.out_dim)
+
+
+def _lift_dual(y: np.ndarray, rows: int) -> np.ndarray:
+    """identity_rows (x) y, filled into the diagonal blocks of a zero matrix."""
+    out = np.zeros((rows, len(y), rows, len(y)), dtype=np.complex128)
+    out[np.arange(rows), :, np.arange(rows)] = y
+    return out.reshape(rows * len(y), -1)
 
 
 @dataclass(frozen=True)
@@ -308,6 +323,22 @@ def _spectral_solution(problem, support, w, v, norm, tol) -> SdpSolution | None:
     return _solution_from_iterates(problem, None, x, y, 0, [])
 
 
+def _product_solution(problem, tol, max_iterations) -> SdpSolution | None:
+    """The product pair of "Products", or None; Y is feasible, so the test reads X and the gap."""
+    parts = problem.components
+    try:
+        solutions = [_solve(p, tol, max_iterations) for p in parts]
+        x = linalg.regroup(linalg.tensor([s.primal_x for s in solutions]), [p.dims for p in parts])
+        y = linalg.tensor([s.dual_y for s in solutions])
+        sol = _solution_from_iterates(problem, None, x, y, sum(s.iterations for s in solutions), [])
+    except SolverError:
+        return None
+    pinf = np.abs(np.eye(problem.in_dim) - problem.trace_out(x)).max()
+    scale = 1.0 + float(np.prod([linalg.operator_norm(p.objective) for p in parts]))
+    done = _stopping_test(sol.gap, sol.primal_value, sol.dual_value, pinf, 0.0, scale, tol)[1]
+    return sol if done else None
+
+
 def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -> SdpSolution:
     """The interior-point iteration on a reduced problem: its objective, the barrier
     weight of each of its output rows, its support basis and the objective norm, as
@@ -321,21 +352,15 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
     eye_in = np.eye(d_in, dtype=np.complex128)
     omega = np.repeat(weights, d_in)  # barrier weight of each reduced index
     heavy = np.flatnonzero(omega != 1.0)
-    diagonal = np.arange(rows)
 
     def trace_out(m):
         return m.reshape(rows, d_in, rows, d_in).trace(axis1=0, axis2=2)
-
-    def lift_dual(m):
-        out = np.zeros((rows, d_in, rows, d_in), dtype=np.complex128)
-        out[diagonal, :, diagonal] = m
-        return out.reshape(size, size)
 
     # Strictly feasible start: X the identity / d_out on the full space (weight w on
     # the complement row), Y far enough out that the dual slack is positive definite.
     x = np.diag(omega / d_out).astype(np.complex128)
     y = (norm + 1.0) * eye_in
-    s = _hermitian(lift_dual(y) - obj)
+    s = _hermitian(_lift_dual(y, rows) - obj)
     obj_scale = 1.0 + norm
 
     def finish(x, y, iterations: int) -> SdpSolution:
@@ -348,7 +373,7 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
     gap, pval, dval = _pair(x, s), _pair(obj, x), float(np.trace(y).real)
     for iteration in range(1, max_iterations + 1):
         r_primal = eye_in - trace_out(x)
-        r_dual = _hermitian(obj + s - lift_dual(y))
+        r_dual = _hermitian(obj + s - _lift_dual(y, rows))
         pinf = float(np.abs(r_primal).max())
         dinf = float(np.abs(r_dual).max())
         rel_gap, done = _stopping_test(gap, pval, dval, pinf, dinf, obj_scale, tol)
@@ -394,7 +419,7 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
             """dX, dY, dS and the normalised scaled dS for a centering residual."""
             dy = _schur_solve(schur, (trace_out(r_center) + rhs_dual).reshape(-1))
             dy = _hermitian(dy.reshape(d_in, d_in))
-            ds = lift_dual(dy) - r_dual
+            ds = _lift_dual(dy, rows) - r_dual
             dx = _hermitian(r_center - w @ ds @ w)
             return dx, dy, ds, h_h @ ds @ h
 
@@ -469,6 +494,13 @@ def solve(
         raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    return _solve(problem, tol, max_iterations)
+
+
+def _solve(problem: CloningSdp, tol: float, max_iterations: int) -> SdpSolution:
+    """:func:`solve` after its argument checks, for the components of a product too."""
+    if problem.components and (solution := _product_solution(problem, tol, max_iterations)):
+        return solution
     obj, weights, support = _reduce(problem)
     w, v = linalg.hermitian_eig(obj)
     norm = float(max(-w[0], w[-1], 0.0))

@@ -128,6 +128,30 @@ class TestAnalyticPairs:
         assert abs(report.primal_value - (1.0 + math.sqrt(0.5)) / 2.0) < 1e-12
 
 
+class TestSlack:
+    """The dual slack I (x) Y - Q, formed by filling Y into the diagonal blocks."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d_out, d_in", [(1, 3), (4, 2), (9, 3), (6, 5)])
+    def test_random_slack_is_bit_identical_to_the_kronecker_form(self, d_out, d_in, seed):
+        rng = np.random.default_rng([d_out, d_in, seed])
+        n = d_out * d_in
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        problem = sdp.CloningSdp(g @ g.conj().T, dims=(d_out, d_in))
+        y = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+        y = y + y.conj().T
+        reference = np.kron(np.eye(d_out), linalg.as_hermitian(y)) - problem.objective
+        slack = certificates._slack(y, problem)
+        assert slack.dtype == reference.dtype and slack.shape == reference.shape
+        assert slack.tobytes() == reference.tobytes()
+
+    def test_three_note_slack_equals_the_kronecker_form(self):
+        product = composition.repeated_sdp([_wiesner_problem()] * 3)
+        y = 0.375**3 * np.eye(8)
+        reference = np.kron(np.eye(64), y) - product.objective
+        assert np.array_equal(certificates._slack(y, product), reference)
+
+
 class TestSolverIntegration:
     @pytest.mark.parametrize(
         "objective,dims",

@@ -367,6 +367,27 @@ class TestStrategyValidation:
         with pytest.raises(DimensionError, match="integers"):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
+    @pytest.mark.parametrize("outcomes", [1, 2])
+    def test_old_tuple_of_pairs_plan_rejected(self, outcomes):
+        """The format before plans were arrays: a tuple of (effect, answer pair) pairs."""
+        plan = tuple((np.eye(2) / outcomes, (k, k)) for k in range(outcomes))
+        with pytest.raises(DimensionError, match=r"challenges \(0, 0\) is not two arrays"):
+            cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+
+    def test_plan_of_lists_is_stored_as_arrays(self):
+        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (effects.tolist(), answers.tolist())
+        strategy = cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
+        for stored_effects, stored_answers in strategy.plans.values():
+            np.testing.assert_array_equal(stored_effects, effects)
+            np.testing.assert_array_equal(stored_answers, answers)
+            assert np.issubdtype(stored_answers.dtype, np.integer)
+        as_arrays = cloners.TicketStrategy(2, {p: (effects, answers)
+                                               for p in cloners.CHALLENGE_PAIRS})
+        scheme = schemes.fourier_ticket_scheme(2)
+        assert cloners.evaluate_ticket_strategy(strategy, scheme) == \
+            cloners.evaluate_ticket_strategy(as_arrays, scheme)
+
     @pytest.mark.parametrize("effects_shape, answers_shape", [
         ((2, 2, 2), (3, 2)), ((2, 2, 3), (2, 2)), ((2, 4), (2, 2)), ((2, 2, 2), (2,)),
     ])

@@ -333,6 +333,38 @@ def test_bounded_below_proves_nothing_about_non_finite_matrices(where, value):
     assert not linalg.bounded_below(m, -1.0)
 
 
+def _margin_stack(n, bound):
+    """Five Hermitian matrices: lambda_min above ``bound`` by a clear margin, below it,
+    above it by less than the Cholesky shift, with a symmetric NaN pair, and with a NaN
+    on the diagonal."""
+    rng = np.random.default_rng(n)
+    stack = []
+    for factor in (1 - 1e-3, 1 + 1e-3, 1 - 1e-15):
+        spectrum = np.concatenate([[bound * factor], rng.uniform(0.0, 1.0, n - 1)])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        stack.append(linalg.as_hermitian((q * spectrum) @ q.conj().T))
+    for where in ((n - 1, 0), (n // 2, n // 2)):
+        m = np.eye(n, dtype=np.complex128)
+        m[where] = m[where[::-1]] = np.nan
+        stack.append(m)
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+@pytest.mark.parametrize("bound", [-1e-7, -1e-3])
+@pytest.mark.parametrize("members", [[0], [1], [2], [3], [4], [0, 1], [0, 3], [0, 4], [0, 2, 3]])
+def test_bounded_below_verdicts_of_margin_and_nan_stacks(n, bound, members):
+    """The factor is taken of m^T = conj(m); taking it of m, as the verdict on conj(m)
+    now does, decides the same.  A clear margin is proved, and at one row any margin,
+    since the shift there is 8u times the margin itself."""
+    stack = _margin_stack(n, bound)[members]
+    verdict = linalg.bounded_below(stack, bound)
+    assert verdict == linalg.bounded_below(stack.conj(), bound)
+    assert verdict == (set(members) <= ({0, 2} if n == 1 else {0}))
+    for m in stack:
+        assert linalg.bounded_below(m, bound) == linalg.bounded_below(m.conj(), bound)
+
+
 def test_eigenvalue_failure_is_wrapped_with_the_size(monkeypatch):
     def fail(m):
         raise np.linalg.LinAlgError("no convergence")

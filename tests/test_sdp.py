@@ -770,3 +770,120 @@ class TestSpectralPair:
         assert reached == []
         assert sol.iterations == 0 and abs(sol.primal_value - 27 / 64) <= 1e-12
         assert sol.primal_x.shape == (512, 512)
+
+
+def _haar_wiesner_sdp(seed):
+    u = _haar_unitary(np.random.default_rng(seed), 2)
+    return _qubit_problem(_rotated(schemes.cloning_objective(schemes.wiesner_ensemble()), u))
+
+
+FLAT_PRODUCTS = {
+    "wiesner^2": lambda: [_wiesner_sdp()] * 2,
+    "wiesner^3": lambda: [_wiesner_sdp()] * 3,
+    "six-state x sic": lambda: [_qubit_problem(FLAT["six-state"][0]()),
+                                _qubit_problem(FLAT["sic"][0]())],
+    "haar wiesner^3": lambda: [_haar_wiesner_sdp(31)] * 3,
+    "(wiesner^2) x wiesner": lambda: [composition.repeated_sdp([_wiesner_sdp()] * 2),
+                                      _wiesner_sdp()],
+}
+
+
+def _dense(product):
+    """The same problem with no components: the dense path alone solves it."""
+    return sdp.CloningSdp(product.objective, product.dims)
+
+
+class TestProducts:
+    """A problem built by ``repeated_sdp`` is solved through its components, and
+    falls back to the dense path whenever that product pair fails."""
+
+    def test_repeated_sdp_records_its_components_and_nothing_else_does(self):
+        parts = [_wiesner_sdp(), _haar_wiesner_sdp(5)]
+        product = composition.repeated_sdp(parts)
+        assert len(product.components) == 2
+        assert all(mine is theirs for mine, theirs in zip(product.components, parts))
+        assert _dense(product).components == () and parts[0].components == ()
+        assert composition.repeated_sdp(parts[:1]) is parts[0]
+        with pytest.raises(TypeError):
+            sdp.CloningSdp(product.objective, product.dims, components=tuple(parts))
+
+    @pytest.mark.parametrize("name", sorted(FLAT_PRODUCTS))
+    def test_flat_products_agree_with_the_dense_solve(self, name):
+        product = composition.repeated_sdp(FLAT_PRODUCTS[name]())
+        sol, dense = sdp.solve(product), sdp.solve(_dense(product))
+        assert sol.iterations == dense.iterations == 0 and sol.trace == ()
+        assert abs(sol.primal_value - dense.primal_value) <= 1e-12
+        assert abs(sol.dual_value - dense.dual_value) <= 1e-12
+        for pair in (sol, dense):
+            assert certificates.certify(pair.primal_x, pair.dual_y, product).certified
+
+    def test_a_non_flat_component_multiplies_its_iterated_value(self):
+        parts = [_wiesner_sdp(), _random_non_flat_problem(0, 2, 4)]
+        product = composition.repeated_sdp(parts)
+        alone = [sdp.solve(p) for p in parts]
+        sol, dense = sdp.solve(product), sdp.solve(_dense(product))
+        assert sol.iterations == sum(s.iterations for s in alone) > 0 and sol.trace == ()
+        assert abs(sol.primal_value - math.prod(s.primal_value for s in alone)) <= 1e-12
+        assert abs(sol.dual_value - math.prod(s.dual_value for s in alone)) <= 1e-12
+        # Each side is only tol-optimal, so the two agree to the solver's tolerance.
+        assert abs(sol.primal_value - dense.primal_value) <= 2 * sdp.DEFAULT_TOL
+        assert abs(sol.dual_value - dense.dual_value) <= 2 * sdp.DEFAULT_TOL
+        for pair in (sol, dense):
+            assert certificates.certify(pair.primal_x, pair.dual_y, product).certified
+
+    def test_a_failing_component_falls_back_to_the_dense_path(self, monkeypatch):
+        product = composition.repeated_sdp([_wiesner_sdp(), _random_non_flat_problem(1, 2, 4)])
+        dense = sdp.solve(_dense(product))
+        solve_one = sdp._solve
+
+        def failing_components(problem, *args):
+            if problem.components:
+                return solve_one(problem, *args)
+            raise SolverError("forced", solution=None)
+
+        monkeypatch.setattr(sdp, "_solve", failing_components)
+        got = sdp.solve(product)
+        assert got.iterations == dense.iterations > 0
+        _assert_same_solution(got, dense)
+        assert np.array_equal(got.primal_x, dense.primal_x)
+
+    def test_a_product_pair_failing_the_stopping_test_falls_back(self, monkeypatch):
+        product = composition.repeated_sdp([_wiesner_sdp()] * 2)
+        dense = sdp.solve(_dense(product))
+        regroup = linalg.regroup
+        # X / 1.01 lowers the value, so weak duality holds and only the stopping test fails.
+        monkeypatch.setattr(linalg, "regroup", lambda m, splits: regroup(m, splits) / 1.01)
+        assert sdp._product_solution(product, sdp.DEFAULT_TOL, sdp.MAX_ITERATIONS) is None
+        got = sdp.solve(product)
+        _assert_same_solution(got, dense)
+        assert np.array_equal(got.primal_x, dense.primal_x)
+
+    def test_three_wiesner_notes_take_no_eigendecomposition_above_eight_rows(
+        self, monkeypatch
+    ):
+        product = composition.repeated_sdp([_wiesner_sdp()] * 3)
+        sizes = []
+        spectral = linalg._spectral
+
+        def recording(decompose, m, what):
+            sizes.append(np.shape(m)[-1])
+            return spectral(decompose, m, what)
+
+        monkeypatch.setattr(linalg, "_spectral", recording)
+        sol = sdp.solve(product)
+        assert sol.primal_x.shape == (512, 512) and abs(sol.primal_value - 27 / 64) <= 1e-12
+        assert sizes and max(sizes) <= 8
+
+    def test_components_are_not_solved_through_the_public_name(self, monkeypatch):
+        product = composition.repeated_sdp([_wiesner_sdp()] * 3)
+        calls = []
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        sdp.solve(product)
+        assert calls == [1]
+
+    def test_lift_dual_equals_the_kronecker_product(self):
+        rng = np.random.default_rng(8)
+        problem = _rank_deficient_problem(rng, 6, 3, 2)
+        y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        assert np.array_equal(problem.lift_dual(y), np.kron(np.eye(6), y))
