@@ -5,8 +5,8 @@ optimal attack on the four-state qubit scheme, the universal symmetric qubit
 cloner, and its d-dimensional generalization acting through the symmetric
 subspace.  For classical-verification schemes the attacker is a family of
 measurements instead of a channel; those are represented measurement-first,
-as one positive operator valued measure per challenge pair together with the
-answer pair attached to each outcome.
+as one POVM per challenge pair of rank-one effects |v><v|, kept as the
+vectors v, and the answer pair attached to each outcome.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .exceptions import ChannelValidationError, DimensionError
 
 CHALLENGE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# A plan's effects are proved positive in slices of at most this many bytes: one
-# LAPACK call per slice, and no Hermitian copy of a whole plan beside its effects.
-STACK_BYTES = 512 * 1024
+# Building a strategy's outcome tables and their accepted mass (``simulate --scheme
+# ticket:d``) holds this many (4, 2d, d^2) float tables at once: tracemalloc peaks, in
+# units of one table, were 3.43, 3.40 and 3.39 for d = 20, 40 and 60.
+_PEAK_TABLES = 4
 
 
 def wiesner_optimal_cloner() -> ChoiOperator:
@@ -94,13 +95,13 @@ def pauli_operators(d: int) -> tuple[np.ndarray, np.ndarray]:
 class TicketStrategy:
     """Measurement attack on a classical-verification scheme.
 
-    For each challenge pair (c1, c2) the attacker measures the note once with
-    a POVM.  A plan is two arrays ``(effects, answers)``: effects[k] is the (dim,
-    dim) effect of outcome k, and answers[k] the integer answer pair (a1, a2) it
-    reports, a1 to the first verifier and a2 to the second, each in [0, dim); lists
-    are stored as arrays.  Every plan must be a complete measurement: positive effects
-    summing to the identity.  Plans may share one effects array; each distinct array is
-    proved positive once, in slices of at most ``STACK_BYTES``, and summed once.
+    For each challenge pair (c1, c2) the attacker measures the note once with a POVM.
+    A plan is two arrays ``(vectors, answers)``: outcome k has the effect |v><v| of the
+    row v = vectors[k] of an (m, dim) array and reports answers[k] = (a1, a2), integers
+    in [0, dim) for the first and second verifier; lists are stored as arrays.  Any POVM
+    refines to this form with the same acceptance: split each effect into sqrt(w) u over
+    its eigenpairs (w, u), keeping its answers.  Rank-one effects are positive, so a plan
+    is checked only to sum to the identity, once per vectors array (plans may share one).
     """
 
     dim: int
@@ -112,32 +113,27 @@ class TicketStrategy:
                 f"plans must cover exactly the challenge pairs {CHALLENGE_PAIRS}"
             )
         d = self.dim
-        checked, plans = [], {}  # proved effects arrays (plans may share one); converted plans
+        checked, plans = [], {}  # summed vectors arrays (plans may share one); converted plans
         for pair, plan in self.plans.items():
             try:  # lists convert; any other layout, such as (effect, answer) pairs, fails here
-                effects, answers = map(np.asarray, plan)
+                vectors, answers = map(np.asarray, plan)
             except (TypeError, ValueError):
                 raise DimensionError(f"plan for challenges {pair} is not two arrays") from None
-            plans[pair] = effects, answers
-            m = effects.shape[0] if effects.ndim else 0
-            if effects.shape != (m, d, d) or answers.shape != (m, 2):
-                raise DimensionError(f"plan for challenges {pair} has shapes {effects.shape} "
-                                     f"and {answers.shape}, want ({m}, {d}, {d}) and ({m}, 2)")
+            plans[pair] = vectors, answers
+            m = vectors.shape[0] if vectors.ndim else 0
+            if vectors.shape != (m, d) or answers.shape != (m, 2):
+                raise DimensionError(f"plan for challenges {pair} has shapes {vectors.shape} "
+                                     f"and {answers.shape}, want ({m}, {d}) and ({m}, 2)")
             # Bool answers would index as a mask, float ones not at all.
             if not (np.issubdtype(answers.dtype, np.integer) and (0 <= answers).all()
                     and (answers < d).all()):
                 raise DimensionError(f"answers to challenges {pair} must be integers in [0, {d})")
-            if any(effects is seen for seen in checked):
+            if any(vectors is seen for seen in checked):
                 continue
-            checked.append(effects)
-            step = max(1, STACK_BYTES // (16 * d * d))
-            for s in range(0, m, step):
-                if not linalg.positive_semidefinite(linalg.as_hermitian(effects[s:s + step])):
-                    raise ChannelValidationError(
-                        f"effect for challenges {pair} is not positive semidefinite"
-                    )
-            defect = np.abs(effects.sum(axis=0) - np.eye(d)).max()
-            if defect > linalg.VALUE_TOL:
+            checked.append(vectors)
+            # The effects sum to V^T conj(V); written so that NaN fails the test.
+            defect = np.abs(vectors.T @ vectors.conj() - np.eye(d)).max()
+            if not defect <= linalg.VALUE_TOL:
                 raise ChannelValidationError(
                     f"measurement for challenges {pair} is incomplete: defect {defect:.3e}"
                 )
@@ -157,28 +153,27 @@ def ticket_cloner(d: int) -> TicketStrategy:
     """Optimal simple counterfeiting strategy for the Fourier ticket scheme.
 
     Equal challenge pairs are answered by measuring in the challenged basis
-    and repeating the outcome.  Mixed pairs use the covariant POVM whose d^2
-    effects are shifted and phased projections of one fixed state; outcome
-    (s, t) answers s to the challenge-0 verifier and t to the challenge-1
-    verifier.  The attack succeeds with probability 3/4 + 1/(4 sqrt(d)).  Both mixed
-    plans hold the same (d^2, d, d) effects array, asked of :func:`linalg.zero_operator`
-    first, and their answer arrays are each other's columns swapped.
+    and repeating the outcome: the plan's vectors are the basis vectors.  Mixed
+    pairs use the covariant POVM whose d^2 rank-one effects |v><v| have the vectors
+    v = shift^s phase^t psi / sqrt(d) for one fixed state psi; outcome (s, t) answers
+    s to the challenge-0 verifier and t to the challenge-1 verifier.  The attack
+    succeeds with probability 3/4 + 1/(4 sqrt(d)).  Both mixed plans hold the same
+    (d^2, d) vectors array, and their answer arrays are each other's columns swapped.
     """
-    shift, phase = pauli_operators(d)
-    table = linalg.zero_operator(d * d).reshape(d * d, d, d)
+    _, phase = pauli_operators(d)
     psi = _ticket_state(d)
-    eye = np.eye(d, dtype=np.complex128)
-    shifts = list(itertools.accumulate([shift] * (d - 1), np.matmul, initial=eye))
-    phases = list(itertools.accumulate([phase] * (d - 1), np.matmul, initial=eye))
-    vecs = np.array([shifts[s] @ phases[t] @ psi for s in range(d) for t in range(d)])
-    np.multiply(vecs[:, :, None], vecs.conj()[:, None, :], out=table)
-    table /= d
+    phases = itertools.accumulate([phase] * (d - 1), np.matmul,
+                                  initial=np.eye(d, dtype=np.complex128))
+    phased = np.array([p @ psi for p in phases]) / math.sqrt(d)  # row t: phase^t psi / sqrt(d)
+    # shift^s rolls a vector by s: row s * d + t is phased row t rolled, cut from two copies.
+    twice = np.tile(phased, 2)
+    vectors = np.stack([twice[:, d - s:2 * d - s] for s in range(d)]).reshape(d * d, d)
     mixed = np.indices((d, d)).reshape(2, -1).T  # row k = (s, t) of outcome k
-    plans = {(0, 1): (table, mixed), (1, 0): (table, mixed[:, ::-1])}
+    plans = {(0, 1): (vectors, mixed), (1, 0): (vectors, mixed[:, ::-1])}
     bases = schemes.fourier_ticket_scheme(d).pair
     repeat = np.arange(d).repeat(2).reshape(d, 2)
     for c, basis in enumerate((bases.basis0, bases.basis1)):
-        plans[(c, c)] = (basis.T[:, :, None] * basis.T.conj()[:, None, :], repeat)
+        plans[(c, c)] = (basis.T, repeat)
     return TicketStrategy(d, plans)
 
 
@@ -190,28 +185,29 @@ def outcome_tables(
     Both arrays are indexed [challenge pair, key, outcome], with challenge
     pairs in ``CHALLENGE_PAIRS`` order and keys in ``scheme.keys()`` order.
     Plans shorter than the longest are zero-padded: a padding outcome has
-    probability 0 and is not accepted.  Each distinct effects array is contracted
-    with the key states by one BLAS product; a plan holding an earlier plan's
-    array copies its rows.
+    probability 0 and is not accepted.  Each distinct vectors array V meets the key states
+    K in one BLAS product, |conj(K) V^T|^2; a plan holding an earlier plan's array copies
+    its rows.  Memory for the tables is asked of :func:`linalg.require_memory` first.
     """
     if strategy.dim != scheme.dim:
         raise DimensionError(
             f"strategy dimension {strategy.dim} does not match scheme dimension {scheme.dim}"
         )
     states = scheme.key_states()
-    rho = (states.conj()[:, :, None] * states[:, None, :]).reshape(len(states), -1)
     table = scheme.accept_table()
     plans = [strategy.plans[pair] for pair in CHALLENGE_PAIRS]
-    longest = max(len(effects) for effects, _ in plans)
-    prob = np.zeros((len(CHALLENGE_PAIRS), len(states), longest))
-    accept = np.zeros(prob.shape, dtype=bool)
-    for ci, ((c1, c2), (effects, answers)) in enumerate(zip(CHALLENGE_PAIRS, plans)):
-        m = len(effects)
-        same = next(cj for cj, (earlier, _) in enumerate(plans) if earlier is effects)
+    shape = (len(CHALLENGE_PAIRS), len(states), max(len(vectors) for vectors, _ in plans))
+    linalg.require_memory(_PEAK_TABLES * 8 * math.prod(shape), f"scoring {shape} outcome tables")
+    prob = np.zeros(shape)
+    accept = np.zeros(shape, dtype=bool)
+    for ci, ((c1, c2), (vectors, answers)) in enumerate(zip(CHALLENGE_PAIRS, plans)):
+        m = len(vectors)
+        same = next(cj for cj, (earlier, _) in enumerate(plans) if earlier is vectors)
         if same != ci:
             prob[ci] = prob[same]
         else:
-            prob[ci, :, :m] = (rho @ effects.reshape(m, -1).T).real
+            amplitudes = states.conj() @ vectors.T
+            prob[ci, :, :m] = amplitudes.real**2 + amplitudes.imag**2
         a1, a2 = answers.T
         accept[ci, :, :m] = (table[c1, a1] & table[c2, a2]).T
     return prob, accept

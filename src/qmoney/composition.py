@@ -21,7 +21,6 @@ import numpy as np
 
 from . import certificates, linalg, schemes
 from .exceptions import CertificationError, DimensionError
-from .linalg import regroup as _regroup, tensor as _tensor
 from .sdp import CloningSdp, SdpSolution
 
 DENSE_GUARD = 1024
@@ -76,8 +75,8 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     """The composed problem whose attacks clone every repetition at once.
 
     The objective is the tensor product of the component objectives with
-    factors regrouped by :func:`_regroup` so all clone factors precede all input
-    factors; its ``dims`` is (product of the out_dim, product of the in_dim).
+    factors regrouped by :func:`qmoney.linalg.regroup` so all clone factors precede all
+    input factors; its ``dims`` is (product of the out_dim, product of the in_dim).
     Its ``components`` are ``problems``, from which :func:`qmoney.sdp.solve` solves it.
     """
     if not problems:
@@ -85,7 +84,7 @@ def repeated_sdp(problems: list[CloningSdp]) -> CloningSdp:
     if len(problems) == 1:
         return problems[0]
     splits = [p.dims for p in problems]
-    objective = _regroup(_tensor([p.objective for p in problems]), splits)
+    objective = linalg.regroup(linalg.tensor([p.objective for p in problems]), splits)
     out_dim, in_dim = (math.prod(side) for side in zip(*splits))
     product = CloningSdp(objective, (out_dim, in_dim))
     object.__setattr__(product, "components", tuple(problems))
@@ -117,7 +116,7 @@ def tensor_certificates(
                 f"component {i} dual point is infeasible: slack eigenvalue "
                 f"{dual.min_eigenvalue:.3e}"
             )
-    return _regroup(_tensor(x_list), [p.dims for p in problems]), _tensor(y_list)
+    return linalg.regroup(linalg.tensor(x_list), [p.dims for p in problems]), linalg.tensor(y_list)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def _threshold_operator(ensemble: schemes.Ensemble, n: int,
     for pattern in range(2**n):
         bits = [(pattern >> i) & 1 for i in range(n)]
         if sum(bits) >= t:
-            r += _tensor([ops.success if b else ops.failure for b in bits])
+            r += linalg.tensor([ops.success if b else ops.failure for b in bits])
     return ops, r
 
 
@@ -203,4 +202,4 @@ def threshold_sdp(ensemble: schemes.Ensemble, n: int, t: int) -> CloningSdp:
     """
     _, r = _threshold_operator(ensemble, n, t)
     d = ensemble.dim
-    return CloningSdp(_regroup(r, [(d * d, d)] * n), (d ** (2 * n), d**n))
+    return CloningSdp(linalg.regroup(r, [(d * d, d)] * n), (d ** (2 * n), d**n))

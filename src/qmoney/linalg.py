@@ -214,19 +214,23 @@ def permutation_operator(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
 _PEAK_OPERATORS = 7
 
 
-def zero_operator(n: int) -> np.ndarray:
-    """An n x n complex zero matrix, or MemoryError when building and solving a problem
-    on it would pass physical memory, where an overcommitting host would grant the
-    memory lazily and kill the process filling it."""
+def require_memory(need: int, what: str) -> None:
+    """MemoryError naming ``what`` when its ``need`` bytes would pass physical memory,
+    where an overcommitting host would grant the memory lazily and kill the process
+    filling it."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf here: no check
         have = math.inf
-    need = _PEAK_OPERATORS * 16 * n * n
     if need > have:
-        raise MemoryError(f"a problem on a dense {n} x {n} complex operator needs about "
-                          f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-                          "of physical memory")
+        raise MemoryError(f"{what} needs about {need / 2**30:.1f} GiB, more than the "
+                          f"{have / 2**30:.1f} GiB of physical memory")
+
+
+def zero_operator(n: int) -> np.ndarray:
+    """An n x n complex zero matrix, or MemoryError when building and solving a problem
+    on it would pass physical memory."""
+    require_memory(_PEAK_OPERATORS * 16 * n * n, f"a problem on a dense {n} x {n} complex operator")
     return np.zeros((n, n), dtype=np.complex128)
 
 

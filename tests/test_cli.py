@@ -610,28 +610,40 @@ class TestExitCodes:
         assert "288 x 288" in capsys.readouterr().err
         assert peak < 2**20
 
-    def test_ticket_effect_table_past_memory_is_refused(self, monkeypatch, capsys):
-        """simulate --scheme ticket:8 holds its 8**2 mixed-challenge effects in one
-        64-row table, which 64 pages (256 KiB) refuse."""
-        sizes = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+    def test_ticket_outcome_tables_past_memory_are_refused(self, monkeypatch, capsys):
+        """simulate --scheme ticket:8 scores its 8**2 mixed-challenge outcomes for 16 keys
+        in (4, 16, 64) float tables, four of which (128 KiB) 16 pages (64 KiB) refuse."""
+        sizes = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
+        start = time.perf_counter()
         code = cli.main(["simulate", "--scheme", "ticket:8", "--trials", "10"])
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "64 x 64" in captured.err
+        assert "(4, 16, 64) outcome tables" in captured.err
+        assert elapsed < 1.0
 
     def test_large_ticket_dimension_is_refused_at_once(self, monkeypatch, capsys):
-        """simulate --scheme ticket:200 asks for a 40000-row effect table, refused
-        with 8 GiB of memory before any effect is computed."""
-        sizes = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        """simulate --scheme ticket:200 asks for (4, 400, 40000) outcome tables, four of
+        which (1.9 GiB) 1 GiB of memory refuses before any of them is allocated."""
+        sizes = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(linalg.os, "sysconf", sizes.__getitem__)
         start = time.perf_counter()
         code = cli.main(["simulate", "--scheme", "ticket:200", "--trials", "10"])
         elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
         assert code == 1
-        assert "40000 x 40000" in capsys.readouterr().err
+        assert captured.out == ""
+        assert "(4, 400, 40000) outcome tables" in captured.err
         assert elapsed < 1.0
+
+    def test_ticket_dimension_100_is_simulated(self, capsys):
+        """simulate --scheme ticket:100 keeps its 10**4 mixed-challenge outcomes as
+        vectors, with no 1.6 GB table of their d x d effects."""
+        code = cli.main(["simulate", "--scheme", "ticket:100", "--trials", "1000"])
+        assert code == 0
+        assert "analytic 0.775\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["analyze", "certify", "simulate", "threshold"])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmoney import channels, cloners, linalg, schemes
+from qmoney import channels, cloners, schemes
 from qmoney.exceptions import ChannelValidationError, DimensionError
 
 
@@ -113,18 +113,17 @@ class TestTicketCloner:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_mixed_plan_is_a_rank_one_covariant_povm(self, d):
         strategy = cloners.ticket_cloner(d)
-        effects, answers = strategy.plans[(0, 1)]
-        assert effects.shape == (d * d, d, d) and answers.shape == (d * d, 2)
-        scaled = effects * d
-        # each scaled effect is a rank-1 projector
-        assert np.abs(scaled @ scaled - scaled).max() < 1e-10
-        assert np.abs(np.trace(scaled, axis1=1, axis2=2) - 1.0).max() < 1e-10
-        assert np.abs(effects.sum(axis=0) - np.eye(d)).max() <= 1e-10
+        vectors, answers = strategy.plans[(0, 1)]
+        assert vectors.shape == (d * d, d) and answers.shape == (d * d, 2)
+        assert strategy.plans[(1, 0)][0] is vectors
+        # each effect is a rank-1 projector scaled by 1/d
+        assert np.abs(np.linalg.norm(vectors, axis=1) ** 2 * d - 1.0).max() < 1e-10
+        assert np.abs(vectors.T @ vectors.conj() - np.eye(d)).max() <= 1e-10
 
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_mixed_plans_match_per_outcome_outer_products(self, d):
-        """Both mixed plans hold the d^2 effects |v><v|/d, bit for bit as
-        np.outer builds them one at a time, with v = shift^s phase^t psi."""
+    def test_mixed_plans_match_per_outcome_products(self, d):
+        """Both mixed plans hold the d^2 vectors v / sqrt(d), bit for bit as matrix
+        products build them one at a time, with v = shift^s phase^t psi."""
         shift, phase = cloners.pauli_operators(d)
         psi = cloners._ticket_state(d)
         eye = np.eye(d, dtype=np.complex128)
@@ -132,40 +131,23 @@ class TestTicketCloner:
         phases = list(itertools.accumulate([phase] * (d - 1), np.matmul, initial=eye))
         plans = cloners.ticket_cloner(d).plans
         for k, (s, t) in enumerate(np.ndindex(d, d)):
-            v = shifts[s] @ phases[t] @ psi
-            reference = np.outer(v, v.conj()) / d
+            reference = shifts[s] @ phases[t] @ psi / math.sqrt(d)
             for pair, answers in (((0, 1), (s, t)), ((1, 0), (t, s))):
-                effects, got = plans[pair]
+                vectors, got = plans[pair]
                 assert tuple(got[k]) == answers
-                assert effects[k].tobytes() == reference.tobytes()
+                assert vectors[k].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_equal_challenge_plans_match_np_outer(self, d):
-        """Each equal-challenge plan holds |v><v| for the challenged basis's vectors v,
-        bit for bit as np.outer builds them, and repeats the outcome to both verifiers."""
+    def test_equal_challenge_plans_are_the_basis_vectors(self, d):
+        """Each equal-challenge plan holds the challenged basis's vectors, bit for bit,
+        and repeats the outcome to both verifiers."""
         pair = schemes.fourier_ticket_scheme(d).pair
         plans = cloners.ticket_cloner(d).plans
         for c in (0, 1):
-            effects, answers = plans[(c, c)]
+            vectors, answers = plans[(c, c)]
             np.testing.assert_array_equal(answers, [(t, t) for t in range(d)])
             for t in range(d):
-                v = pair.vector(t, c)
-                assert effects[t].tobytes() == np.outer(v, v.conj()).tobytes()
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_each_effect_is_proved_positive_once(self, d, monkeypatch):
-        """The mixed plans share one effects array, so validation proves its d^2
-        effects positive once plus the d of each equal-challenge plan, counted as
-        matrices over the slices that ``bounded_below`` is handed."""
-        proved = []
-        bounded_below = linalg.bounded_below
-        monkeypatch.setattr(
-            linalg, "bounded_below",
-            lambda m, bound: proved.append(math.prod(np.shape(m)[:-2])) or bounded_below(m, bound),
-        )
-        plans = cloners.ticket_cloner(d).plans
-        assert plans[(0, 1)][0] is plans[(1, 0)][0]
-        assert sum(proved) == d * d + 2 * d
+                assert vectors[t].tobytes() == pair.vector(t, c).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_overlap_of_the_seed_state(self, d):
@@ -191,10 +173,9 @@ class TestTicketCloner:
 
 
 def _repeat_basis_plan(scheme, basis):
-    """Measure in one basis and repeat the outcome: ``(effects, answers)``."""
+    """Measure in one basis and repeat the outcome: ``(vectors, answers)``."""
     d = scheme.dim
-    vecs = [scheme.pair.vector(t, basis) for t in range(d)]
-    return (np.array([np.outer(v, v.conj()) for v in vecs]),
+    return (np.array([scheme.pair.vector(t, basis) for t in range(d)]),
             np.array([(t, t) for t in range(d)]))
 
 
@@ -238,18 +219,26 @@ class TestStrategyEvaluation:
             )
 
 
-def _einsum_outcome_probabilities(strategy, scheme):
-    """The Born probabilities of :func:`cloners.outcome_tables` by a direct
-    three-operand contraction, as a reference."""
+def _born_reference(plans, scheme):
+    """The tables of :func:`cloners.outcome_tables` from dense effects, as a reference:
+    each plan's first array holds effects of shape (m, d, d), or vectors v of shape
+    (m, d) formed into the effects vv^H.  Born probabilities by a direct three-operand
+    contraction, acceptance by the scheme's predicate, one outcome at a time."""
     states = scheme.key_states()
-    longest = max(len(effects) for effects, _ in strategy.plans.values())
+    longest = max(len(effects) for effects, _ in plans.values())
     prob = np.zeros((len(cloners.CHALLENGE_PAIRS), len(states), longest))
-    for ci, pair in enumerate(cloners.CHALLENGE_PAIRS):
-        effects, _ = strategy.plans[pair]
+    accept = np.zeros(prob.shape, dtype=bool)
+    for ci, (c1, c2) in enumerate(cloners.CHALLENGE_PAIRS):
+        effects, answers = plans[(c1, c2)]
+        if effects.ndim == 2:
+            effects = np.array([np.outer(v, v.conj()) for v in effects])
         prob[ci, :, : len(effects)] = np.einsum(
             "ki,mij,kj->km", states.conj(), effects, states
         ).real
-    return prob
+        for ki, key in enumerate(scheme.keys()):
+            for k, (a1, a2) in enumerate(answers):
+                accept[ci, ki, k] = scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key)
+    return prob, accept
 
 
 class TestOutcomeTables:
@@ -265,28 +254,62 @@ class TestOutcomeTables:
                 schemes.BasisPair(d, u @ scheme.pair.basis0, u @ scheme.pair.basis1)
             )
         strategy = cloners.ticket_cloner(d)
-        prob, _ = cloners.outcome_tables(strategy, scheme)
+        prob, accept = cloners.outcome_tables(strategy, scheme)
+        reference_prob, reference_accept = _born_reference(strategy.plans, scheme)
         # Each entry sums d^2 products of magnitude at most 1 in another order.
         np.testing.assert_allclose(
-            prob, _einsum_outcome_probabilities(strategy, scheme),
-            rtol=0, atol=d * d * np.finfo(float).eps,
+            prob, reference_prob, rtol=0, atol=d * d * np.finfo(float).eps,
         )
+        np.testing.assert_array_equal(accept, reference_accept)
 
-
-    def test_a_plan_is_checked_and_contracted_without_a_copy_of_it(self):
-        """Building the d = 40 strategy and its tables peaks below 1.5 times the
-        16 d^4 bytes of the shared effect table: positivity goes through bounded
-        slices, and the products read the table in place, not a second whole-plan
-        array."""
+    def test_tables_and_their_mass_fit_the_memory_they_ask_for(self):
+        """Building the d = 40 strategy, its tables and their accepted mass peaks below
+        the ``_PEAK_TABLES`` (4, 2d, d^2) float tables that ``outcome_tables`` asks of
+        the memory guard: no plan holds a d x d effect."""
         d = 40
         scheme = schemes.fourier_ticket_scheme(d)
         tracemalloc.start()
         try:
-            cloners.outcome_tables(cloners.ticket_cloner(d), scheme)
+            cloners.accepted_mass(*cloners.outcome_tables(cloners.ticket_cloner(d), scheme))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 16 * d**4
+        assert peak <= cloners._PEAK_TABLES * 8 * 4 * 2 * d * d * d
+
+
+class TestRankOneRefinement:
+    @staticmethod
+    def _random_povm(rng, d, m):
+        """m effects of rank 2 to d, random, summing to the identity."""
+        effects = []
+        for _ in range(m):
+            a = rng.normal(size=(d, rng.integers(2, d + 1)))
+            a = a + 1j * rng.normal(size=a.shape)
+            effects.append(a @ a.conj().T)
+        w, u = np.linalg.eigh(sum(effects))
+        root = (u / np.sqrt(w)) @ u.conj().T  # the inverse square root of the sum
+        return np.array([root @ e @ root for e in effects])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_refined_plan_keeps_the_dense_value(self, d, seed):
+        """Splitting each effect of a random POVM by its eigenpairs (w, u) into the
+        vectors sqrt(w) u, each keeping the effect's answers, leaves the value the
+        dense Born rule gives the unrefined effects."""
+        rng = np.random.default_rng(seed)
+        scheme = schemes.fourier_ticket_scheme(d)
+        dense, refined = {}, {}
+        for pair in cloners.CHALLENGE_PAIRS:
+            m = int(rng.integers(2, 5))
+            effects = self._random_povm(rng, d, m)
+            assert (np.linalg.matrix_rank(effects, hermitian=True) >= 2).all()
+            answers = rng.integers(0, d, size=(m, 2))
+            dense[pair] = effects, answers
+            w, u = np.linalg.eigh(effects)
+            pieces = np.sqrt(np.clip(w, 0.0, None))[:, None, :] * u  # column j: sqrt(w_j) u_j
+            refined[pair] = pieces.swapaxes(1, 2).reshape(m * d, d), answers.repeat(d, axis=0)
+        value = cloners.evaluate_ticket_strategy(cloners.TicketStrategy(d, refined), scheme)
+        assert abs(value - cloners.outcome_value(*_born_reference(dense, scheme))) <= 1e-12
 
 
 class TestAcceptedMass:
@@ -321,49 +344,33 @@ class TestStrategyValidation:
             cloners.TicketStrategy(2, {(0, 0): plan})
 
     def test_incomplete_measurement_rejected(self):
-        vec = np.array([1.0, 0.0])
-        plan = (np.outer(vec, vec)[None], np.array([(0, 0)]))
+        plan = (np.array([[1.0, 0.0]]), np.array([(0, 0)]))
         with pytest.raises(ChannelValidationError):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
-    def test_non_positive_effect_shared_by_two_plans_rejected(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_non_finite_vectors_rejected(self, entry):
+        """An inf or NaN entry makes the completeness defect inf or NaN: both fail."""
         scheme = schemes.fourier_ticket_scheme(2)
-        good = _repeat_basis_plan(scheme, 0)
-        bad = (np.array([np.eye(2) * 1.5, np.eye(2) * -0.5]), np.array([(0, 0), (1, 1)]))
-        plans = {(0, 0): good, (0, 1): bad, (1, 0): bad, (1, 1): good}
-        with pytest.raises(ChannelValidationError, match=r"\(0, 1\).*positive"):
+        good = _repeat_basis_plan(scheme, 1)
+        vectors = good[0].copy()
+        vectors[1, 0] = entry
+        plans = {(0, 0): good, (0, 1): good, (1, 0): (vectors, good[1]), (1, 1): good}
+        with pytest.raises(ChannelValidationError, match=r"\(1, 0\) is incomplete"):
             cloners.TicketStrategy(2, plans)
-
-    @pytest.mark.parametrize("stack_bytes", [1, 16 * 4 * 2, 2**20])
-    def test_non_positive_effect_in_any_stack_rejected(self, stack_bytes, monkeypatch):
-        """A non-positive effect among positive ones is rejected whichever stack it lands in."""
-        monkeypatch.setattr(cloners, "STACK_BYTES", stack_bytes)
-        scheme = schemes.fourier_ticket_scheme(2)
-        good = _repeat_basis_plan(scheme, 0)
-        bad = (np.array([np.eye(2) * w for w in (0.5, 0.5, 0.5, -0.5)]),
-               np.zeros((4, 2), dtype=int))
-        plans = {(0, 0): good, (0, 1): good, (1, 0): bad, (1, 1): good}
-        with pytest.raises(ChannelValidationError, match=r"\(1, 0\).*positive"):
-            cloners.TicketStrategy(2, plans)
-
-    def test_non_positive_effect_rejected(self):
-        good = np.eye(2) * 1.5
-        bad = np.eye(2) * -0.5
-        plan = (np.array([good, bad]), np.array([(0, 0), (1, 1)]))
-        with pytest.raises(ChannelValidationError):
-            cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
     def test_bool_answers_rejected(self):
         """Bool answers would index the acceptance table as a mask: the basis-0 repeat
         strategy at d = 2 would score 0.625 instead of 13/16."""
-        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
-        plan = (effects, answers.astype(bool))
+        vectors, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (vectors, answers.astype(bool))
         with pytest.raises(DimensionError, match="integers"):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
     def test_float_answers_rejected(self):
-        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
-        plan = (effects, answers.astype(float))
+        vectors, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (vectors, answers.astype(float))
         with pytest.raises(DimensionError, match="integers"):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
@@ -375,23 +382,23 @@ class TestStrategyValidation:
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
 
     def test_plan_of_lists_is_stored_as_arrays(self):
-        effects, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
-        plan = (effects.tolist(), answers.tolist())
+        vectors, answers = _repeat_basis_plan(schemes.fourier_ticket_scheme(2), 0)
+        plan = (vectors.tolist(), answers.tolist())
         strategy = cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
-        for stored_effects, stored_answers in strategy.plans.values():
-            np.testing.assert_array_equal(stored_effects, effects)
+        for stored_vectors, stored_answers in strategy.plans.values():
+            np.testing.assert_array_equal(stored_vectors, vectors)
             np.testing.assert_array_equal(stored_answers, answers)
             assert np.issubdtype(stored_answers.dtype, np.integer)
-        as_arrays = cloners.TicketStrategy(2, {p: (effects, answers)
+        as_arrays = cloners.TicketStrategy(2, {p: (vectors, answers)
                                                for p in cloners.CHALLENGE_PAIRS})
         scheme = schemes.fourier_ticket_scheme(2)
         assert cloners.evaluate_ticket_strategy(strategy, scheme) == \
             cloners.evaluate_ticket_strategy(as_arrays, scheme)
 
-    @pytest.mark.parametrize("effects_shape, answers_shape", [
-        ((2, 2, 2), (3, 2)), ((2, 2, 3), (2, 2)), ((2, 4), (2, 2)), ((2, 2, 2), (2,)),
+    @pytest.mark.parametrize("vectors_shape, answers_shape", [
+        ((2, 2), (3, 2)), ((2, 3), (2, 2)), ((4,), (2, 2)), ((2, 2), (2,)), ((2, 2, 2), (2, 2)),
     ])
-    def test_misshapen_plan_rejected(self, effects_shape, answers_shape):
-        plan = (np.zeros(effects_shape), np.zeros(answers_shape, dtype=int))
+    def test_misshapen_plan_rejected(self, vectors_shape, answers_shape):
+        plan = (np.zeros(vectors_shape), np.zeros(answers_shape, dtype=int))
         with pytest.raises(DimensionError, match="shapes"):
             cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})

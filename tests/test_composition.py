@@ -53,8 +53,8 @@ class TestRepeatedSdp:
         ]
         q = composition.repeated_sdp(problems).objective
         assert np.array_equal(q, q.conj().T)
-        product = composition._regroup(
-            composition._tensor([p.objective for p in problems]), [p.dims for p in problems]
+        product = linalg.regroup(
+            linalg.tensor([p.objective for p in problems]), [p.dims for p in problems]
         )
         symmetrized = linalg.as_hermitian(linalg.as_hermitian(product))
         assert np.array_equal(q, symmetrized)
@@ -81,7 +81,7 @@ class TestRegroup:
         m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         w = linalg.permutation_operator(dims, perm)
         np.testing.assert_allclose(
-            composition._regroup(m, splits), w @ m @ w.conj().T, rtol=0, atol=1e-12
+            linalg.regroup(m, splits), w @ m @ w.conj().T, rtol=0, atol=1e-12
         )
 
 

@@ -623,9 +623,9 @@ class TestTicketTables:
         for (c1, c2), plan in strategy.plans.items():
             for key in scheme.keys():
                 psi = scheme.key_state(key)
-                for effect, (a1, a2) in zip(*plan):
+                for v, (a1, a2) in zip(*plan):
                     if scheme.accept(a1, c1, key) and scheme.accept(a2, c2, key):
-                        direct += np.real(psi.conj() @ effect @ psi) / (8 * d)
+                        direct += np.real(psi.conj() @ np.outer(v, v.conj()) @ psi) / (8 * d)
         assert value == pytest.approx(direct, abs=1e-12)
         assert abs(report.z_score) <= 5.0
 
@@ -655,6 +655,6 @@ class TestTicketTables:
 
     def test_out_of_range_answers_are_rejected(self):
         for answer in (2, -1):
-            plan = (np.eye(2, dtype=np.complex128)[None], np.array([(0, answer)]))
+            plan = (np.eye(2, dtype=np.complex128), np.array([(0, answer), (1, 1)]))
             with pytest.raises(DimensionError, match=r"\[0, 2\)"):
                 cloners.TicketStrategy(2, {p: plan for p in cloners.CHALLENGE_PAIRS})
