@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
     ticket = isinstance(entry.scheme, schemes.TicketScheme)
     if ticket:
         blocks, weights = _challenge_problems(entry.scheme)
-        solutions = sdp.solve_block_diagonal(blocks, weights, tol=args.tol)
+        solutions = sdp.solve_block_diagonal(blocks, tol=args.tol)
     else:
         blocks, weights = [entry.cloning_problem()], [1.0]
         solutions = (sdp.solve(blocks[0], tol=args.tol),)
@@ -259,10 +259,7 @@ def cmd_simulate(args) -> int:
         }
     record.update(_report_record(report))
     _emit(record)
-    _write_output(
-        args.output,
-        {**record, "batches": report.batches, "workers": report.workers, "seconds": report.seconds},
-    )
+    _write_output(args.output, {**record, "seconds": report.seconds})
     return 0
 
 

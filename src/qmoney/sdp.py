@@ -83,7 +83,7 @@ from . import linalg
 from .exceptions import DimensionError, SolverError
 
 DEFAULT_TOL = 1e-8
-MIN_TOL = 1e-12
+MIN_TOL = 1e-10
 MAX_TOL = 1e-2
 MAX_ITERATIONS = 200
 STEP_FRACTION = 0.98
@@ -323,11 +323,11 @@ def _spectral_solution(problem, support, w, v, norm, tol) -> SdpSolution | None:
     return _solution_from_iterates(problem, None, x, y, 0, [])
 
 
-def _product_solution(problem, tol, max_iterations) -> SdpSolution | None:
+def _product_solution(problem, tol) -> SdpSolution | None:
     """The product pair of "Products", or None; Y is feasible, so the test reads X and the gap."""
     parts = problem.components
     try:
-        solutions = [_solve(p, tol, max_iterations) for p in parts]
+        solutions = [_solve(p, tol) for p in parts]
         x = linalg.regroup(linalg.tensor([s.primal_x for s in solutions]), [p.dims for p in parts])
         y = linalg.tensor([s.dual_y for s in solutions])
         sol = _solution_from_iterates(problem, None, x, y, sum(s.iterations for s in solutions), [])
@@ -339,7 +339,7 @@ def _product_solution(problem, tol, max_iterations) -> SdpSolution | None:
     return sol if done else None
 
 
-def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -> SdpSolution:
+def _interior_point(problem, obj, weights, support, norm, tol) -> SdpSolution:
     """The interior-point iteration on a reduced problem: its objective, the barrier
     weight of each of its output rows, its support basis and the objective norm, as
     :func:`solve` finds them."""
@@ -371,7 +371,7 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
         return SolverError(message, solution=finish(bx, by, iterations))
 
     gap, pval, dval = _pair(x, s), _pair(obj, x), float(np.trace(y).real)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         r_primal = eye_in - trace_out(x)
         r_dual = _hermitian(obj + s - _lift_dual(y, rows))
         pinf = float(np.abs(r_primal).max())
@@ -456,18 +456,13 @@ def _interior_point(problem, obj, weights, support, norm, tol, max_iterations) -
         stats.append(IterateStats(iteration, pval, dval, gap, mu, pinf, dinf, alpha_p, alpha_d))
 
     raise stalled(
-        f"no convergence to tol {tol:.1e} within {max_iterations} iterations; "
+        f"no convergence to tol {tol:.1e} within {MAX_ITERATIONS} iterations; "
         f"best relative gap {best[0]:.3e}",
-        max_iterations,
+        MAX_ITERATIONS,
     )
 
 
-def solve(
-    problem: CloningSdp,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-) -> SdpSolution:
+def solve(problem: CloningSdp, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the counterfeiting SDP to the requested relative accuracy.
 
     Parameters
@@ -475,12 +470,11 @@ def solve(
     problem : CloningSdp
         Objective and factor structure.
     tol : float
-        Relative duality-gap and feasibility target, clamped to
-        [1e-12, 1e-2].  Default 1e-8.
-    max_iterations : int
-        Iteration cap, at least 1; exhausting it raises :class:`SolverError`
-        carrying the best iterate.  A primal iterate that cannot be factored
-        even at the largest Cholesky shift raises the same error at once.
+        Relative duality-gap and feasibility target in [MIN_TOL, MAX_TOL] =
+        [1e-10, 1e-2], else :class:`ValueError`.  Default 1e-8.  Exhausting
+        ``MAX_ITERATIONS`` (read when the iteration runs), or a primal iterate that
+        cannot be factored even at the largest Cholesky shift, raises
+        :class:`SolverError` carrying the best iterate.
 
     Returns
     -------
@@ -492,14 +486,12 @@ def solve(
     """
     if not MIN_TOL <= tol <= MAX_TOL:
         raise ValueError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    return _solve(problem, tol, max_iterations)
+    return _solve(problem, tol)
 
 
-def _solve(problem: CloningSdp, tol: float, max_iterations: int) -> SdpSolution:
+def _solve(problem: CloningSdp, tol: float) -> SdpSolution:
     """:func:`solve` after its argument checks, for the components of a product too."""
-    if problem.components and (solution := _product_solution(problem, tol, max_iterations)):
+    if problem.components and (solution := _product_solution(problem, tol)):
         return solution
     obj, weights, support = _reduce(problem)
     w, v = linalg.hermitian_eig(obj)
@@ -511,58 +503,47 @@ def _solve(problem: CloningSdp, tol: float, max_iterations: int) -> SdpSolution:
     solution = _spectral_solution(problem, support, w, v, norm, tol)
     if solution is not None:
         return solution
-    return _interior_point(problem, obj, weights, support, norm, tol, max_iterations)
+    return _interior_point(problem, obj, weights, support, norm, tol)
 
 
-def _check_blocks(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
-    """Validate weighted same-shape blocks; return the first, whose structure they share."""
+def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
+    """Combine weighted subproblems of one (out_dim, in_dim) split into one problem.
+
+    One weight per block, nonnegative and summing to 1.  The combined space is
+    output (x) (block index (x) input): the block index heads the input, so ``dims``
+    is ``(out_dim, len(blocks) * in_dim)``, and the objective is the direct sum of
+    the weighted block objectives.  Feasible points decompose into one per block,
+    so the combined optimal value is the weighted sum of block values.
+    """
     if not blocks or len(blocks) != len(weights):
         raise DimensionError("need matching non-empty block and weight lists")
-    first = blocks[0]
-    if any(b.dims != first.dims for b in blocks):
+    out_dim, in_dim = blocks[0].dims
+    if any(b.dims != (out_dim, in_dim) for b in blocks):
         raise DimensionError("blocks must share one (out_dim, in_dim) split")
     # Written so that NaN fails both tests.
     if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= linalg.VALUE_TOL:
         raise DimensionError("weights must be nonnegative and sum to 1")
-    return first
-
-
-def assemble_block_sdp(blocks: list[CloningSdp], weights: list[float]) -> CloningSdp:
-    """Combine weighted same-shape subproblems into one problem.
-
-    The combined space is output (x) (block index (x) input): the block index
-    heads the input, so ``dims`` is ``(out_dim, len(blocks) * in_dim)``.  The
-    combined objective is the direct sum of the weighted block objectives.
-    Feasible points decompose into one feasible point per block, so the
-    combined optimal value is the weighted sum of block values.
-    """
-    first = _check_blocks(blocks, weights)
-    objective = linalg.direct_sum(
-        [w * b.objective for b, w in zip(blocks, weights)], first.out_dim, first.in_dim
-    )
-    return CloningSdp(objective, (first.out_dim, len(blocks) * first.in_dim))
+    parts = [w * b.objective for b, w in zip(blocks, weights)]
+    return CloningSdp(linalg.direct_sum(parts, out_dim, in_dim), (out_dim, len(blocks) * in_dim))
 
 
 def solve_block_diagonal(
-    blocks: list[CloningSdp],
-    weights: list[float],
-    tol: float = DEFAULT_TOL,
+    blocks: list[CloningSdp], tol: float = DEFAULT_TOL
 ) -> tuple[SdpSolution, ...]:
-    """Solve weighted same-shape subproblems one by one; one solution per block.
+    """Solve subproblems, of any (out_dim, in_dim) splits, one by one in input order,
+    each by :func:`solve` on its own space; one solution per block.
 
-    The weights are checked as :func:`assemble_block_sdp` checks them, and each
-    block is solved by :func:`solve`, in input order, on its own space.  The
-    weighted direct sum has the value sum_i w_i value_i and the pair made of
-    the direct sums of the X_i and of the w_i Y_i, which is not built here.
+    For one split and weights w_i, the direct sum of :func:`assemble_block_sdp` has
+    the value sum_i w_i value_i and the pair of the direct sums of the X_i and of the
+    w_i Y_i; the caller sums the weighted values, and that pair is not built here.
     A block that exhausts ``MAX_ITERATIONS`` or loses positive definiteness
     raises :class:`SolverError` naming it and carrying its own best iterate, on
     its own space; with several failing blocks, the error names the lowest.
     """
-    _check_blocks(blocks, weights)
     solutions = []
     for i, block in enumerate(blocks):
         try:
-            solutions.append(solve(block, tol, max_iterations=MAX_ITERATIONS))
+            solutions.append(solve(block, tol))
         except SolverError as exc:
             raise SolverError(f"block {i}: {exc}", solution=exc.solution) from exc
     return tuple(solutions)

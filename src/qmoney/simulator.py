@@ -73,17 +73,14 @@ class TrialReport:
     empirical rate and the z-score, its gap to the analytic rate in units
     of the binomial standard error, derive from the counts; ``conditional_rate``
     is only set by attacks that verify a second note conditioned on the first.
-    A report is one draw on one thread, so ``batches`` and ``workers`` are 1;
     ``seconds`` is the wall time of the draw and depends on the machine, so it
-    and ``workers`` take no part in comparing reports.
+    takes no part in comparing reports.
     """
 
     successes: int
     trials: int
     analytic: float
     conditional_rate: float | None = None
-    batches: int = 1
-    workers: int = field(default=1, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):

@@ -146,7 +146,7 @@ def test_criterion_08_classical_verification():
         q = schemes.assemble_challenge_block(blocks, 2, c1, c2)
         problems.append(sdp.CloningSdp(q, dims=(2, 2, 2)))
         wts.append(weights[(c1, c2)])
-    solutions = sdp.solve_block_diagonal(problems, wts)
+    solutions = sdp.solve_block_diagonal(problems)
     value = sum(w * s.primal_value for s, w in zip(solutions, wts))
     assert abs(value - (0.75 + math.sqrt(2.0) / 8.0)) <= 1e-6
 

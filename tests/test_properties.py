@@ -114,7 +114,7 @@ class TestScaleInvariance:
                 for pair in cloners.CHALLENGE_PAIRS
             ]
             weights = [weights[pair] for pair in cloners.CHALLENGE_PAIRS]
-            solutions = sdp.solve_block_diagonal(problems, weights)
+            solutions = sdp.solve_block_diagonal(problems)
             pval = sum(w * s.primal_value for s, w in zip(solutions, weights))
             dval = sum(w * s.dual_value for s, w in zip(solutions, weights))
             return sdp.assemble_block_sdp(problems, weights), sdp.SdpSolution(

@@ -100,10 +100,11 @@ class TestSolutionObjects:
         assert np.allclose(sol.primal_x, np.eye(8) / 4.0)
 
     @pytest.mark.usefixtures("interior_point")
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverError) as excinfo:
-            _solved(q, (2, 2, 2), max_iterations=2)
+            _solved(q, (2, 2, 2))
         partial = excinfo.value.solution
         assert partial is not None
         assert 0.0 <= partial.primal_value <= 1.0
@@ -159,24 +160,18 @@ class TestValidation:
         problem = sdp.CloningSdp(np.eye(8) / 8.0, dims=dims)
         assert problem.dims == (4, 2) and (problem.out_dim, problem.in_dim) == (4, 2)
 
-    @pytest.mark.parametrize("tol", [1e-13, 0.5, 0.0])
+    @pytest.mark.parametrize("tol", [1e-11, 1e-13, 0.5, 0.0])
     def test_rejects_out_of_range_tolerance(self, tol):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
         with pytest.raises(ValueError):
             _solved(q, (2, 2, 2), tol=tol)
-
-    @pytest.mark.parametrize("max_iterations", [0, -1])
-    def test_rejects_iteration_cap_below_one(self, max_iterations):
-        q = schemes.cloning_objective(schemes.wiesner_ensemble())
-        with pytest.raises(ValueError, match="max_iterations"):
-            _solved(q, (2, 2, 2), max_iterations=max_iterations)
 
 
 class TestBlockProblems:
     def test_identical_blocks_reproduce_the_single_value(self):
         q = schemes.cloning_objective(schemes.wiesner_ensemble())
         blocks = [_qubit_problem(q), _qubit_problem(q)]
-        solutions = sdp.solve_block_diagonal(blocks, [0.3, 0.7])
+        solutions = sdp.solve_block_diagonal(blocks)
         assert abs(_weighted_value(solutions, [0.3, 0.7]) - 0.75) < 1e-6
         assert solutions is not None and len(solutions) == 2
 
@@ -186,7 +181,7 @@ class TestBlockProblems:
         weights = [0.5, 0.5]
         combined = sdp.assemble_block_sdp(blocks, weights)
         assert combined.dims == (4, 2 * 2)  # the block index heads the input
-        solutions = sdp.solve_block_diagonal(blocks, weights)
+        solutions = sdp.solve_block_diagonal(blocks)
         primal_x, dual_y = _combined_pair(blocks, weights, solutions)
         assert primal_x.shape == (combined.dim, combined.dim)
         defect = np.abs(combined.trace_out(primal_x) - np.eye(combined.in_dim)).max()
@@ -208,7 +203,7 @@ class TestBlockProblems:
             )
             problems.append(problem)
             wts.append(wt)
-        solutions = sdp.solve_block_diagonal(problems, wts)
+        solutions = sdp.solve_block_diagonal(problems)
         target = 0.75 + math.sqrt(1.0 / d) / 4.0
         assert abs(_weighted_value(solutions, wts) - target) < 1e-6
         for (c1, c2), block_sol in zip(sorted(weights), solutions):
@@ -235,11 +230,20 @@ class TestBlockProblems:
             sdp.assemble_block_sdp(blocks, [1.4, -0.4])
 
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
-    @pytest.mark.parametrize("combine", [sdp.assemble_block_sdp, sdp.solve_block_diagonal])
+    @pytest.mark.parametrize("combine", [sdp.assemble_block_sdp])
     def test_nan_weights_are_rejected(self, combine, weights):
         blocks = [_wiesner_sdp(), _wiesner_sdp()]
         with pytest.raises(DimensionError, match="weights"):
             combine(blocks, weights)
+
+    def test_blocks_of_different_splits_solve_on_their_own_spaces(self):
+        blocks = [_wiesner_sdp(), sdp.CloningSdp(schemes.symmetric_cloning_objective(3), (9, 3))]
+        assert [b.dims for b in blocks] == [(4, 2), (9, 3)]
+        solutions = sdp.solve_block_diagonal(blocks)
+        for got, block in zip(solutions, blocks):
+            assert got.primal_x.shape == (block.dim, block.dim)
+            _assert_same_solution(got, sdp.solve(block))
+        assert [round(s.primal_value, 6) for s in solutions] == [0.75, 0.5]
 
 
 def _wiesner_sdp():
@@ -370,6 +374,16 @@ def _random_non_flat_problem(seed, d, count):
     return sdp.CloningSdp(schemes.cloning_objective(ensemble), dims=(d, d, d))
 
 
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("d, count", [(2, 4), (3, 5)])
+def test_the_tolerance_floor_is_reached(d, count, seed):
+    problem = _random_non_flat_problem(seed, d, count)
+    sol = sdp.solve(problem, tol=sdp.MIN_TOL)
+    assert sol.iterations > 0
+    assert abs(sol.dual_value - sol.primal_value) <= 10 * sdp.MIN_TOL
+    assert certificates.certify(sol.primal_x, sol.dual_y, problem).certified
+
+
 EXACTLY_HERMITIAN = {
     "wiesner^2": lambda: composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()]),
     "random d=3": lambda: _random_non_flat_problem(0, 3, 5),
@@ -409,9 +423,10 @@ class TestExactHermiticity:
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EXACTLY_HERMITIAN))
-    def test_the_best_iterate_at_the_cap(self, name, cap):
+    def test_the_best_iterate_at_the_cap(self, name, cap, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
         with pytest.raises(SolverError, match="no convergence") as excinfo:
-            sdp.solve(EXACTLY_HERMITIAN[name](), max_iterations=cap)
+            sdp.solve(EXACTLY_HERMITIAN[name]())
         assert _exactly_hermitian(excinfo.value.solution.dual_y)
 
 
@@ -481,7 +496,7 @@ class TestBlocks:
         alone = [sdp.solve(p) for p in problems]
         assert len({s.iterations for s in alone}) == 3  # 7, 6 and 0 iterations
         reached = _counting_iterations(monkeypatch)
-        solutions = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        solutions = sdp.solve_block_diagonal(problems)
         # The zero objective is answered at once, without iterating.
         assert [id(p) for p in reached] == [id(p) for p in problems[:4]]
         for got, ref in zip(solutions, alone):
@@ -495,7 +510,7 @@ class TestBlocks:
         ]
         assert [sdp._reduce(p)[0].shape[0] for p in problems] == [3 * (r + 1) for r in ranks]
         alone = [sdp.solve(p) for p in problems]
-        solutions = sdp.solve_block_diagonal(problems, [0.2] * 5)
+        solutions = sdp.solve_block_diagonal(problems)
         for got, ref in zip(solutions, alone):
             _assert_same_solution(got, ref)
         value = _weighted_value(solutions, [0.2] * 5)
@@ -510,9 +525,9 @@ class TestBlocks:
         assert {sdp._reduce(b)[0].shape for b in blocks} == {(40, 40)}
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverError, match="^block 0: no convergence") as excinfo:
-            sdp.solve_block_diagonal(blocks, [1 / 3] * 3)
+            sdp.solve_block_diagonal(blocks)
         with pytest.raises(SolverError) as alone:
-            sdp.solve(blocks[0], max_iterations=sdp.MAX_ITERATIONS)
+            sdp.solve(blocks[0])
         partial = excinfo.value.solution
         assert partial.primal_x.shape == (64, 64)
         assert partial.iterations == 2 and len(partial.trace) == 2
@@ -523,7 +538,7 @@ class TestBlocks:
         problems = _qubit_blocks()[:3]  # built first: the objective check factors too
         _cholesky_failing_from_block(monkeypatch, 1)
         with pytest.raises(SolverError, match="^block 1: .*smallest diagonal") as excinfo:
-            sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
+            sdp.solve_block_diagonal(problems)
         partial = excinfo.value.solution
         assert partial.iterations == 0 and partial.trace == ()
         assert partial.primal_x.shape == (8, 8)
@@ -537,7 +552,7 @@ class TestBlocks:
         monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         _cholesky_failing_from_block(monkeypatch, 2)
         with pytest.raises(SolverError, match="^block 1: no convergence") as excinfo:
-            sdp.solve_block_diagonal(problems, [0.5, 0.25, 0.25])
+            sdp.solve_block_diagonal(problems)
         partial = excinfo.value.solution
         assert partial.iterations == 2 and len(partial.trace) == 2
 
@@ -655,11 +670,12 @@ class TestOutputSupport:
         assert sizes and 64 not in sizes
 
     @pytest.mark.usefixtures("interior_point")
-    def test_stall_carries_a_full_size_best_iterate(self):
+    def test_stall_carries_a_full_size_best_iterate(self, monkeypatch):
         problem = composition.repeated_sdp([_wiesner_sdp(), _wiesner_sdp()])
         assert _support_rank(problem) == 9
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverError) as excinfo:
-            sdp.solve(problem, max_iterations=2)
+            sdp.solve(problem)
         partial = excinfo.value.solution
         assert partial.primal_x.shape == (64, 64)
         primal = certificates.check_primal(partial.primal_x, problem)
@@ -717,7 +733,7 @@ class TestSpectralPair:
             for pair in pairs
         ]
         wts = [weights[pair] for pair in pairs]
-        solutions = sdp.solve_block_diagonal(problems, wts)
+        solutions = sdp.solve_block_diagonal(problems)
         assert max(s.iterations for s in solutions) == 0
         mixed = (1 + 1 / math.sqrt(d)) / 2
         for (c1, c2), problem, block in zip(pairs, problems, solutions):
@@ -853,7 +869,7 @@ class TestProducts:
         regroup = linalg.regroup
         # X / 1.01 lowers the value, so weak duality holds and only the stopping test fails.
         monkeypatch.setattr(linalg, "regroup", lambda m, splits: regroup(m, splits) / 1.01)
-        assert sdp._product_solution(product, sdp.DEFAULT_TOL, sdp.MAX_ITERATIONS) is None
+        assert sdp._product_solution(product, sdp.DEFAULT_TOL) is None
         got = sdp.solve(product)
         _assert_same_solution(got, dense)
         assert np.array_equal(got.primal_x, dense.primal_x)

@@ -72,11 +72,10 @@ class TestConfigAndReport:
     def test_report_says_what_ran(self):
         cfg = _wiesner_config(trials=131_073, seed=3)
         report = simulator.simulate_quantum_attack(cfg)
-        assert report.batches == report.workers == simulator.worker_count() == 1
+        assert simulator.worker_count() == 1
         assert report.seconds > 0.0
         assert report == simulator.simulate_quantum_attack(cfg)
-        bell = simulator.simulate_bell_attack(2, 10, seed=1)
-        assert (bell.batches, bell.workers) == (1, 1)
+        assert simulator.simulate_bell_attack(2, 10, seed=1).seconds > 0.0
 
     def test_worker_count_ignores_the_environment(self, monkeypatch):
         """The simulator reads no thread setting: a report is the same draw on
@@ -87,7 +86,7 @@ class TestConfigAndReport:
         monkeypatch.setenv("QMONEY_THREADS", "5")
         assert simulator.worker_count() == 1
         asked = simulator.simulate_quantum_attack(cfg)
-        assert asked == plain and asked.workers == 1
+        assert asked == plain
 
     @pytest.mark.parametrize("attack", sorted(NOTE_ATTACKS))
     def test_a_note_attack_draws_once_at_its_analytic_rate(self, attack, monkeypatch):
